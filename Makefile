@@ -6,8 +6,14 @@ BENCH ?= BENCH_10.json
 # Trace file consumed by `make trace-report` / `make trace-top`
 # (see docs/observability.md).
 TRACE ?= trace.jsonl
+# One run of the benchmark of record (see perfbench/README.md):
+#   make perfbench W=knowledge_check SEED=1
+W ?= knowledge_check
+SEED ?= 1
+PERFBENCH_SECONDS ?= 20
+PERFBENCH_TRACE ?= 0
 
-.PHONY: install test test-chaos bench bench-json bench-json-smoke examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-top trace-diff audit-verify audit-chaos clean
+.PHONY: install test test-chaos bench bench-json bench-json-smoke perfbench examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-top trace-diff audit-verify audit-chaos clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -47,6 +53,15 @@ flow-report:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The benchmark of record: one run of workload $(W) with seed $(SEED).
+# run.py exits 0 even when a job fails its check, so this target fails
+# unless the last line of the output reports "correct": true.
+perfbench:
+	@mkdir -p .perfbench
+	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(PERFBENCH_SECONDS) --trace $(PERFBENCH_TRACE) > .perfbench/result-$(W)-seed$(SEED).txt
+	@cat .perfbench/result-$(W)-seed$(SEED).txt
+	@tail -n 1 .perfbench/result-$(W)-seed$(SEED).txt | $(PYTHON) -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else "perfbench: a job failed its check")'
 
 # Machine-readable benchmark report (see docs/performance.md).
 bench-json:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.assignments import ProbabilityAssignment
 from ..core.model import Point
 from ..core.standard import standard_assignments
 from ..logic.semantics import Model
@@ -33,6 +34,28 @@ from ..probability.fractionutil import FractionLike, ONE, as_fraction
 from ..reporting import json_ready
 from .analysis import achieves, run_level_probability
 from .protocols import AttackSystem, build_ca1, build_ca1_adaptive, build_ca2
+
+
+def _minimum_inner(
+    assignment: ProbabilityAssignment, attack: AttackSystem
+) -> Tuple[Fraction, int, Point]:
+    """The least inner probability of ``phi_CA`` over the group's agents
+    and all points, with the first ``(agent, point)`` attaining it.
+
+    ``mu_ic`` depends on ``S_ic`` alone (Section 5), so each distinct
+    sample space is queried once; a group's first point in point-index
+    order stands for all of its points.  Agents are scanned in group
+    order and groups in point-index order, and only a strictly smaller
+    value replaces the best, so ties keep the first agent and point.
+    """
+    target = attack.coordinated.points(attack.psys.system)
+    best: Optional[Tuple[Fraction, int, Point]] = None
+    for agent in attack.group:
+        for group, inner in assignment.inner_probabilities(agent, target):
+            if best is None or inner < best[0]:
+                best = (inner, agent, group.point)
+    assert best is not None  # systems always have at least one point
+    return best
 
 
 def post_threshold(attack: AttackSystem) -> Fraction:
@@ -48,13 +71,7 @@ def post_threshold(attack: AttackSystem) -> Fraction:
     and conversely ``C^eps`` implies ``E^eps``.  So the threshold is the
     pointwise minimum.
     """
-    post = standard_assignments(attack.psys)["post"]
-    system = attack.psys.system
-    return min(
-        post.inner_probability(agent, point, attack.coordinated)
-        for agent in attack.group
-        for point in system.points
-    )
+    return _minimum_inner(standard_assignments(attack.psys)["post"], attack)[0]
 
 
 def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
@@ -67,17 +84,7 @@ def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
     order, so the witness is stable across runs and processes (what the
     per-row provenance events and ``tools/tracediff`` rely on).
     """
-    post = standard_assignments(attack.psys)["post"]
-    index = attack.psys.point_index
-    points = sorted(attack.psys.system.points, key=index.position)
-    best: Optional[Tuple[Fraction, int, Point]] = None
-    for agent in attack.group:
-        for point in points:
-            inner = post.inner_probability(agent, point, attack.coordinated)
-            if best is None or inner < best[0]:
-                best = (inner, agent, point)
-    assert best is not None  # systems always have at least one point
-    return best
+    return _minimum_inner(standard_assignments(attack.psys)["post"], attack)
 
 
 def row_provenance_derivation(attack: AttackSystem):
@@ -89,8 +96,8 @@ def row_provenance_derivation(attack: AttackSystem):
     ``post_threshold``.  This is what the ``provenance=True`` sweep mode
     attaches to each ``row_provenance`` event.
     """
-    threshold, agent, point = post_threshold_witness(attack)
     post = standard_assignments(attack.psys)["post"]
+    threshold, agent, point = _minimum_inner(post, attack)
     model = Model(post, {"coord": attack.coordinated})
     formula = PrAtLeast(agent, Prop("coord"), threshold)
     return model.explain(formula, point)
@@ -99,13 +106,7 @@ def row_provenance_derivation(attack: AttackSystem):
 def prior_threshold(attack: AttackSystem) -> Fraction:
     """The analogous threshold for ``P_prior`` (= the run-level probability,
     since prior spaces are time slices and phi_CA is a run fact)."""
-    prior = standard_assignments(attack.psys)["prior"]
-    system = attack.psys.system
-    return min(
-        prior.inner_probability(agent, point, attack.coordinated)
-        for agent in attack.group
-        for point in system.points
-    )
+    return _minimum_inner(standard_assignments(attack.psys)["prior"], attack)[0]
 
 
 @dataclass

@@ -11,6 +11,7 @@ from .assignments import (
     ExplicitAssignment,
     FunctionAssignment,
     ProbabilityAssignment,
+    SampleGroup,
     SampleSpaceAssignment,
     check_req1,
     check_req2,
@@ -81,6 +82,7 @@ __all__ = [
     "ExplicitAssignment",
     "FunctionAssignment",
     "ProbabilityAssignment",
+    "SampleGroup",
     "check_req1",
     "check_req2",
     "check_req2_state_generated",

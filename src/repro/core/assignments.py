@@ -28,8 +28,10 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -163,49 +165,35 @@ def induced_point_space(
     """The probability space ``P_ic`` induced on a sample space.
 
     Atoms of ``X_ic`` are projections of the run-space atoms onto the
-    sample; with the (default) powerset run algebra, the atom for run ``r``
-    is the set of sample points lying on ``r`` -- one atom per run, which in
-    asynchronous systems may contain several points (this is exactly the
-    source of Section 7's non-measurability).  The measure conditions
-    ``mu_A`` on ``R(S_ic)``.
+    sample.  :meth:`ProbabilisticSystem.run_space` is the powerset
+    algebra, so the atom for run ``r`` is the set of sample points lying
+    on ``r`` -- one atom per run the sample touches, in run-atom order,
+    which in asynchronous systems may contain several points (this is
+    exactly the source of Section 7's non-measurability).  The measure
+    conditions ``mu_A`` on ``R(S_ic)``.
     """
     sample_set = frozenset(sample)
     check_req2(psys, point, sample_set)  # REQ1 checked inside
     tree = psys.tree_of(point)
-    run_space = psys.run_space(tree.adversary)
-    # group the sample by run once, so projection is linear in the sample
-    # instead of quadratic (sample x atoms) in large systems
+    run_weights = psys.run_space(tree.adversary).atom_weights
+    # group the sample by run once: only the runs the sample touches are
+    # projected, so the cost is linear in the sample, not in the tree
     points_on_run: Dict[Run, List[Point]] = {}
     for member in sample_set:
         points_on_run.setdefault(member.run, []).append(member)
-    atoms: List[PointSet] = []
-    weight_of: Dict[PointSet, int] = {}
+    positions = sorted(tree.run_position(run) for run in points_on_run)
+    runs = tree.runs
     # conditioning on R(S_ic) in integer weight form: the conditional
     # measure of a projected atom is its run weight over the total weight
-    # of runs through the sample, with no per-atom Fraction division
-    for run_atom, weight in zip(run_space.atoms, run_space.atom_weights):
-        projected = frozenset(
-            member
-            for run in run_atom
-            if run in points_on_run
-            for member in points_on_run[run]
-        )
-        if not projected:
-            continue
-        if projected in weight_of:
-            weight_of[projected] += weight
-        else:
-            atoms.append(projected)
-            weight_of[projected] = weight
-    # distinct run atoms project to disjoint point sets covering the
-    # sample (each point lies on exactly one run), so the projections are
-    # a partition by construction; the weights sum to the denominator by
-    # construction, and check_req2 guarantees the denominator is positive
-    total_weight = sum(weight_of.values())
+    # of runs through the sample, with no per-atom Fraction division.
+    # Distinct runs project to disjoint nonempty point sets covering the
+    # sample, so the atoms partition it by construction, and check_req2
+    # guarantees the total weight is positive.
+    weights = tuple(run_weights[position] for position in positions)
     return FiniteProbabilitySpace._from_atom_weights(
-        tuple(atoms),
-        tuple(weight_of[atom] for atom in atoms),
-        total_weight,
+        tuple(frozenset(points_on_run[runs[position]]) for position in positions),
+        weights,
+        sum(weights),
         interval_cache_maxsize=psys.interval_cache_maxsize,
     )
 
@@ -365,20 +353,46 @@ class FunctionAssignment(SampleSpaceAssignment):
 # ----------------------------------------------------------------------
 
 
+class SampleGroup(NamedTuple):
+    """The points at which one agent has one sample space ``S_ic``.
+
+    ``mu_ic`` depends on the sample alone (Section 5), so
+    ``Pr_i(phi) >= alpha`` has one truth value per group.
+    """
+
+    #: The group's points, as a mask over ``System.point_index``.
+    mask: int
+    #: The group's first point in point-index order.
+    point: Point
+    #: ``S_ic``, shared by every point of the group.
+    sample: PointSet
+    #: ``P_ic``, shared by every point of the group.
+    space: FiniteProbabilitySpace
+
+
 class ProbabilityAssignment:
     """The probability assignment induced by a sample-space assignment.
 
     ``P_ic`` is built by :func:`induced_point_space` and cached.  Because a
     uniform assignment reuses the same sample at every member point, spaces
     are cached by ``(agent, sample)`` rather than ``(agent, point)``.
+
+    Single-point queries (:meth:`space`, :meth:`probability` and friends)
+    ask the sample-space assignment about that point only.  Whole-system
+    queries (:meth:`inner_probabilities`, :meth:`outer_probabilities`)
+    go through :meth:`sample_groups` and query each distinct ``S_ic`` once.
     """
 
     def __init__(self, ssa: SampleSpaceAssignment, name: Optional[str] = None) -> None:
         self.ssa = ssa
         self.psys = ssa.psys
         self.name = name or ssa.name
-        self._space_cache: Dict[Tuple[int, PointSet], FiniteProbabilitySpace] = {}
+        # (agent, sample) -> (space, the tree holding the sample)
+        self._space_cache: Dict[
+            Tuple[int, PointSet], Tuple[FiniteProbabilitySpace, ComputationTree]
+        ] = {}
         self._event_cache: Dict[Tuple[Fact, PointSet], PointSet] = {}
+        self._groups: Dict[int, Tuple[SampleGroup, ...]] = {}
 
     # -- spaces ----------------------------------------------------------
 
@@ -388,11 +402,80 @@ class ProbabilityAssignment:
 
     def space(self, agent: int, point: Point) -> FiniteProbabilitySpace:
         """``P_ic = (S_ic, X_ic, mu_ic)``."""
-        sample = self.ssa.sample_space(agent, point)
+        return self._space_at(agent, point, self.ssa.sample_space(agent, point))[0]
+
+    def _space_at(
+        self, agent: int, point: Point, sample: PointSet
+    ) -> Tuple[FiniteProbabilitySpace, ComputationTree]:
+        """The cached ``(P_ic, T(c))`` for ``sample = S_ic``, REQ1-checked at ``c``.
+
+        A cached space was built at some point ``d`` with ``S_id`` the
+        same nonempty sample, inside ``T(d)``.  Trees are disjoint, so the
+        sample lies in ``T(c)`` exactly when ``c`` lies in ``T(d)``: one
+        membership test per hit keeps REQ1 checked at every point.
+        """
         key = (agent, sample)
-        if key not in self._space_cache:
-            self._space_cache[key] = induced_point_space(self.psys, point, sample)
-        return self._space_cache[key]
+        cached = self._space_cache.get(key)
+        if cached is None:
+            space = induced_point_space(self.psys, point, sample)
+            cached = (space, self.psys.tree_of(point))
+            self._space_cache[key] = cached
+        elif not cached[1].contains_point(point):
+            check_req1(self.psys, point, sample)  # raises: the sample leaves T(c)
+        return cached
+
+    def sample_groups(self, agent: int) -> Tuple[SampleGroup, ...]:
+        """The points of the system grouped by the agent's sample space.
+
+        One :class:`SampleGroup` per distinct ``S_ic``, in order of first
+        appearance in ``System.point_index``.  Built on first use from one
+        ``sample_space`` call per point and kept on the assignment.
+        REQ1 and REQ2 are checked at every point in point-index order, so
+        a defective assignment raises the same error as a per-point loop.
+        """
+        groups = self._groups.get(agent)
+        if groups is None:
+            sample_space = self.ssa.sample_space
+            # sample -> [mask, first point, (space, tree)]
+            found: Dict[PointSet, List] = {}
+            bit = 1
+            for point in self.psys.point_index.members:
+                sample = sample_space(agent, point)
+                entry = found.get(sample)
+                if entry is None:
+                    found[sample] = [bit, point, self._space_at(agent, point, sample)]
+                else:
+                    entry[0] |= bit
+                    # the membership test of a space-cache hit (_space_at)
+                    tree = entry[2][1]
+                    if not tree.contains_point(point):
+                        check_req1(self.psys, point, sample)  # raises
+                bit <<= 1
+            groups = tuple(
+                SampleGroup(mask, point, sample, cached[0])
+                for sample, (mask, point, cached) in found.items()
+            )
+            self._groups[agent] = groups
+        return groups
+
+    def inner_probabilities(
+        self, agent: int, target: PointSet
+    ) -> Iterator[Tuple[SampleGroup, Fraction]]:
+        """``(group, (mu_ic)_*(S_ic & target))`` for every sample group.
+
+        The whole-system form of :meth:`inner_probability`, with the
+        fact given by its extension ``target``: one inner-measure query
+        per distinct ``S_ic`` instead of one per point.
+        """
+        for group in self.sample_groups(agent):
+            yield group, group.space.inner_measure(group.sample & target)
+
+    def outer_probabilities(
+        self, agent: int, target: PointSet
+    ) -> Iterator[Tuple[SampleGroup, Fraction]]:
+        """``(group, (mu_ic)^*(S_ic & target))`` for every sample group."""
+        for group in self.sample_groups(agent):
+            yield group, group.space.outer_measure(group.sample & target)
 
     # -- probabilities at a point ----------------------------------------
 

@@ -19,7 +19,7 @@ conditionings of higher ones).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..errors import AssignmentError
 from .assignments import PointSet, ProbabilityAssignment, SampleSpaceAssignment
@@ -32,51 +32,53 @@ if TYPE_CHECKING:
 
 
 class _TreeIndexed(SampleSpaceAssignment):
-    """Shared machinery: per-tree, per-agent index from local state to points."""
+    """Shared machinery: per-tree indexes from a point's key to its points.
+
+    Each index (local state per agent, global state, time) is built on
+    first use and kept on the assignment, so an assignment pays only for
+    the index its ``sample_space`` reads.
+    """
 
     def __init__(self, psys: ProbabilisticSystem, name: Optional[str] = None) -> None:
         super().__init__(psys, name)
-        self._local_index: Dict[tuple, PointSet] = {}
-        self._time_index: Dict[tuple, PointSet] = {}
-        self._state_index: Dict[tuple, PointSet] = {}
-        for tree in psys.trees:
-            by_time: Dict[int, List[Point]] = {}
-            by_state: Dict[object, List[Point]] = {}
-            agent_locals: List[Dict[object, List[Point]]] = []
-            # read each run's state tuple directly instead of dispatching
-            # through point.local_state: this loop touches every
-            # (point, agent) pair of every tree.  Plain lists suffice --
-            # tree.points enumerates each point exactly once.
-            for point in tree.points:
-                state = point.run.states[point.time]
-                by_time.setdefault(point.time, []).append(point)
-                by_state.setdefault(state, []).append(point)
-                locals_ = state.local_states
-                if len(agent_locals) < len(locals_):
-                    agent_locals.extend(
-                        {} for _ in range(len(locals_) - len(agent_locals))
-                    )
-                for agent, local in enumerate(locals_):
-                    agent_locals[agent].setdefault(local, []).append(point)
+        self._local_index: Dict[int, Dict[tuple, PointSet]] = {}
+        self._time_index: Optional[Dict[tuple, PointSet]] = None
+        self._state_index: Optional[Dict[tuple, PointSet]] = None
+
+    def _build_index(self, key_of: Callable[[Point], Hashable]) -> Dict[tuple, PointSet]:
+        """``(adversary, key_of(point)) -> points of that tree with that key``."""
+        grouped: Dict[tuple, List[Point]] = {}
+        # plain lists suffice: tree.points enumerates each point once
+        for tree in self.psys.trees:
             adversary = tree.adversary
-            for time, points in by_time.items():
-                self._time_index[(adversary, time)] = frozenset(points)
-            for state, points in by_state.items():
-                self._state_index[(adversary, state)] = frozenset(points)
-            for agent, mapping in enumerate(agent_locals):
-                for local, points in mapping.items():
-                    self._local_index[(adversary, agent, local)] = frozenset(points)
+            for point in tree.points:
+                grouped.setdefault((adversary, key_of(point)), []).append(point)
+        return {key: frozenset(points) for key, points in grouped.items()}
 
     def tree_points_with_local(self, tree: ComputationTree, agent: int, local) -> PointSet:
         """``Tree_ic`` ingredients: points of the tree with a given local state."""
-        return self._local_index.get((tree.adversary, agent, local), frozenset())
+        index = self._local_index.get(agent)
+        if index is None:
+            # read the run's state tuple directly instead of dispatching
+            # through point.local_state: this touches every point
+            index = self._build_index(
+                lambda point: point.run.states[point.time].local_states[agent]
+            )
+            self._local_index[agent] = index
+        return index.get((tree.adversary, local), frozenset())
 
     def tree_points_at_time(self, tree: ComputationTree, time: int) -> PointSet:
         """All time-``k`` points of the tree (``All_ic``)."""
+        if self._time_index is None:
+            self._time_index = self._build_index(lambda point: point.time)
         return self._time_index.get((tree.adversary, time), frozenset())
 
     def tree_points_with_state(self, tree: ComputationTree, state) -> PointSet:
         """All points of the tree with a given global state (``Pref_ic``)."""
+        if self._state_index is None:
+            self._state_index = self._build_index(
+                lambda point: point.run.states[point.time]
+            )
         return self._state_index.get((tree.adversary, state), frozenset())
 
 

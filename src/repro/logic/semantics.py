@@ -203,19 +203,16 @@ class Model:
         if isinstance(formula, Knows):
             return self._knowledge_mask(formula.agent, self.extension_mask(formula.sub))
         if isinstance(formula, PrAtLeast):
-            fact = Fact.from_points(self.extension(formula.sub))
-            inner = self.assignment.inner_probability
-            agent, alpha = formula.agent, formula.alpha
-            return self._points_mask(
-                lambda point: inner(agent, point, fact) >= alpha
+            return self._pr_at_least_mask(
+                formula.agent, formula.alpha, self.extension(formula.sub)
             )
         if isinstance(formula, PrAtMost):
-            fact = Fact.from_points(self.extension(formula.sub))
-            outer = self.assignment.outer_probability
-            agent, beta = formula.agent, formula.beta
-            return self._points_mask(
-                lambda point: outer(agent, point, fact) <= beta
-            )
+            mask = 0
+            outer = self.assignment.outer_probabilities
+            for group, probability in outer(formula.agent, self.extension(formula.sub)):
+                if probability <= formula.beta:
+                    mask |= group.mask
+            return mask
         if isinstance(formula, Next):
             sub = self.extension_mask(formula.sub)
             position = self._index.position
@@ -308,12 +305,24 @@ class Model:
             return wordmask.full_words(len(self._index))
         return result
 
+    def _pr_at_least_mask(self, agent: int, alpha, target: PointSet) -> int:
+        """Extension mask of ``Pr_i(phi) >= alpha`` where ``phi``'s
+        extension is ``target``.
+
+        ``mu_ic`` depends on ``S_ic`` alone (Section 5), so the inner
+        measure is queried once per sample group of the assignment and
+        the verdict applies to every point of the group.
+        """
+        mask = 0
+        for group, inner in self.assignment.inner_probabilities(agent, target):
+            if inner >= alpha:
+                mask |= group.mask
+        return mask
+
     def _prob_knowledge_mask(self, agent: int, alpha, target: int) -> int:
         """Extension mask of ``K_i^alpha`` applied to an extension mask."""
-        fact = Fact.from_points(self._index.members_of(target))
-        inner = self.assignment.inner_probability
-        satisfying = self._points_mask(
-            lambda point: inner(agent, point, fact) >= alpha
+        satisfying = self._pr_at_least_mask(
+            agent, alpha, self._index.members_of(target)
         )
         return self._knowledge_mask(agent, satisfying)
 

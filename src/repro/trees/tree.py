@@ -120,6 +120,7 @@ class ComputationTree:
             node: frozenset(through) for node, through in node_runs.items()
         }
         self._node_set: FrozenSet[GlobalState] = frozenset(node_runs)
+        self._run_positions: Optional[Dict[Run, int]] = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -259,6 +260,19 @@ class ComputationTree:
             return self._run_probability[run]
         except KeyError:
             raise TreeError("run does not belong to this tree") from None
+
+    def run_position(self, run: Run) -> int:
+        """The position of ``run`` in :attr:`runs`.
+
+        This is also the position of the run's singleton atom in the
+        default :meth:`run_space`, whose atoms follow :attr:`runs`.  The
+        position table is built on first use.
+        """
+        positions = self._run_positions
+        if positions is None:
+            positions = {each: position for position, each in enumerate(self._runs)}
+            self._run_positions = positions
+        return positions[run]
 
     def runs_through(self, points: Iterable[Point]) -> FrozenSet[Run]:
         """``R(S)``: the runs passing through a set of points (Section 5)."""
