@@ -5,9 +5,12 @@ The acceptance scenario behind the ``verify-audit`` CI job, end to end:
 1. Run :func:`repro.robustness.robust_guarantee_sweep` with ``audit=True``
    under a task function that dies mid-sweep (every attempt on one task
    faults), leaving a partial checkpoint and a partial audit bundle.
-2. Resume with :func:`repro.robustness.resume_guarantee_sweep`
-   (``audit=True`` again): the engine skips checkpointed rows, backfills
-   any audit leaves the kill swallowed, and continues the Merkle chain.
+   Then cut the checkpoint's last record in half, as a kill in the
+   middle of its write would have left it.
+2. Resume by calling :func:`repro.robustness.robust_guarantee_sweep`
+   again (``audit=True`` again): the engine skips checkpointed rows,
+   re-runs the torn one, backfills any audit leaves the kill swallowed,
+   and continues the Merkle chain.
 3. Assert the merged rows equal the serial sweep's, then run the full
    ``tools/verifyaudit`` tier stack over the bundle -- hash chain,
    checkpoint cross-check, and derivation replay -- and demand exit 0.
@@ -36,7 +39,6 @@ from repro.errors import RetryExhaustedError  # noqa: E402
 from repro.robustness import (  # noqa: E402
     RetryPolicy,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
 )
 from repro.robustness.faults import InjectedFault  # noqa: E402
@@ -90,10 +92,14 @@ def main(argv=None) -> int:
     else:
         print("  ERROR: the chaos sweep was supposed to die", file=sys.stderr)
         return 1
+    data = checkpoint.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    checkpoint.write_bytes(data[: last + (len(data) - last) // 2])
+    print("  checkpoint's last record cut in half (a kill mid-write)")
 
     print("phase 2: resume (healthy task function, chain continues)")
-    rows = resume_guarantee_sweep(
-        checkpoint, MESSENGERS, LOSSES, max_workers=1, audit=True
+    rows = robust_guarantee_sweep(
+        MESSENGERS, LOSSES, max_workers=1, checkpoint_path=checkpoint, audit=True
     )
     if rows != guarantee_sweep(MESSENGERS, LOSSES):
         print("  ERROR: resumed rows differ from serial sweep", file=sys.stderr)

@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from repro.attack import guarantee_sweep, parallel_guarantee_sweep  # noqa: E402
+from repro.attack import guarantee_sweep  # noqa: E402
 from repro.obs import (  # noqa: E402
     MetricsRecorder,
     MetricsSnapshotWriter,
@@ -63,6 +63,7 @@ from repro.probability import (  # noqa: E402
     wordmask,
 )
 from repro.reporting import write_bench_json  # noqa: E402
+from repro.robustness import robust_guarantee_sweep  # noqa: E402
 
 import bench_wordarray  # noqa: E402
 from bench_scalability import pipeline  # noqa: E402
@@ -142,14 +143,14 @@ def bench_pipeline(records, tosses: int, backend: str, repeats: int, trace) -> N
 
 
 def bench_sweep(records, messengers, repeats: int, trace) -> None:
-    """Serial vs parallel guarantee sweep on identical task lists."""
+    """Serial vs pool (engine) guarantee sweep on identical task lists."""
     losses = [Fraction(1, 2)]
     serial_seconds, serial_rows, serial_counters = _timed(
         lambda: guarantee_sweep(messengers, losses), repeats, trace,
         label="guarantee_sweep_serial",
     )
     parallel_seconds, parallel_rows, parallel_counters = _timed(
-        lambda: parallel_guarantee_sweep(messengers, losses), repeats, trace,
+        lambda: robust_guarantee_sweep(messengers, losses), repeats, trace,
         label="guarantee_sweep_parallel",
     )
     if serial_rows != parallel_rows:
@@ -176,9 +177,8 @@ def bench_sweep(records, messengers, repeats: int, trace) -> None:
             "params": {"messengers": list(messengers), "losses": losses},
             "system": system_size,
             "seconds": round(parallel_seconds, 4),
-            # Workers run in their own processes with the default
-            # NullRecorder, so parent-side counters only cover the pool
-            # bookkeeping -- see docs/observability.md.
+            # Workers ship their counter deltas home and the engine
+            # merges them -- see docs/observability.md.
             "counters": parallel_counters,
             "results": {"rows_match_serial": True},
         }
@@ -279,8 +279,6 @@ def bench_audit_overhead(records, messengers, repeats: int) -> None:
     """
     import shutil
     import tempfile
-
-    from repro.robustness import robust_guarantee_sweep
 
     losses = [Fraction(1, 2)]
 

@@ -18,6 +18,7 @@ the confidence level ``eps`` demanded.  This module computes:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -27,11 +28,9 @@ from ..core.model import Point
 from ..core.standard import standard_assignments
 from ..logic.semantics import Model
 from ..logic.syntax import PrAtLeast, Prop
-from ..obs.audit import AuditBundleWriter
 from ..obs.recorder import get_recorder
 from ..probability.bitset import get_default_backend, kernel_totals, use_backend
 from ..probability.fractionutil import FractionLike, ONE, as_fraction
-from ..reporting import json_ready
 from .analysis import achieves, run_level_probability
 from .protocols import AttackSystem, build_ca1, build_ca1_adaptive, build_ca2
 
@@ -130,7 +129,7 @@ DEFAULT_BUILDERS: Dict[str, Builder] = {
 }
 
 #: One unit of sweep work: ``(protocol name, builder, messengers, loss,
-#: epsilon)``.  Tasks are what the parallel runner ships to worker
+#: epsilon)``.  Tasks are what the sweep engine ships to worker
 #: processes, so every component must be picklable (the default builders
 #: are module-level functions, hence pickled by reference).
 SweepTask = Tuple[str, Builder, int, Fraction, Fraction]
@@ -155,9 +154,8 @@ def task_fingerprint(task: SweepTask) -> Dict[str, object]:
     ``bitmask`` resumes cleanly under ``wordarray`` and vice versa, and
     checkpoints written before the field existed still load.  This is
     also the ``task`` payload every ``repro-audit/1`` leaf hash commits
-    to, which is why it lives here: both the serial
-    :func:`guarantee_sweep` and the fault-tolerant checkpointed sweep
-    chain the same identity.
+    to, so the checkpoint and the audit bundle of a sweep key each cell
+    identically.
     """
     name, _builder, messengers, loss, epsilon = task
     return {
@@ -177,8 +175,9 @@ def sweep_tasks(
 ) -> List[SweepTask]:
     """The deterministic task list behind :func:`guarantee_sweep`.
 
-    Serial and parallel execution both enumerate this exact list in this
-    exact order, which is what makes their results comparable row by row.
+    The in-process reference and the fault-tolerant engine both
+    enumerate this exact list in this exact order, which is what makes
+    their results comparable row by row.
     """
     builders = builders or DEFAULT_BUILDERS
     threshold = as_fraction(epsilon)
@@ -210,24 +209,17 @@ def sweep_row_from_attack(task: SweepTask, attack: AttackSystem) -> SweepRow:
     )
 
 
-def sweep_row_of(
-    task: SweepTask,
-    provenance: bool = False,
-    backend: Optional[str] = None,
-) -> SweepRow:
+def sweep_row_of(task: SweepTask, provenance: bool = False) -> SweepRow:
     """Compute one :class:`SweepRow` from a :data:`SweepTask`.
 
     Deterministic. The row is a pure function of the task tuple -- the
     property the retry/resume machinery and the process pool both
     assume (RL009 checks the whole closure).  Rows are backend-independent:
-    every measure engine computes identical exact Fractions, so ``backend``
-    selects *how* the row is computed, never *what* it contains.
+    every measure engine computes identical exact Fractions.
 
-    Module-level (not a closure) so :func:`repro.attack.parallel.parallel_map`
-    can send it to worker processes; ``backend`` rides along as a plain
-    string, which is how the parallel runner propagates the caller's
-    engine choice into freshly spawned workers (whose process-global
-    default would otherwise be ``"bitmask"``).
+    Module-level (not a closure) so
+    :func:`repro.robustness.engine.run_tasks` can send it to worker
+    processes.
 
     With ``provenance=True`` (opt-in, default off) the row additionally
     emits a ``row_provenance`` event carrying the full
@@ -235,9 +227,6 @@ def sweep_row_of(
     its witness point (:func:`row_provenance_derivation`).  The event is
     observe-only: the returned row is byte-identical either way.
     """
-    if backend is not None:
-        with use_backend(backend):
-            return sweep_row_of(task, provenance=provenance)
     name, builder, messengers, loss, _threshold = task
     recorder = get_recorder()
     with recorder.span(
@@ -259,41 +248,6 @@ def sweep_row_of(
         return row
 
 
-def audited_sweep_row(task: SweepTask, writer: AuditBundleWriter, index: int) -> SweepRow:
-    """Compute one row and chain it into a ``repro-audit/1`` bundle.
-
-    Builds the attack system once and reuses it for both the row and its
-    ``post_threshold`` derivation (:func:`row_provenance_derivation`),
-    then appends the Merkle leaf binding (task fingerprint, exact row
-    payload, derivation root fingerprint, index) -- the per-row unit of
-    the verifiable-sweep story, replayed by ``tools/verifyaudit``.  The
-    returned row is byte-identical to :func:`sweep_row_of`'s: auditing
-    observes the Section 8 computation, it never perturbs it.
-    """
-    name, builder, messengers, loss, _threshold = task
-    recorder = get_recorder()
-    with recorder.span(
-        "sweep_row", protocol=name, messengers=messengers, loss=loss
-    ):
-        attack = builder(messengers, loss)
-        row = sweep_row_from_attack(task, attack)
-        recorder.event("cache_stats", **kernel_totals())
-        derivation = row_provenance_derivation(attack)
-        chain = writer.append(
-            index, task_fingerprint(task), json_ready(row), derivation
-        )
-        recorder.event(
-            "audit_leaf",
-            protocol=name,
-            messengers=messengers,
-            loss=loss,
-            index=index,
-            fingerprint=derivation.fingerprint(),
-            chain=chain,
-        )
-        return row
-
-
 def guarantee_sweep(
     messenger_counts: Sequence[int],
     losses: Sequence[FractionLike],
@@ -301,37 +255,22 @@ def guarantee_sweep(
     epsilon: FractionLike = Fraction(99, 100),
     provenance: bool = False,
     backend: Optional[str] = None,
-    audit_path=None,
 ) -> List[SweepRow]:
     """Sweep protocols over messenger counts and loss probabilities.
 
+    The in-process reference sweep: one :func:`sweep_row_of` per task, in
+    task order.  :func:`repro.robustness.checkpoint.robust_guarantee_sweep`
+    computes the same rows on the fault-tolerant engine (process pool,
+    retries, checkpoints, audit bundles).
     ``provenance=True`` opts every row into a ``row_provenance`` event
     with its threshold derivation; see :func:`sweep_row_of`.
     ``backend`` runs the whole sweep under a specific measure engine
     (``None`` keeps the process default); rows are identical either way.
-    ``audit_path`` (opt-in, default off) additionally chains every row
-    into a ``repro-audit/1`` Merkle bundle at that path -- each leaf
-    binds the task fingerprint, the exact row payload, and the row's
-    threshold-derivation root fingerprint, so ``tools/verifyaudit`` can
-    certify the sweep without recomputing it (see
-    :mod:`repro.obs.audit`); rows are byte-identical either way.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
-    writer = AuditBundleWriter(audit_path) if audit_path is not None else None
-
-    def rows() -> List[SweepRow]:
-        if writer is not None:
-            return [
-                audited_sweep_row(task, writer, index)
-                for index, task in enumerate(tasks)
-            ]
-        return [sweep_row_of(task, provenance=provenance) for task in tasks]
-
     with get_recorder().span("guarantee_sweep", tasks=len(tasks)):
-        if backend is not None:
-            with use_backend(backend):
-                return rows()
-        return rows()
+        with use_backend(backend) if backend is not None else nullcontext():
+            return [sweep_row_of(task, provenance=provenance) for task in tasks]
 
 
 def crossover_messengers(

@@ -218,5 +218,6 @@ class WorkerTaskError(ReproError):
 
     Carries the worker-side ``repr`` summary of the original error so the
     failure stays attributable even when the exception object itself
-    cannot be shipped back.
+    cannot be shipped back; the sweep engine chains it as the
+    ``__cause__`` of its terminal error.
     """

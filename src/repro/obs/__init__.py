@@ -24,6 +24,9 @@ counters, gauges, events and timing spans to the process-global
   snapshots and ships per-attempt deltas across process boundaries --
   the cross-process telemetry the sweep engine's workers use, so the
   parent's counters cover the whole sweep.
+* :mod:`repro.obs.jsonl` is the one torn-tail rule and fsynced appender
+  behind every streamed JSONL artifact (traces, metrics, checkpoints,
+  audit bundles): a kill mid-write costs at most the final line.
 * :mod:`repro.obs.clock` quarantines every wall-clock read in the
   library (statically enforced by reprolint RL008).
 

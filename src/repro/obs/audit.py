@@ -32,10 +32,12 @@ anyone with the bundle detect a single-bit change anywhere -- the
 applied to Section 8 sweeps.  ``tools/verifyaudit`` is the replayer.
 
 Like the checkpoint it shadows, a bundle must survive being killed
-mid-write: :func:`read_audit_bundle` drops an undecodable *final* line
-(the torn tail) while treating earlier garbage as the hard error it is,
-and :class:`AuditBundleWriter` physically truncates a torn tail before
-resuming the chain, so appends always land on a record boundary.
+mid-write; both follow the one torn-tail rule of
+:mod:`repro.obs.jsonl`: :func:`read_audit_bundle` drops an undecodable
+*final* line while treating earlier garbage as the hard error it is,
+and :class:`AuditBundleWriter` resumes through the durable appender,
+which cuts the file back to exactly the records the reader keeps, so
+appends always land on a record boundary.
 Everything is content-pure: no clocks, no pids, no floats (exact
 ``"p/q"`` strings only, enforced by
 :func:`repro.obs.provenance.json_pure`), so two runs of the same sweep
@@ -52,6 +54,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import AuditError, ProvenanceError
 from .derivstore import EXPLAIN_SCHEMA_2, DerivationStore
+from .jsonl import DurableAppender, JsonlFormat
 from .provenance import Derivation, json_pure
 
 __all__ = [
@@ -69,6 +72,8 @@ __all__ = [
 
 #: Identifier written into (and demanded from) every audit bundle.
 AUDIT_SCHEMA = "repro-audit/1"
+
+_AUDIT_LOG = JsonlFormat("audit bundle", AuditError)
 
 
 def _canonical(payload) -> str:
@@ -175,9 +180,9 @@ def bundle_root(path) -> str:
 _LEAF_KEYS = frozenset({"index", "task", "row", "root_ref", "leaf_hash", "prev", "chain"})
 
 
-def _parse_record(record, position: int) -> Tuple[str, Dict]:
-    """Classify one decoded line; raise :class:`AuditError` if malformed."""
-    if not isinstance(record, dict) or "type" not in record:
+def _parse_record(record: Dict, position: int) -> Tuple[str, Dict]:
+    """Classify one decoded record; raise :class:`AuditError` if malformed."""
+    if "type" not in record:
         raise AuditError(
             f"audit bundle line {position} is not a typed record"
         )
@@ -205,70 +210,25 @@ def _parse_record(record, position: int) -> Tuple[str, Dict]:
     )
 
 
-def _read_lines(path) -> List[Tuple[int, str]]:
-    """The bundle's non-blank lines with 1-based positions, torn tail
-    dropped.
-
-    A line that does not decode as JSON is tolerated only as the *final*
-    line (the half-written tail of a killed writer -- exactly the
-    tolerance :meth:`repro.robustness.checkpoint.SweepCheckpoint.load`
-    extends to checkpoints); anywhere else it is corruption and raises
-    :class:`~repro.errors.AuditError`.
-    """
-    try:
-        with open(os.fspath(path), "r", encoding="utf-8") as handle:
-            raw = handle.read().splitlines()
-    except FileNotFoundError:
-        raise AuditError(f"audit bundle {os.fspath(path)!r} does not exist") from None
-    lines = [
-        (position + 1, line)
-        for position, line in enumerate(raw)
-        if line.strip()
-    ]
-    for offset, (position, line) in enumerate(lines):
-        try:
-            json.loads(line)
-        except json.JSONDecodeError:
-            if offset == len(lines) - 1:
-                return lines[:offset]
-            raise AuditError(
-                f"audit bundle line {position} is not JSON but is not the "
-                "final line; the file is corrupt, not merely torn"
-            ) from None
-    return lines
-
-
-def read_audit_bundle(path) -> AuditBundle:
-    """Parse the ``repro-audit/1`` bundle at ``path``.
-
-    Tolerates exactly one kind of damage -- an undecodable final line,
-    the torn tail of a killed writer -- by dropping it; the surviving
-    prefix is a complete, verifiable bundle (every chain prefix is).
-    Anything else (missing or foreign header, unknown record type,
-    structurally incomplete record, garbage before the final line)
-    raises :class:`~repro.errors.AuditError`: a bundle is evidence, and
-    evidence that does not parse cleanly proves nothing.
-    """
-    lines = _read_lines(path)
-    if not lines:
+def _bundle_of(records: List[Tuple[int, Dict]], path: str) -> AuditBundle:
+    """Structure-check a bundle's ``(line number, record)`` pairs."""
+    if not records:
         raise AuditError(
-            f"audit bundle {os.fspath(path)!r} has no intact records "
+            f"audit bundle {path!r} has no intact records "
             "(empty, or nothing but a torn tail)"
         )
-    position, first = lines[0]
-    kind, record = _parse_record(json.loads(first), position)
+    position, first = records[0]
+    kind, record = _parse_record(first, position)
     if kind != "header":
-        raise AuditError(
-            f"audit bundle {os.fspath(path)!r} does not start with a header record"
-        )
+        raise AuditError(f"audit bundle {path!r} does not start with a header record")
     if record.get("schema") != AUDIT_SCHEMA:
         raise AuditError(
-            f"audit bundle {os.fspath(path)!r} has schema "
+            f"audit bundle {path!r} has schema "
             f"{record.get('schema')!r}, expected {AUDIT_SCHEMA!r}"
         )
     bundle = AuditBundle(header=record)
-    for position, line in lines[1:]:
-        kind, record = _parse_record(json.loads(line), position)
+    for position, record in records[1:]:
+        kind, record = _parse_record(record, position)
         if kind == "header":
             raise AuditError(
                 f"audit bundle line {position} is a second header record"
@@ -278,6 +238,25 @@ def read_audit_bundle(path) -> AuditBundle:
         else:
             bundle.leaves.append(record)
     return bundle
+
+
+def read_audit_bundle(path) -> AuditBundle:
+    """Parse the ``repro-audit/1`` bundle at ``path``.
+
+    Tolerates exactly one kind of damage -- an undecodable final line,
+    the torn tail of a killed writer -- by dropping it
+    (:class:`repro.obs.jsonl.JsonlFormat`); the surviving prefix is a
+    complete, verifiable bundle (every chain prefix is).  Anything else
+    (missing or foreign header, unknown record type, structurally
+    incomplete record, garbage before the final line) raises
+    :class:`~repro.errors.AuditError`: a bundle is evidence, and
+    evidence that does not parse cleanly proves nothing.
+    """
+    try:
+        records = _AUDIT_LOG.read(path)
+    except FileNotFoundError:
+        raise AuditError(f"audit bundle {os.fspath(path)!r} does not exist") from None
+    return _bundle_of(records, os.fspath(path))
 
 
 def verify_bundle(bundle: AuditBundle) -> List[str]:
@@ -368,35 +347,37 @@ def verify_bundle(bundle: AuditBundle) -> List[str]:
 class AuditBundleWriter:
     """Appends the ``repro-audit/1`` chain for one sweep, durably.
 
-    Mirrors :class:`repro.robustness.checkpoint.SweepCheckpoint`: every
-    :meth:`append` writes complete records and fsyncs, so a kill at any
-    instant loses at most the leaf being written, and only as a torn
-    final line.  Opening an existing bundle *resumes* its chain: the
-    torn tail (if any) is truncated away, the last intact leaf's chain
-    value becomes the running tip, and node records already streamed are
-    never re-emitted (the hash-consing store deduplicates across the
-    kill).  Chain order is completion order, not index order -- exactly
-    like checkpoint rows -- and resumed bundles may carry duplicate
-    leaves for an index whose checkpoint row was torn; the verifier
-    checks that such re-runs agree.
+    Mirrors :class:`repro.robustness.checkpoint.SweepCheckpoint`: both
+    append through :class:`repro.obs.jsonl.DurableAppender`, so every record
+    is a complete fsynced line and a kill at any instant loses at most the
+    leaf being written, as a torn final line.  Opening an existing bundle
+    *resumes* its chain: the file is cut back to the records the reader
+    keeps, the last kept leaf's chain value becomes the running tip, and
+    node records already streamed are never re-emitted (the hash-consing
+    store deduplicates across the kill).  A bundle with no intact record
+    starts afresh from its header.  Chain order is completion order, not
+    index order -- exactly like checkpoint rows -- and resumed bundles may
+    carry duplicate leaves for an index whose checkpoint row was torn; the
+    verifier checks that such re-runs agree.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
+        self._log = DurableAppender(self.path, _AUDIT_LOG)
         self._store = DerivationStore()
         self._streamed: Set[str] = set()
         self._indexes: Set[int] = set()
         header = header_record()
         self.genesis = genesis_hash(header)
         self.chain = self.genesis
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
+        if self._log.records:
             self._resume(header)
         else:
-            self._append_line(_canonical(json_pure(header)))
+            self._log.append(json_pure(header))
 
     def _resume(self, header: Dict[str, object]) -> None:
-        """Adopt an existing bundle's chain tip; truncate any torn tail."""
-        bundle = read_audit_bundle(self.path)
+        """Adopt the chain tip of the records the log kept."""
+        bundle = _bundle_of(self._log.records, self.path)
         if bundle.header != header:
             raise AuditError(
                 f"audit bundle {self.path!r} has header {bundle.header!r}; "
@@ -405,41 +386,6 @@ class AuditBundleWriter:
         self._streamed.update(bundle.nodes)
         self._indexes.update(bundle.leaf_indexes())
         self.chain = bundle.root
-        self._truncate_torn_tail()
-
-    def _truncate_torn_tail(self) -> None:
-        """Cut the file back to its last intact record boundary.
-
-        The reader merely *skips* a torn tail; a writer must remove it,
-        or the next append would fuse with the partial line into one
-        garbage record and corrupt the bundle (the reader only forgives
-        damage in final position).
-        """
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        good_end = 0
-        start = 0
-        while start < len(data):
-            newline = data.find(b"\n", start)
-            if newline < 0:
-                break  # unterminated tail: torn by definition
-            line = data[start : newline + 1]
-            if line.strip():
-                try:
-                    json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-            good_end = newline + 1
-            start = newline + 1
-        if good_end < len(data):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_end)
-
-    def _append_line(self, line: str) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def leaf_indexes(self) -> FrozenSet[int]:
         """The task indexes this bundle already has leaves for.
@@ -472,9 +418,7 @@ class AuditBundleWriter:
             for ref, payload in new_entries:
                 if ref in self._streamed:
                     continue
-                self._append_line(
-                    _canonical({"type": "node", "ref": ref, "node": payload})
-                )
+                self._log.append({"type": "node", "ref": ref, "node": payload})
                 self._streamed.add(ref)
         leaf = leaf_hash(index, task, row, root_ref)
         record = {
@@ -487,7 +431,7 @@ class AuditBundleWriter:
             "prev": self.chain,
             "chain": chain_hash(self.chain, leaf),
         }
-        self._append_line(_canonical(record))
+        self._log.append(record)
         self.chain = record["chain"]
         self._indexes.add(index)
         return self.chain

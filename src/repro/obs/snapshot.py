@@ -58,6 +58,7 @@ from typing import Dict, List, Optional
 from ..errors import MetricsError
 from ..reporting import json_ready
 from .clock import perf_counter
+from .jsonl import JsonlFormat
 from .metrics import MetricsRecorder
 from .recorder import Recorder, set_recorder
 
@@ -75,6 +76,8 @@ __all__ = [
 
 #: Identifier written into (and demanded from) every metrics header.
 METRICS_SCHEMA = "repro-metrics/1"
+
+_METRICS_LOG = JsonlFormat("metrics", MetricsError)
 
 #: Counter names holding the gfp totals a snapshot surfaces explicitly
 #: (``repro.logic.semantics`` bumps them once per fixpoint).
@@ -216,31 +219,11 @@ def read_snapshots(source, strict: bool = True) -> List[Dict]:
     Mirrors :func:`repro.obs.trace.read_trace`: a final line that does
     not decode as JSON is the half-written tail of a killed run and is
     dropped; an undecodable line *before* the end raises
-    :class:`~repro.errors.MetricsError`.  With ``strict=True`` the first
+    :class:`~repro.errors.MetricsError` (the rule of
+    :class:`repro.obs.jsonl.JsonlFormat`).  With ``strict=True`` the first
     record must be a ``repro-metrics/1`` header.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    records: List[Dict] = []
-    bad_line: Optional[int] = None
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if bad_line is not None:
-            raise MetricsError(
-                f"metrics line {bad_line + 1} is not JSON but is not the final line"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            bad_line = position
-            continue
-        if not isinstance(record, dict):
-            raise MetricsError(f"metrics line {position + 1} is not a JSON object")
-        records.append(record)
+    records = [record for _line, record in _METRICS_LOG.read(source)]
     if strict:
         if not records:
             raise MetricsError("metrics artifact is empty: no header record")

@@ -42,17 +42,20 @@ produces byte-identical results to an uninstrumented one.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import TraceError
 from ..reporting import json_ready
 from .clock import perf_counter
+from .jsonl import JsonlFormat
 from .recorder import Recorder
 
 __all__ = ["TRACE_SCHEMA", "TraceRecorder", "read_trace"]
 
 #: Identifier written into (and demanded from) every trace header.
 TRACE_SCHEMA = "repro-trace/1"
+
+_TRACE_LOG = JsonlFormat("trace", TraceError)
 
 
 class _TraceSpan:
@@ -172,31 +175,11 @@ def read_trace(source, strict: bool = True) -> List[Dict]:
 
     A final line that does not decode as JSON is the half-written tail
     of a killed run and is dropped; an undecodable line *before* the end
-    raises :class:`~repro.errors.TraceError`.  With ``strict=True`` the
-    first record must be a ``repro-trace/1`` header.
+    raises :class:`~repro.errors.TraceError` (the rule of
+    :class:`repro.obs.jsonl.JsonlFormat`).  With ``strict=True`` the first
+    record must be a ``repro-trace/1`` header.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    records: List[Dict] = []
-    bad_line: Optional[int] = None
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if bad_line is not None:
-            raise TraceError(
-                f"trace line {bad_line + 1} is not JSON but is not the final line"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            bad_line = position
-            continue
-        if not isinstance(record, dict):
-            raise TraceError(f"trace line {position + 1} is not a JSON object")
-        records.append(record)
+    records = [record for _line, record in _TRACE_LOG.read(source)]
     if strict:
         if not records:
             raise TraceError("trace is empty: no header record")

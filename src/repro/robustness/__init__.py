@@ -21,7 +21,6 @@ answers under partial failure:
 from .checkpoint import (
     SweepCheckpoint,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
     row_from_record,
     row_to_record,
@@ -58,7 +57,6 @@ __all__ = [
     "TaskContext",
     "ValidationReport",
     "default_audit_path",
-    "resume_guarantee_sweep",
     "robust_guarantee_sweep",
     "row_from_record",
     "row_to_record",

@@ -15,14 +15,15 @@ and resuming against a task list whose fingerprints disagree raises
 :class:`~repro.errors.CheckpointError` instead of silently splicing rows
 from two different sweeps.
 
-A process killed mid-write leaves a truncated final line; loading
-tolerates exactly that (the undecodable tail is ignored and its task
-re-run) while any *well-formed but wrong* record stays a hard error.
+A process killed mid-write leaves a truncated final line.  The file
+follows the one torn-tail rule of :mod:`repro.obs.jsonl`: loading drops
+that tail (its task re-runs), the next append first cuts it away, and
+garbage anywhere *before* the final line -- like any well-formed but
+wrong record -- is a hard :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import ExitStack
 from fractions import Fraction
@@ -40,6 +41,7 @@ from ..attack.sweep import (
 )
 from ..errors import CheckpointError
 from ..obs.audit import AuditBundleWriter
+from ..obs.jsonl import DurableAppender, JsonlFormat
 from ..probability.bitset import get_default_backend, use_backend
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
@@ -49,13 +51,15 @@ from .validate import validate_system
 __all__ = [
     "SweepCheckpoint",
     "default_audit_path",
-    "resume_guarantee_sweep",
     "robust_guarantee_sweep",
     "row_from_record",
     "row_to_record",
     "strict_sweep_row_of",
     "task_fingerprint",
 ]
+
+
+_CHECKPOINT_LOG = JsonlFormat("checkpoint", CheckpointError)
 
 
 def _identity_fingerprint(fingerprint: Dict[str, object]) -> Dict[str, object]:
@@ -96,66 +100,58 @@ def row_from_record(record: Dict[str, object]) -> SweepRow:
 class SweepCheckpoint:
     """An append-only JSONL checkpoint of completed sweep rows.
 
-    ``append`` writes one record per completed task and fsyncs, so a
-    kill at any instant loses at most the row being written -- and only
-    as a truncated final line, which ``load`` tolerates.  ``load``
-    returns the completed ``index -> SweepRow`` table after verifying
-    every record's fingerprint against the resuming task list.
+    ``append`` writes one record per completed task through
+    :class:`repro.obs.jsonl.DurableAppender` -- whose first append cuts any
+    torn tail away -- and fsyncs, so a kill at any instant loses at most
+    the row being written, as a truncated final line ``load`` tolerates.
+    ``load`` returns the completed ``index -> SweepRow`` table after
+    verifying every record's fingerprint against the resuming task list.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
+        self._log: Optional[DurableAppender] = None
 
     def append(self, index: int, task: SweepTask, row: SweepRow) -> None:
         """Durably record one completed row."""
-        line = json.dumps(row_to_record(index, task, row), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        if self._log is None:
+            self._log = DurableAppender(self.path, _CHECKPOINT_LOG)
+        self._log.append(row_to_record(index, task, row))
 
     def load(self, tasks: Sequence[SweepTask]) -> Dict[int, SweepRow]:
         """The completed rows on disk, keyed by task index.
 
         A missing file means a fresh sweep (empty table).  A final line
         that does not decode as JSON is the half-written tail of a killed
-        run and is skipped -- its task simply re-runs.  A record that
-        decodes but names an out-of-range index or a fingerprint
-        different from ``tasks`` raises :class:`CheckpointError`: the
-        checkpoint belongs to a different sweep.
+        run and is skipped -- its task simply re-runs.  Garbage before the
+        final line, or a record that decodes but names an out-of-range
+        index or a fingerprint different from ``tasks``, raises
+        :class:`CheckpointError`: the file is corrupt or belongs to a
+        different sweep.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            records = _CHECKPOINT_LOG.read(self.path)
         except FileNotFoundError:
             return {}
         completed: Dict[int, SweepRow] = {}
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # The half-written tail of a killed run.  Anything after
-                # it (there should be nothing) is unreliable too.
-                break
+        for line, record in records:
             try:
                 index = int(record["index"])
                 fingerprint = record["task"]
                 row = row_from_record(record)
             except (KeyError, TypeError, ValueError) as error:
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} is malformed: {error}"
+                    f"checkpoint line {line} is malformed: {error}"
                 ) from error
             if not 0 <= index < len(tasks):
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} names task {index}, but the "
+                    f"checkpoint line {line} names task {index}, but the "
                     f"sweep has {len(tasks)} tasks"
                 )
             expected = task_fingerprint(tasks[index])
             if _identity_fingerprint(fingerprint) != _identity_fingerprint(expected):
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} was computed for "
+                    f"checkpoint line {line} was computed for "
                     f"{fingerprint!r}, but task {index} of this sweep is "
                     f"{expected!r}; refusing to splice rows from different sweeps"
                 )
@@ -258,7 +254,8 @@ def robust_guarantee_sweep(
     bounded retries, worker-crash recovery and per-task ``timeout`` from
     :func:`repro.robustness.engine.run_tasks`.  With ``checkpoint_path``
     every completed row streams to a JSONL checkpoint and previously
-    completed rows are loaded and skipped; ``strict=True`` validates
+    completed rows are loaded and skipped, so resuming a killed sweep is
+    calling this again with the same arguments; ``strict=True`` validates
     every built system against the paper's structural invariants before
     measuring it.  ``task_function`` overrides the per-task callable
     (the chaos tests inject faults through it); ``sleep`` overrides the
@@ -338,51 +335,3 @@ def robust_guarantee_sweep(
             progress_every=progress_every,
             **keywords,
         )
-
-
-def resume_guarantee_sweep(
-    checkpoint_path,
-    messenger_counts: Sequence[int],
-    losses: Sequence[FractionLike],
-    builders: Optional[Dict[str, Builder]] = None,
-    epsilon: FractionLike = Fraction(99, 100),
-    max_workers: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    strict: bool = False,
-    task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
-    sleep=None,
-    backend: Optional[str] = None,
-    progress_every: Optional[int] = None,
-    audit: bool = False,
-    audit_path=None,
-) -> List[SweepRow]:
-    """Resume a checkpointed sweep, re-running only its incomplete tasks.
-
-    A convenience spelling of :func:`robust_guarantee_sweep` with a
-    mandatory checkpoint: rows already in the JSONL file (fingerprints
-    verified against this sweep's task list, Section 8 coordinates) are
-    returned verbatim in their deterministic positions, never re-run.
-    The checkpoint's recorded backend is provenance only -- resuming
-    under a different ``backend`` is sound because rows are exact
-    Fractions on every engine.  ``audit=True`` resumes (or starts) the
-    sweep's ``repro-audit/1`` Merkle bundle as well, backfilling any
-    leaves a kill tore away; see :func:`robust_guarantee_sweep`.
-    """
-    return robust_guarantee_sweep(
-        messenger_counts,
-        losses,
-        builders=builders,
-        epsilon=epsilon,
-        max_workers=max_workers,
-        policy=policy,
-        timeout=timeout,
-        checkpoint_path=checkpoint_path,
-        strict=strict,
-        task_function=task_function,
-        sleep=sleep,
-        backend=backend,
-        progress_every=progress_every,
-        audit=audit,
-        audit_path=audit_path,
-    )

@@ -1,10 +1,8 @@
 """Fault-tolerant task engine behind the robust guarantee sweeps.
 
-The parallel runner of :mod:`repro.attack.parallel` treats the process
-pool as all-or-nothing: any pool-level failure throws away every
-completed result and re-runs the whole sweep serially.  This engine
-replaces that fallback for production-shaped workloads with per-task
-fault tolerance:
+The one process-pool runner of the reproduction.  It fans tasks across a
+:class:`~concurrent.futures.ProcessPoolExecutor` with per-task fault
+tolerance:
 
 * **Bounded retries with deterministic backoff.**  Each task gets up to
   :attr:`RetryPolicy.max_attempts` tries; the delay before a retry is an
@@ -48,7 +46,7 @@ from dataclasses import dataclass, replace
 from pickle import PicklingError
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from ..errors import RetryExhaustedError, TaskTimeoutError
+from ..errors import RetryExhaustedError, TaskTimeoutError, WorkerTaskError
 from ..obs.clock import monotonic
 from ..obs.recorder import NULL_RECORDER, Recorder, get_recorder
 from ..obs.snapshot import ObsDeltaCapture, merge_worker_delta
@@ -437,9 +435,12 @@ class _EngineState:
         if outcome.ok:
             self.record_success(index, attempt, outcome.value)
             return 0.0
-        return self.record_failure(
-            index, attempt, "raised", outcome.error_text, cause=outcome.error
-        )
+        cause = outcome.error
+        if cause is None:
+            # The exception could not cross the process boundary; its
+            # worker-side description still does.
+            cause = WorkerTaskError(outcome.error_text)
+        return self.record_failure(index, attempt, "raised", outcome.error_text, cause=cause)
 
 
 def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:

@@ -1,23 +1,25 @@
 """Backend plumbing through the sweep engines: rows are backend-independent.
 
-``sweep_row_of``/``guarantee_sweep``/``parallel_guarantee_sweep`` accept
-an explicit ``backend`` so a sweep can be pinned to a measure engine --
-including inside worker processes, where the parent's context-manager
-default would otherwise not apply.  Whatever the engine, every row must
-come out as the identical exact Fractions.
+``guarantee_sweep`` and ``robust_guarantee_sweep`` accept an explicit
+``backend`` so a sweep can be pinned to a measure engine -- including
+inside worker processes, where the parent's context-manager default
+would otherwise not apply; the engine carries it there by binding the
+row function to the backend.  Whatever the engine, every row must come
+out as the identical exact Fractions.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from repro.attack.parallel import parallel_guarantee_sweep
 from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
 from repro.probability import (
     get_default_backend,
     use_backend,
     wordmask,
 )
+from repro.robustness import robust_guarantee_sweep
+from repro.robustness.checkpoint import _BackendBoundTask
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
@@ -35,9 +37,10 @@ def reference_rows():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sweep_row_of_backend_argument(backend, reference_rows):
     tasks = sweep_tasks(MESSENGERS, LOSSES)
-    rows = [sweep_row_of(task, backend=backend) for task in tasks]
+    row_of = _BackendBoundTask(sweep_row_of, backend)
+    rows = [row_of(task) for task in tasks]
     assert rows == reference_rows
-    # the explicit backend is scoped to the call, not leaked
+    # the bound backend is scoped to the call, not leaked
     assert get_default_backend() == "bitmask"
 
 
@@ -49,7 +52,7 @@ def test_guarantee_sweep_backend_argument(backend, reference_rows):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_rows_match_serial_under_backend(backend, reference_rows):
-    rows = parallel_guarantee_sweep(
+    rows = robust_guarantee_sweep(
         MESSENGERS, LOSSES, max_workers=2, backend=backend
     )
     assert rows == reference_rows
@@ -60,7 +63,7 @@ def test_parallel_inherits_ambient_backend(reference_rows):
     # resolved in the parent and shipped to the workers
     for backend in BACKENDS:
         with use_backend(backend):
-            rows = parallel_guarantee_sweep(MESSENGERS, LOSSES, max_workers=2)
+            rows = robust_guarantee_sweep(MESSENGERS, LOSSES, max_workers=2)
         assert rows == reference_rows
 
 
@@ -68,5 +71,6 @@ def test_sweep_row_provenance_survives_backend_wrapper():
     task = sweep_tasks([1], LOSSES)[0]
     plain = sweep_row_of(task, provenance=True)
     for backend in BACKENDS:
-        routed = sweep_row_of(task, provenance=True, backend=backend)
+        with use_backend(backend):
+            routed = sweep_row_of(task, provenance=True)
         assert routed == plain

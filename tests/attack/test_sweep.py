@@ -15,6 +15,8 @@ from repro.attack import (
     post_threshold,
     prior_threshold,
     run_level_probability,
+    sweep_row_of,
+    sweep_tasks,
     threshold_is_exact,
 )
 
@@ -69,6 +71,30 @@ class TestSweep:
         rows = guarantee_sweep([2, 3], [Fraction(1, 2)], epsilon=Fraction(4, 5))
         for row in rows:
             assert row.achieves_99_post == (row.post_threshold >= Fraction(4, 5))
+
+    def test_task_enumeration_is_deterministic(self):
+        first = sweep_tasks([1, 2], [Fraction(1, 2), Fraction(1, 4)])
+        second = sweep_tasks([1, 2], [Fraction(1, 2), Fraction(1, 4)])
+        assert first == second
+        assert [task[:1] + task[2:] for task in first] == [
+            ("CA1", 1, Fraction(1, 2), Fraction(99, 100)),
+            ("CA1", 1, Fraction(1, 4), Fraction(99, 100)),
+            ("CA1", 2, Fraction(1, 2), Fraction(99, 100)),
+            ("CA1", 2, Fraction(1, 4), Fraction(99, 100)),
+            ("CA2", 1, Fraction(1, 2), Fraction(99, 100)),
+            ("CA2", 1, Fraction(1, 4), Fraction(99, 100)),
+            ("CA2", 2, Fraction(1, 2), Fraction(99, 100)),
+            ("CA2", 2, Fraction(1, 4), Fraction(99, 100)),
+            ("CA1-adaptive", 1, Fraction(1, 2), Fraction(99, 100)),
+            ("CA1-adaptive", 1, Fraction(1, 4), Fraction(99, 100)),
+            ("CA1-adaptive", 2, Fraction(1, 2), Fraction(99, 100)),
+            ("CA1-adaptive", 2, Fraction(1, 4), Fraction(99, 100)),
+        ]
+
+    def test_sweep_row_of_matches_serial_row(self):
+        tasks = sweep_tasks([2], [Fraction(1, 2)], builders={"CA2": build_ca2})
+        rows = guarantee_sweep([2], [Fraction(1, 2)], builders={"CA2": build_ca2})
+        assert [sweep_row_of(task) for task in tasks] == rows
 
 
 class TestCrossover:

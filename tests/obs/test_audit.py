@@ -229,6 +229,21 @@ class TestWriterResume:
         # the torn fragment is physically gone, not fused into a record
         assert '"index"' not in path.read_text().splitlines()[-1][:24]
 
+    def test_resume_at_every_byte_boundary(self, tmp_path):
+        # A kill can cut the bundle at any byte.  Whatever survives, a
+        # resumed writer must extend it into a bundle that verifies.
+        # Regression: a final leaf that lost only its newline was kept
+        # by the reader (so it became the chain tip) and then deleted by
+        # the writer's truncation, leaving the next leaf's prev dangling.
+        data = _write_bundle(tmp_path / "full.audit", count=2).read_bytes()
+        path = tmp_path / "cut.audit"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            AuditBundleWriter(path).append(2, _task(2), _row(2), _derivation(0))
+            bundle = read_audit_bundle(path)
+            assert verify_bundle(bundle) == [], cut
+            assert bundle.leaves[-1]["index"] == 2, cut
+
     def test_resume_rejects_a_foreign_header(self, tmp_path):
         path = tmp_path / "s.audit"
         header = header_record()

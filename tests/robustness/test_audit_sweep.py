@@ -21,11 +21,12 @@ from repro.robustness import (
     RetryPolicy,
     SweepCheckpoint,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
 )
+from repro.robustness.checkpoint import row_to_record
 from repro.robustness.faults import FaultInjectingTask, InjectedFault
 
+from tools.reprotop import checkpoint_status
 from tools.verifyaudit import verify_audit
 from tools.verifyaudit.cli import main as verifyaudit_main
 
@@ -37,6 +38,11 @@ FAST = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
 
 def _no_sleep(seconds):
     assert seconds >= 0
+
+
+def _refuses_to_run(task):
+    """A task function for a resume that must find nothing left to do."""
+    raise AssertionError(f"a checkpointed task was re-run on resume: {task[:1]}")
 
 
 def _serial_rows():
@@ -133,13 +139,54 @@ class TestChaosAuditedSweep:
                 sleep=_no_sleep,
                 audit=True,
             )
-        rows = resume_guarantee_sweep(
-            path, MESSENGERS, LOSSES, max_workers=1, audit=True
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
         )
         assert rows == _serial_rows()
         assert verifyaudit_main([str(default_audit_path(path))]) == 0
         _export_artifact(path)
         _export_artifact(default_audit_path(path))
+
+    def test_kill_mid_checkpoint_write_then_resume_verifies_clean(self, tmp_path):
+        # The sweep dies on task 2 while writing its checkpoint row: the
+        # file ends in half a record and the bundle has no leaf 2.
+        # Regression: the resumed appends used to fuse with that half
+        # line, so the checkpoint lost rows 2..5 for good and verifyaudit
+        # certified a correctly resumed sweep "divergent".
+        path = tmp_path / "torn.jsonl"
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        serial = _serial_rows()
+        with pytest.raises(RetryExhaustedError):
+            robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                max_workers=1,
+                policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+                checkpoint_path=path,
+                task_function=_dies_on_task_2,
+                sleep=_no_sleep,
+                audit=True,
+            )
+        with open(path, "a", encoding="utf-8") as handle:
+            record = json.dumps(row_to_record(2, tasks[2], serial[2]))
+            handle.write(record[: len(record) // 2])
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
+        )
+        assert rows == serial
+        assert SweepCheckpoint(path).load(tasks) == dict(enumerate(serial))
+        assert checkpoint_status(str(path)) == len(tasks)
+        assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
+        rows = robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            max_workers=1,
+            policy=RetryPolicy(max_attempts=1),
+            checkpoint_path=path,
+            task_function=_refuses_to_run,
+            audit=True,
+        )
+        assert rows == serial
 
     def test_chaos_sweep_audit_matches_serial_rows(self, tmp_path):
         plan = FaultPlan.from_seed(
@@ -183,7 +230,9 @@ class TestChaosAuditedSweep:
         before = read_audit_bundle(audit_path)
         tasks = sweep_tasks(MESSENGERS, LOSSES)
         assert before.leaf_indexes() != frozenset(range(len(tasks)))
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, audit=True)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, checkpoint_path=path, audit=True
+        )
         assert rows == _serial_rows()
         after = read_audit_bundle(audit_path)
         assert after.leaf_indexes() == frozenset(range(len(tasks)))

@@ -17,7 +17,6 @@ from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
 from repro.probability import use_backend, wordmask
 from repro.robustness import (
     SweepCheckpoint,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
     task_fingerprint,
 )
@@ -77,10 +76,10 @@ class TestCrossBackendResume:
         def poisoned(task):
             raise AssertionError("resume must not recompute completed rows")
 
-        resumed = resume_guarantee_sweep(
-            path,
+        resumed = robust_guarantee_sweep(
             MESSENGERS,
             LOSSES,
+            checkpoint_path=path,
             task_function=poisoned,
             backend=resume_backend,
         )

@@ -16,7 +16,6 @@ from repro.robustness import (
     FaultPlan,
     RetryPolicy,
     SweepCheckpoint,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
     row_from_record,
     row_to_record,
@@ -46,6 +45,11 @@ def _poisoned_ca1_row(task):
     if name == "CA1":
         raise AssertionError("a checkpointed CA1 task was re-run on resume")
     return sweep_row_of(task)
+
+
+def _refuses_to_run(task):
+    """A task function for a resume that must find nothing left to do."""
+    raise AssertionError(f"a checkpointed task was re-run on resume: {task[:1]}")
 
 
 def _serial_rows():
@@ -129,8 +133,12 @@ class TestResume:
         for index, task in enumerate(tasks):
             if task[0] == "CA1":
                 checkpoint.append(index, task, serial[index])
-        rows = resume_guarantee_sweep(
-            path, MESSENGERS, LOSSES, max_workers=1, task_function=_poisoned_ca1_row
+        rows = robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            max_workers=1,
+            checkpoint_path=path,
+            task_function=_poisoned_ca1_row,
         )
         assert rows == serial
 
@@ -146,8 +154,53 @@ class TestResume:
             full = json.dumps(row_to_record(3, tasks[3], serial[3]))
             handle.write(full[: len(full) // 2])
         assert checkpoint.load(tasks) == {0: serial[0], 1: serial[1], 2: serial[2]}
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, max_workers=1)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path
+        )
         assert rows == serial
+        # Regression: the resumed appends used to fuse with the torn half
+        # line into one garbage line, so the checkpoint silently lost
+        # every row from there on and each later resume re-ran them.
+        assert SweepCheckpoint(path).load(tasks) == dict(enumerate(serial))
+        rows = robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            max_workers=1,
+            checkpoint_path=path,
+            policy=RetryPolicy(max_attempts=1),
+            task_function=_refuses_to_run,
+        )
+        assert rows == serial
+
+    def test_append_after_a_cut_at_every_byte(self, tmp_path):
+        # A kill can cut the checkpoint at any byte; whatever survives, a
+        # resumed checkpoint must take the next row as a loadable line.
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        serial = _serial_rows()
+        full = tmp_path / "full.jsonl"
+        for index in range(2):
+            SweepCheckpoint(full).append(index, tasks[index], serial[index])
+        data = full.read_bytes()
+        ends = [end for end, byte in enumerate(data) if byte == ord("\n")]
+        path = tmp_path / "cut.jsonl"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            SweepCheckpoint(path).append(5, tasks[5], serial[5])
+            whole = sum(1 for end in ends if end <= cut)
+            expected = {index: serial[index] for index in range(whole)}
+            expected[5] = serial[5]
+            assert SweepCheckpoint(path).load(tasks) == expected, cut
+
+    def test_garbage_before_the_final_line_is_a_hard_error(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        serial = _serial_rows()
+        SweepCheckpoint(path).append(0, tasks[0], serial[0])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{torn\n")
+            handle.write(json.dumps(row_to_record(1, tasks[1], serial[1])) + "\n")
+        with pytest.raises(CheckpointError, match="line 2 is not JSON"):
+            SweepCheckpoint(path).load(tasks)
 
     def test_missing_file_means_fresh_sweep(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path / "never-written.jsonl")
@@ -219,7 +272,9 @@ class TestChaosSweep:
         assert survived == {0: serial[0], 1: serial[1]}
         # Phase 2: resume with a healthy task function; only the
         # incomplete tasks run and the full row list comes back.
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, max_workers=1)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path
+        )
         assert rows == serial
         assert SweepCheckpoint(path).load(tasks).keys() == set(range(len(tasks)))
         _export_artifact(path)

@@ -16,6 +16,10 @@ def _square(value: int) -> int:
     return value * value
 
 
+def _fraction_half(value: int) -> Fraction:
+    return Fraction(value, 2)
+
+
 def _boom(value: int) -> int:
     raise ValueError(f"task {value} always fails")
 
@@ -44,7 +48,8 @@ class _LoadsPoisoned(Exception):
 
 
 def _log_then_maybe_poison(item):
-    """Append one line per execution, then raise on the 'boom' label.
+    """Append one line per execution, then raise on the 'boom' and
+    'type' labels.
 
     The log file counts how many times each task actually ran, pinning
     down any fallback path that re-executes tasks.
@@ -56,6 +61,8 @@ def _log_then_maybe_poison(item):
         os.fsync(handle.fileno())
     if label == "boom":
         raise _LoadsPoisoned("dumps fine, loads raises", "detail")
+    if label == "type":
+        raise TypeError("task raised a pool-infrastructure lookalike")
     return label
 
 
@@ -104,6 +111,7 @@ class TestRunTasksBasics:
 
     def test_empty_task_list(self):
         assert run_tasks(_square, []) == []
+        assert run_tasks(_square, [5]) == [25]
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
@@ -113,9 +121,13 @@ class TestRunTasksBasics:
         def half(value):
             return Fraction(value, 2)
 
-        # closures force the serial path; the module-level pool path is
-        # exercised by the sweep tests
-        assert run_tasks(half, [1, 3], max_workers=1) == [Fraction(1, 2), Fraction(3, 2)]
+        expected = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+        # a module-level function crosses a real pool and back
+        assert run_tasks(_fraction_half, [1, 2, 3], max_workers=2) == expected
+        # a closure cannot be pickled: with the pool requested the engine
+        # falls back in-process and still returns the same map
+        assert run_tasks(half, [1, 2, 3], max_workers=2) == expected
+        assert run_tasks(half, [1, 2, 3], max_workers=1) == expected
 
     def test_completed_tasks_are_never_rerun(self):
         calls = []
@@ -269,20 +281,24 @@ class TestWorkerCrashRecovery:
         # get misread as pool infrastructure, and push every incomplete
         # task through the serial path -- re-executing the failing task
         # beyond its attempt budget.  The worker must detect the failed
-        # round-trip and ship the text summary instead.
-        log_path = str(tmp_path / "executions.log")
+        # round-trip and ship the text summary instead.  A task-raised
+        # TypeError -- a type that means "pool infrastructure" when it
+        # surfaces from a future -- must likewise come back in the
+        # envelope: exactly max_attempts runs, no serial re-run.
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            run_tasks(
-                _log_then_maybe_poison,
-                [(log_path, "boom"), (log_path, "a")],
-                policy=policy,
-                sleep=_no_sleep,
-            )
-        error = excinfo.value
-        assert error.task_index == 0
-        assert any("_LoadsPoisoned" in attempt.error for attempt in error.attempts)
-        with open(log_path, "r", encoding="utf-8") as handle:
-            executions = handle.read().split()
-        assert executions.count("boom") == policy.max_attempts
-        assert executions.count("a") == 1
+        for label, error_name in (("boom", "_LoadsPoisoned"), ("type", "TypeError")):
+            log_path = str(tmp_path / f"{label}.log")
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                run_tasks(
+                    _log_then_maybe_poison,
+                    [(log_path, label), (log_path, "a")],
+                    policy=policy,
+                    sleep=_no_sleep,
+                )
+            error = excinfo.value
+            assert error.task_index == 0
+            assert any(error_name in attempt.error for attempt in error.attempts)
+            with open(log_path, "r", encoding="utf-8") as handle:
+                executions = handle.read().split()
+            assert executions.count(label) == policy.max_attempts
+            assert executions.count("a") == 1

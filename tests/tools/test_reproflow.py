@@ -36,6 +36,30 @@ def copy_tree(tmp_path: Path) -> Path:
     return target
 
 
+#: The sweep's engine call; the payload mutations below replace its
+#: first argument.
+PAYLOAD_CALL = "        return run_tasks(\n            task_function,"
+
+
+def mutate_payload(
+    tree: Path, payload: str, prelude: str = "", comment: str = ""
+) -> Path:
+    """Ship ``payload`` to ``run_tasks`` in the copied checkpoint module,
+    with ``prelude`` (indented code) just before the call and ``comment``
+    ending the payload's line."""
+    checkpoint = tree / "robustness" / "checkpoint.py"
+    source = checkpoint.read_text()
+    assert PAYLOAD_CALL in source
+    checkpoint.write_text(
+        source.replace(
+            PAYLOAD_CALL,
+            prelude + f"        return run_tasks(\n            {payload},{comment}",
+            1,
+        )
+    )
+    return checkpoint
+
+
 def run_flow(paths, cache=None):
     return analyze_paths([str(p) for p in paths], cache=cache)
 
@@ -166,44 +190,31 @@ def test_mutation_float_two_hops_below_fraction_api_is_rl010(tmp_path):
 
 def test_mutation_lambda_payload_is_rl011(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    source = parallel.read_text()
-    assert "parallel_map(row_of," in source
-    source = source.replace(
-        "parallel_map(row_of,",
-        "parallel_map(lambda task: row_of(task),",
-        1,
-    )
-    parallel.write_text(source)
+    checkpoint = mutate_payload(tree, "lambda task: task_function(task)")
     lambda_line = next(
         number
-        for number, text in enumerate(source.splitlines(), start=1)
+        for number, text in enumerate(checkpoint.read_text().splitlines(), start=1)
         if "lambda task:" in text
     )
     report = run_flow([tree])
     found = violations_of(report, "RL011")
     assert len(found) == 1
     violation = found[0]
-    assert violation.path == str(parallel)
+    assert violation.path == str(checkpoint)
     assert violation.line == lambda_line
     assert "lambda" in violation.message
-    assert "repro.attack.parallel.parallel_map" in violation.message
+    assert "repro.robustness.engine.run_tasks" in violation.message
 
 
 def test_mutation_nested_function_payload_is_rl011(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    source = parallel.read_text()
     # Define a function *inside* the caller and ship it as the payload.
-    source = source.replace(
-        "    return parallel_map(row_of, tasks, max_workers=max_workers)",
-        "    def _nested(task):\n"
-        "        return row_of(task)\n"
-        "    return parallel_map(_nested, tasks, max_workers=max_workers)",
-        1,
+    mutate_payload(
+        tree,
+        "_nested",
+        prelude="        def _nested(task):\n"
+        "            return task_function(task)\n\n",
     )
-    assert "_nested" in source
-    parallel.write_text(source)
     report = run_flow([tree])
     found = violations_of(report, "RL011")
     assert len(found) == 1
@@ -298,15 +309,20 @@ def test_wordmask_float_boundary_sanction_is_load_bearing(tmp_path, monkeypatch)
     assert "repro.probability.wordmask._mut_scale" in violation.message
 
 
-def test_use_backend_restoring_scope_sanction_is_load_bearing(monkeypatch):
-    """Without RESTORING_SCOPE_FUNCTIONS the real tree stops being clean.
+def test_use_backend_restoring_scope_sanction_is_load_bearing(
+    tmp_path, monkeypatch
+):
+    """Without RESTORING_SCOPE_FUNCTIONS a backend-pinning payload fails.
 
     ``use_backend`` mutates the module-default backend but restores it in
     a ``finally``; the sanction stops that confined effect from
-    propagating to ``sweep_row_of``.  Unsanctioned, the real chain
-    surfaces as both RL009 (stateful task payload) and RL012 (contract
-    drift on a ``Deterministic.`` declaration) -- proof the skip is what
-    keeps the committed tree violation-free, not an accident of shape.
+    propagating to the task payloads that pin a measure engine.  On a
+    copy whose ``sweep_row_of`` builds under ``use_backend`` -- the shape
+    of the engine's backend-bound row tasks -- the sanction keeps the
+    tree clean; unsanctioned, the chain surfaces as both RL009 (stateful
+    task payload) and RL012 (contract drift on a ``Deterministic.``
+    declaration) -- proof the skip is load-bearing, not an accident of
+    shape.
     """
     import tools.reproflow.program as flow_program
 
@@ -314,8 +330,25 @@ def test_use_backend_restoring_scope_sanction_is_load_bearing(monkeypatch):
         "repro.probability.bitset.use_backend"
         in flow_program.RESTORING_SCOPE_FUNCTIONS
     )
+    tree = copy_tree(tmp_path)
+    sweep = tree / "attack" / "sweep.py"
+    build = (
+        "        attack = builder(messengers, loss)\n"
+        "        row = sweep_row_from_attack("
+    )
+    source = sweep.read_text()
+    assert source.count(build) == 1
+    sweep.write_text(
+        source.replace(
+            build,
+            "        with use_backend(get_default_backend()):\n"
+            "            attack = builder(messengers, loss)\n"
+            "        row = sweep_row_from_attack(",
+        )
+    )
+    assert run_flow([tree]).violations == []
     monkeypatch.setattr(flow_program, "RESTORING_SCOPE_FUNCTIONS", frozenset())
-    report = run_flow([SRC_REPRO])
+    report = run_flow([tree])
     rl009 = violations_of(report, "RL009")
     assert any(
         "mutates module-global state" in v.message
@@ -337,14 +370,11 @@ def test_use_backend_restoring_scope_sanction_is_load_bearing(monkeypatch):
 
 def test_flow_suppression_waives_and_is_not_stale(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    source = parallel.read_text().replace(
-        "    return parallel_map(row_of, tasks, max_workers=max_workers)",
-        "    return parallel_map(lambda task: row_of(task), tasks,"
-        " max_workers=max_workers)  # reproflow: disable=RL011",
-        1,
+    mutate_payload(
+        tree,
+        "lambda task: task_function(task)",
+        comment="  # reproflow: disable=RL011",
     )
-    parallel.write_text(source)
     report = run_flow([tree])
     assert violations_of(report, "RL000") == []
     assert violations_of(report, "RL011") == []
@@ -425,14 +455,7 @@ def test_unparseable_file_is_rl000_and_run_continues(tmp_path):
 
 def test_cache_round_trip_same_findings(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    parallel.write_text(
-        parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
-            1,
-        )
-    )
+    checkpoint = mutate_payload(tree, "lambda task: task_function(task)")
     cache_path = tmp_path / "cache.json"
     cold_cache = SummaryCache(str(cache_path))
     cold = run_flow([tree], cache=cold_cache)
@@ -450,11 +473,11 @@ def test_cache_round_trip_same_findings(tmp_path):
     # invalidates only that file's entry and is honoured on the rerun.
     lambda_line = next(
         line
-        for line in parallel.read_text().splitlines()
-        if "parallel_map(lambda task:" in line
+        for line in checkpoint.read_text().splitlines()
+        if "lambda task:" in line
     )
-    parallel.write_text(
-        parallel.read_text().replace(
+    checkpoint.write_text(
+        checkpoint.read_text().replace(
             lambda_line,
             lambda_line + "  # reproflow: disable=RL011",
             1,
@@ -509,14 +532,7 @@ def test_report_is_deterministic_and_content_only(tmp_path):
 
 def test_report_mentions_mutation_violation(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    parallel.write_text(
-        parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
-            1,
-        )
-    )
+    mutate_payload(tree, "lambda task: task_function(task)")
     payload = build_report(run_flow([tree]))
     assert [v["rule"] for v in payload["violations"]] == ["RL011"]
 
@@ -542,14 +558,7 @@ def test_cli_clean_tree_exits_zero(tmp_path):
 
 def test_cli_json_and_exit_one_on_finding(tmp_path):
     tree = copy_tree(tmp_path)
-    parallel = tree / "attack" / "parallel.py"
-    parallel.write_text(
-        parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
-            1,
-        )
-    )
+    mutate_payload(tree, "lambda task: task_function(task)")
     result = run_cli("--no-cache", "--json", str(tree))
     assert result.returncode == 1
     findings = json.loads(result.stdout)
@@ -610,12 +619,12 @@ def test_package_identity_walks_init_ancestry():
 
 
 def test_extract_resolves_relative_imports(tmp_path):
-    source = "from ..obs.clock import monotonic\nfrom . import parallel\n"
+    source = "from ..obs.clock import monotonic\nfrom . import protocols\n"
     summary = extract_module(
         "x.py", source, ("attack", "sweep"), "repro"
     )
     assert summary["imports"]["monotonic"] == "repro.obs.clock.monotonic"
-    assert summary["imports"]["parallel"] == "repro.attack.parallel"
+    assert summary["imports"]["protocols"] == "repro.attack.protocols"
 
 
 def test_program_resolves_reexport_chain():

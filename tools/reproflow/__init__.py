@@ -7,8 +7,8 @@ mutation, io, float taint -- each with a witness chain), and checks four
 interprocedural invariants in the same registry/suppression framework:
 
 * RL009 -- every function reachable from a task payload (run_tasks,
-  parallel_map, the sweep builder registry) is transitively free of
-  clock reads, unseeded randomness, and global mutation.
+  the sweep builder registry) is transitively free of clock reads,
+  unseeded randomness, and global mutation.
 * RL010 -- no call edge from the exact subpackages (probability, core,
   betting, logic) to a float-returning function outside them;
   ``fractionutil`` stays the sanctioned boundary, and RL001 keeps the

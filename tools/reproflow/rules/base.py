@@ -21,7 +21,6 @@ from ..program import FunctionInfo, Program
 POOL_ENTRY_POINTS = frozenset(
     {
         "repro.robustness.engine.run_tasks",
-        "repro.attack.parallel.parallel_map",
         "repro.attack.sweep.sweep_tasks",
     }
 )

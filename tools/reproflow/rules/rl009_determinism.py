@@ -34,11 +34,11 @@ results: a retry that returns a different row corrupts the checkpoint's
 dedup key, and a resumed sweep silently diverges from the fresh one.
 
 This rule takes the transitive closure of every function shipped as a
-task payload (to run_tasks, parallel_map, or via the sweep builder
-registry) and reports any reachable wall-clock read, unseeded
-randomness, or module-global mutation -- at the offending primitive,
-with the call chain from the payload root, because the leak is usually
-two or more hops below the function someone actually registered.
+task payload (to run_tasks, or via the sweep builder registry) and
+reports any reachable wall-clock read, unseeded randomness, or
+module-global mutation -- at the offending primitive, with the call
+chain from the payload root, because the leak is usually two or more
+hops below the function someone actually registered.
 
 Seeded generators (``random.Random(seed)``) and ``time.sleep`` are
 fine: they do not make results depend on when or how often a task runs.

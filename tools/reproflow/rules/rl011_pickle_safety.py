@@ -14,7 +14,7 @@ class PickleSafetyRule(FlowRule):
     rule_id = "RL011"
     title = "pool payloads must be module-level (picklable) callables"
     rationale = """\
-parallel_map ships payloads to a ProcessPoolExecutor, and the
+run_tasks ships payloads to a ProcessPoolExecutor, and the
 robustness engine's checkpoint layer fingerprints task functions by
 qualified name.  Both contracts require module-level callables:
 a lambda or a function defined inside another function cannot be
@@ -25,7 +25,7 @@ serial tests.  Worse, a closure capturing a module-mutable object would
 pickle the *current* state and silently desynchronise workers.
 
 This rule inspects every call site of the task-distribution entry
-points (run_tasks, parallel_map, sweep_tasks) plus the sweep builder
+points (run_tasks, sweep_tasks) plus the sweep builder
 registry, and flags payloads that are lambdas or nested functions.
 Payloads it cannot resolve statically (a parameter forwarded from
 elsewhere) are not judged -- the call sites that *fill* that parameter

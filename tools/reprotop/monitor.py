@@ -25,12 +25,12 @@ are floats.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import MetricsError, TraceError
+from repro.obs.jsonl import JsonlFormat
 from repro.reporting import render_table
 
 __all__ = ["SweepMonitor", "checkpoint_status", "render_status", "snapshot_status"]
@@ -262,28 +262,14 @@ def snapshot_status(
 def checkpoint_status(path: str) -> int:
     """Count completed rows in a sweep checkpoint JSONL.
 
-    Mirrors the checkpoint loader's crash tolerance: a truncated or
-    garbled *final* line (the one a kill interrupted) is ignored, while
-    garbage earlier in the file is a real error -- monitoring must not
-    silently under-report a corrupted sweep.
+    Applies the checkpoint loader's crash tolerance
+    (:class:`repro.obs.jsonl.JsonlFormat`): a truncated or garbled *final*
+    line (the one a kill interrupted) is ignored, while garbage earlier
+    in the file is a real error -- monitoring must not silently
+    under-report a corrupted sweep.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    done = 0
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if position == len(lines) - 1:
-                break
-            raise TraceError(
-                f"checkpoint {path}: malformed record at line {position + 1}"
-            )
-        if isinstance(record, dict) and "index" in record:
-            done += 1
-    return done
+    records = JsonlFormat(f"checkpoint {path}:", TraceError).read(path)
+    return sum(1 for _line, record in records if "index" in record)
 
 
 def _fmt(value: object) -> object:

@@ -15,8 +15,6 @@ summaries operators actually ask of a sweep:
   and how many iterations they took (``gfp`` events).
 * **Retry histogram** -- attempts-per-task and outcome counts from the
   sweep engine's ``task_attempt`` events.
-* **Audit leaves** -- when the trace carries ``audit_leaf`` events (an
-  audited sweep), how many rows were chained and the last chain value.
 
 Usage::
 

@@ -24,8 +24,6 @@ def summarize(records: Sequence[Dict]) -> Dict:
     attempts_by_task: Dict[int, int] = {}
     outcome_counts: Dict[str, int] = {}
     last_cache_stats: Optional[Dict] = None
-    audit_leaves = 0
-    last_chain: Optional[str] = None
     events = 0
 
     for record in records:
@@ -61,9 +59,6 @@ def summarize(records: Sequence[Dict]) -> Dict:
                     attempts_by_task[index] = attempts_by_task.get(index, 0) + 1
                 outcome = fields.get("outcome", "?")
                 outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-            elif event_kind == "audit_leaf":
-                audit_leaves += 1
-                last_chain = fields.get("chain")
 
     histogram: Dict[int, int] = {}
     for count in attempts_by_task.values():
@@ -101,8 +96,6 @@ def summarize(records: Sequence[Dict]) -> Dict:
         summary["cache"]["hit_rate"] = (
             Fraction(hits, hits + misses) if hits + misses else None
         )
-    if audit_leaves:
-        summary["audit_leaves"] = {"count": audit_leaves, "chain": last_chain}
     return summary
 
 
@@ -330,16 +323,6 @@ def render_report(summary: Dict) -> str:
                 "Attempt outcomes",
                 ["outcome", "attempts"],
                 list(retries["outcomes"].items()),
-            )
-        )
-
-    audit_leaves = summary.get("audit_leaves")
-    if audit_leaves:
-        sections.append(
-            render_table(
-                "Audit leaves (trace events)",
-                ["leaves", "last chain"],
-                [[audit_leaves["count"], audit_leaves["chain"]]],
             )
         )
 

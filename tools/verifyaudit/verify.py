@@ -29,17 +29,17 @@ exit codes 0 (clean), 1 (divergent), 2 (schema/unreadable).
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.attack.sweep import DEFAULT_BUILDERS
 from repro.core.standard import standard_assignments
-from repro.errors import AuditError, ProvenanceError, ReproError
+from repro.errors import AuditError, CheckpointError, ProvenanceError, ReproError
 from repro.logic.explain import audit_derivation
 from repro.logic.semantics import Model
 from repro.obs.audit import AuditBundle, read_audit_bundle, verify_bundle
 from repro.obs.derivstore import node_from_table
+from repro.obs.jsonl import JsonlFormat
 from repro.obs.provenance import Derivation
 from repro.reporting import fraction_from_json
 
@@ -62,6 +62,8 @@ REPORT_SCHEMA = "repro-verifyaudit/1"
 #: ``repro.robustness.checkpoint`` applies when resuming).
 IDENTITY_FIELDS = ("protocol", "messengers", "loss", "epsilon")
 
+_CHECKPOINT_LOG = JsonlFormat("checkpoint", CheckpointError)
+
 
 def default_checkpoint_path(bundle_path: str) -> Optional[str]:
     """The checkpoint a bundle shadows, by the ``<checkpoint>.audit``
@@ -79,30 +81,21 @@ def _identity(task: Dict) -> Tuple:
 
 def load_checkpoint_records(path: str) -> Tuple[List[Dict], List[str]]:
     """Checkpoint records plus any structural defects, tolerating only a
-    torn final line (the same damage the sweep's own loader forgives)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read().splitlines()
-    lines = [(i + 1, line) for i, line in enumerate(raw) if line.strip()]
+    torn final line (:class:`repro.obs.jsonl.JsonlFormat`, the rule the
+    sweep's own loader applies)."""
+    try:
+        decoded = _CHECKPOINT_LOG.read(path)
+    except CheckpointError as error:
+        return [], [str(error)]
     records: List[Dict] = []
     defects: List[str] = []
-    for offset, (position, line) in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if offset == len(lines) - 1:
-                break  # torn tail of a killed run: its task was re-run
-            defects.append(
-                f"checkpoint line {position} is not JSON but is not the "
-                "final line"
-            )
-            break
+    for line, record in decoded:
         if (
-            not isinstance(record, dict)
-            or not isinstance(record.get("task"), dict)
+            not isinstance(record.get("task"), dict)
             or not isinstance(record.get("row"), dict)
             or "index" not in record
         ):
-            defects.append(f"checkpoint line {position} is malformed")
+            defects.append(f"checkpoint line {line} is malformed")
             continue
         records.append(record)
     return records, defects
