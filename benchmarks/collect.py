@@ -23,11 +23,6 @@ whole run as ``repro-trace/1`` JSONL for ``tools/tracereport``, and
 workload (labelled by benchmark) for ``tools/reprotop`` /
 ``tracereport --metrics``.
 
-The word-array records (``wordarray_measure``/``wordarray_gfp``) run the
-same >=100k-point workload under ``bitmask`` and ``wordarray`` and
-assert the results identical before reporting either timing; they are
-skipped (with a note in ``skipped``) when numpy is unavailable.
-
 All probabilities in the report stay exact: Fractions are serialised as
 ``"p/q"`` strings.  Wall-clock seconds are, of course, floats.
 """
@@ -60,12 +55,10 @@ from repro.probability import (  # noqa: E402
     kernel_totals,
     reset_kernel_totals,
     use_backend,
-    wordmask,
 )
 from repro.reporting import write_bench_json  # noqa: E402
 from repro.robustness import robust_guarantee_sweep  # noqa: E402
 
-import bench_wordarray  # noqa: E402
 from bench_scalability import pipeline  # noqa: E402
 
 #: Baselines carried forward across reports so every BENCH_<n>.json is
@@ -388,102 +381,6 @@ def bench_explain_dag(records, messengers, losses, repeats: int, trace) -> None:
     )
 
 
-def bench_wordarray_measure(records, params, n_queries: int, repeats: int, trace) -> None:
-    """Non-powerset interval measures at ``n_atoms * block`` outcomes.
-
-    The space is built per backend (backend choice latches at
-    construction) with ``interval_cache_maxsize=1``, so the ``n_queries``
-    distinct masks thrash the LRU and every repeat re-runs the kernel
-    instead of replaying the cache.  Intervals are asserted identical
-    across backends before either record is written.
-    """
-    n_outcomes = params["n_atoms"] * params["block"]
-    timings = {}
-    intervals = {}
-    for backend in ("bitmask", "wordarray"):
-        with use_backend(backend) as active:
-            space = bench_wordarray.build_block_space(
-                params["n_atoms"], params["block"]
-            )
-            masks = bench_wordarray.measure_query_masks(space, n_queries)
-            seconds, value, counters = _timed(
-                lambda: bench_wordarray.measure_workload(space, masks),
-                repeats,
-                trace,
-                label=f"wordarray_measure[{backend}]",
-            )
-        timings[active] = (seconds, counters)
-        intervals[active] = value
-    if intervals["bitmask"] != intervals["wordarray"]:
-        raise AssertionError("wordarray intervals differ from bitmask intervals")
-    for backend, (seconds, counters) in timings.items():
-        records.append(
-            {
-                "name": "wordarray_measure",
-                "backend": backend,
-                "points": n_outcomes,
-                "params": {
-                    "n_atoms": params["n_atoms"],
-                    "block": params["block"],
-                    "queries": n_queries,
-                },
-                "system": {"outcomes": n_outcomes, "atoms": params["n_atoms"]},
-                "seconds": round(seconds, 4),
-                "counters": counters,
-                "results": {"intervals_match_bitmask": True},
-            }
-        )
-
-
-def bench_wordarray_gfp(records, params, repeats: int, trace) -> None:
-    """Common-knowledge gfp on a flat >=100k-point two-agent system.
-
-    The system and assignment are built once per backend outside the
-    timer; each repeat builds a fresh :class:`Model` (no extension memo
-    carry-over), so best-of measures the steady-state fixpoint folds.
-    Extension masks are asserted identical across backends.
-    """
-    timings = {}
-    extension = {}
-    for backend in ("bitmask", "wordarray"):
-        with use_backend(backend) as active:
-            psys = bench_wordarray.build_flat_system(
-                params["n_leaves"], params["chain_block"], params["cutoff"]
-            )
-            assignment = bench_wordarray.flat_gfp_assignment(psys)
-            seconds, (mask, survivors), counters = _timed(
-                lambda: bench_wordarray.flat_gfp_workload(psys, assignment),
-                repeats,
-                trace,
-                label=f"wordarray_gfp[{backend}]",
-            )
-        timings[active] = (seconds, counters, survivors)
-        extension[active] = mask
-    if extension["bitmask"] != extension["wordarray"]:
-        raise AssertionError("wordarray gfp extension differs from bitmask")
-    points = params["n_leaves"] * 2
-    for backend, (seconds, counters, survivors) in timings.items():
-        records.append(
-            {
-                "name": "wordarray_gfp",
-                "backend": backend,
-                "points": points,
-                "params": {
-                    "n_leaves": params["n_leaves"],
-                    "chain_block": params["chain_block"],
-                    "cutoff": params["cutoff"],
-                },
-                "system": {"points": points, "agents": 2},
-                "seconds": round(seconds, 4),
-                "counters": counters,
-                "results": {
-                    "survivors": survivors,
-                    "extension_matches_bitmask": True,
-                },
-            }
-        )
-
-
 def bench_obs_overhead(records, tosses: int, repeats: int) -> None:
     """The telemetry bill: pipeline under NullRecorder vs MetricsRecorder.
 
@@ -586,9 +483,6 @@ def main(argv=None) -> int:
     sweep_messengers = [1, 2] if args.smoke else [1, 2, 4, 7]
     ck_messengers = 2 if args.smoke else 4
     repeats = 1 if args.smoke else 5
-    wordarray_params = bench_wordarray.SMOKE if args.smoke else bench_wordarray.FULL
-    wordarray_queries = 8 if args.smoke else 24
-    wordarray_repeats = 1 if args.smoke else 3
     audit_messengers = [1, 2] if args.smoke else [1, 2, 3]
     explain_messengers = [1, 2] if args.smoke else [1, 2, 3, 4, 5, 6]
     explain_losses = (
@@ -615,11 +509,9 @@ def main(argv=None) -> int:
 
     records: list = []
     errors: list = []
-    skipped: list = []
     runners = [
         lambda: bench_pipeline(records, tosses, "bitmask", repeats, trace),
         lambda: bench_pipeline(records, tosses, "naive", repeats, trace),
-        lambda: bench_pipeline(records, tosses, "wordarray", repeats, trace),
         lambda: bench_sweep(records, sweep_messengers, repeats, trace),
         lambda: bench_common_knowledge(records, ck_messengers, repeats, trace),
         lambda: bench_robust_sweep(records, sweep_messengers, repeats, trace),
@@ -629,20 +521,6 @@ def main(argv=None) -> int:
             records, explain_messengers, explain_losses, repeats, trace
         ),
     ]
-    if wordmask.available():
-        runners.extend(
-            [
-                lambda: bench_wordarray_measure(
-                    records, wordarray_params, wordarray_queries,
-                    wordarray_repeats, trace,
-                ),
-                lambda: bench_wordarray_gfp(
-                    records, wordarray_params, wordarray_repeats, trace
-                ),
-            ]
-        )
-    else:
-        skipped.append("wordarray_measure/wordarray_gfp: numpy unavailable")
     for runner in runners:
         try:
             runner()
@@ -665,12 +543,10 @@ def main(argv=None) -> int:
             # one core means the parallel sweep can only tie the serial
             # one; the record is still useful as an overhead measurement
             "cpu_count": os.cpu_count(),
-            "numpy": wordmask.available(),
         },
         "default_backend": get_default_backend(),
         "baselines": dict(BASELINES),
         "benchmarks": records,
-        "skipped": skipped,
         "errors": errors,
     }
     derived = {}
@@ -699,14 +575,6 @@ def main(argv=None) -> int:
         derived["explain_dag_compression"] = round(
             explain_dag["tree_bytes"] / explain_dag["dag_bytes"], 4
         )
-    for name, key in (
-        ("wordarray_measure", "wordarray_measure_speedup_vs_bitmask"),
-        ("wordarray_gfp", "wordarray_gfp_speedup_vs_bitmask"),
-    ):
-        bitmask_seconds = _record_seconds(records, name, "bitmask")
-        wordarray_seconds = _record_seconds(records, name, "wordarray")
-        if bitmask_seconds and wordarray_seconds:
-            derived[key] = round(bitmask_seconds / wordarray_seconds, 2)
     if derived:
         payload["derived"] = derived
     text = write_bench_json(args.output, payload)

@@ -18,7 +18,6 @@ the confidence level ``eps`` demanded.  This module computes:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,7 +28,7 @@ from ..core.standard import standard_assignments
 from ..logic.semantics import Model
 from ..logic.syntax import PrAtLeast, Prop
 from ..obs.recorder import get_recorder
-from ..probability.bitset import get_default_backend, kernel_totals, use_backend
+from ..probability.bitset import get_default_backend, kernel_totals
 from ..probability.fractionutil import FractionLike, ONE, as_fraction
 from .analysis import achieves, run_level_probability
 from .protocols import AttackSystem, build_ca1, build_ca1_adaptive, build_ca2
@@ -151,7 +150,7 @@ def task_fingerprint(task: SweepTask) -> Dict[str, object]:
     The ``backend`` field is *provenance, not identity*: rows are
     backend-independent exact Fractions, so checkpoint loading ignores
     it when matching records to tasks -- a sweep checkpointed under
-    ``bitmask`` resumes cleanly under ``wordarray`` and vice versa, and
+    ``naive`` resumes cleanly under ``bitmask`` and vice versa, and
     checkpoints written before the field existed still load.  This is
     also the ``task`` payload every ``repro-audit/1`` leaf hash commits
     to, so the checkpoint and the audit bundle of a sweep key each cell
@@ -254,7 +253,6 @@ def guarantee_sweep(
     builders: Optional[Dict[str, Builder]] = None,
     epsilon: FractionLike = Fraction(99, 100),
     provenance: bool = False,
-    backend: Optional[str] = None,
 ) -> List[SweepRow]:
     """Sweep protocols over messenger counts and loss probabilities.
 
@@ -264,13 +262,10 @@ def guarantee_sweep(
     retries, checkpoints, audit bundles).
     ``provenance=True`` opts every row into a ``row_provenance`` event
     with its threshold derivation; see :func:`sweep_row_of`.
-    ``backend`` runs the whole sweep under a specific measure engine
-    (``None`` keeps the process default); rows are identical either way.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
     with get_recorder().span("guarantee_sweep", tasks=len(tasks)):
-        with use_backend(backend) if backend is not None else nullcontext():
-            return [sweep_row_of(task, provenance=provenance) for task in tasks]
+        return [sweep_row_of(task, provenance=provenance) for task in tasks]
 
 
 def crossover_messengers(

@@ -226,12 +226,6 @@ class System:
         self._knowledge_masks: List[Dict[LocalState, int]] = [
             {} for _ in range(self._num_agents)
         ]
-        self._partition_kernels: List[Optional[object]] = [
-            None for _ in range(self._num_agents)
-        ]
-        self._class_matrices: List[Optional[object]] = [
-            None for _ in range(self._num_agents)
-        ]
 
     # ------------------------------------------------------------------
     # Structure
@@ -323,44 +317,6 @@ class System:
             )
             self._class_masks[agent] = masks
         return masks
-
-    def agent_partition_kernel(self, agent: int):
-        """``agent``'s information partition as a wordarray kernel.
-
-        A cached :class:`~repro.probability.wordmask.PartitionKernel` over
-        :attr:`point_index`, whose ``knowledge_words`` answers "union of
-        the classes wholly inside a target" -- the extension of ``K_i``
-        applied to the target (Section 2) -- in one ``bincount`` pass.
-        The wordarray model checker's hot path; requires numpy.
-        """
-        kernel = self._partition_kernels[agent]
-        if kernel is None:
-            from ..probability import wordmask
-
-            index = self.point_index
-            kernel = wordmask.PartitionKernel.from_blocks(
-                self._by_local[agent].values(), index.position, len(index)
-            )
-            self._partition_kernels[agent] = kernel
-        return kernel
-
-    def agent_class_matrix(self, agent: int):
-        """``agent``'s class masks stacked into one ``(n_classes, n_words)``
-        ``uint64`` matrix (cached; requires numpy).
-
-        The general batched form for
-        :func:`~repro.probability.wordmask.fold_contained_rows`; the model
-        checker itself prefers :meth:`agent_partition_kernel`, which
-        exploits that the classes partition the points.
-        """
-        matrix = self._class_matrices[agent]
-        if matrix is None:
-            from ..probability import wordmask
-
-            n_words = wordmask.word_count(len(self.point_index))
-            matrix = wordmask.stack_masks(self.agent_class_masks(agent), n_words)
-            self._class_matrices[agent] = matrix
-        return matrix
 
     def knowledge_mask(self, agent: int, point: Point) -> int:
         """``K_i(c)`` as a bit mask over :attr:`point_index`."""

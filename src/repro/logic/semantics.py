@@ -27,8 +27,6 @@ from ..core.facts import Fact
 from ..core.model import Point, System
 from ..errors import LogicError
 from ..obs.recorder import NULL_RECORDER, get_recorder
-from ..probability import wordmask
-from ..probability.bitset import get_default_backend
 from ..trees.probabilistic_system import ProbabilisticSystem
 from .syntax import (
     And,
@@ -71,12 +69,6 @@ class Model:
         self._index = self.psys.point_index
         self._full_mask = self._index.full_mask
         self._points_cache: Optional[PointSet] = None
-        # Backend choice is latched at model construction, like a space's:
-        # the knowledge folds below go through the wordarray kernels iff
-        # the wordarray backend was active (and numpy present) when this
-        # model was built.
-        self._words = get_default_backend() == "wordarray" and wordmask.available()
-        self._n_words = wordmask.word_count(len(self._index)) if self._words else 0
 
     # ------------------------------------------------------------------
     # Core evaluation
@@ -224,11 +216,8 @@ class Model:
         if isinstance(formula, EveryoneKnows):
             return self._everyone_mask(formula.group, self.extension_mask(formula.sub))
         if isinstance(formula, CommonKnows):
-            sub = self.extension_mask(formula.sub)
-            if self._words:
-                return self._gfp_mask_words(sub, formula.group)
             return self._gfp_mask(
-                sub,
+                self.extension_mask(formula.sub),
                 lambda target: self._everyone_mask(formula.group, target),
             )
         if isinstance(formula, EveryoneKnowsProb):
@@ -263,15 +252,8 @@ class Model:
 
         ``K_i(c)`` is constant on each information class and equals the
         class itself, so the extension of ``K_i phi`` is the union of the
-        classes wholly inside the target -- one subset test per class on
-        the bitmask path, one batched
-        :meth:`~repro.probability.wordmask.PartitionKernel.knowledge_words`
-        pass on the wordarray path.
+        classes wholly inside the target -- one subset test per class.
         """
-        if self._words:
-            kernel = self.system.agent_partition_kernel(agent)
-            target_words = wordmask.mask_to_words(target, self._n_words)
-            return wordmask.words_to_mask(kernel.knowledge_words(target_words))
         result = 0
         for class_mask in self.system.agent_class_masks(agent):
             if class_mask & ~target == 0:
@@ -279,30 +261,9 @@ class Model:
         return result
 
     def _everyone_mask(self, group: Iterable[int], target: int) -> int:
-        if self._words:
-            target_words = wordmask.mask_to_words(target, self._n_words)
-            return wordmask.words_to_mask(self._everyone_words(group, target_words))
         result = self._full_mask
         for agent in group:
             result &= self._knowledge_mask(agent, target)
-        return result
-
-    def _everyone_words(self, group: Iterable[int], target_words):
-        """Word-array ``E_G`` applied to a word-array target.
-
-        The wordarray bulk path: every agent's whole information partition
-        is folded against the target by its
-        :meth:`~repro.core.model.System.agent_partition_kernel`, and the
-        per-agent knowledge masks are intersected without ever leaving
-        word-array form -- the batching that makes the ``C_G`` gfp scale.
-        """
-        result = None
-        for agent in group:
-            kernel = self.system.agent_partition_kernel(agent)
-            knows = kernel.knowledge_words(target_words)
-            result = knows if result is None else wordmask.intersect_words(result, knows)
-        if result is None:
-            return wordmask.full_words(len(self._index))
         return result
 
     def _pr_at_least_mask(self, agent: int, alpha, target: PointSet) -> int:
@@ -369,45 +330,6 @@ class Model:
                     fixpoint_size=current.bit_count(),
                 )
                 return current
-            current = updated
-
-    def _gfp_mask_words(self, sub_mask: int, group: Iterable[int]) -> int:
-        """:meth:`_gfp_mask` for ``C_G``, iterated in word-array form.
-
-        Same downward iteration from the full space (Section 8), but the
-        candidate mask stays a ``uint64`` word array across iterations:
-        one int->words conversion for the sub-formula mask going in, one
-        words->int conversion for the fixpoint coming out, and everything
-        between is vectorized.  Events mirror the int path with
-        ``representation="wordarray"``.
-        """
-        recorder = get_recorder()
-        snapshot = recorder is not NULL_RECORDER
-        sub = wordmask.mask_to_words(sub_mask, self._n_words)
-        current = wordmask.full_words(len(self._index))
-        iterations = 0
-        while True:
-            iterations += 1
-            updated = self._everyone_words(group, wordmask.intersect_words(sub, current))
-            if snapshot:
-                recorder.event(
-                    "gfp_iteration",
-                    representation="wordarray",
-                    iteration=iterations,
-                    current_size=wordmask.popcount_words(current),
-                    updated_size=wordmask.popcount_words(updated),
-                    updated_mask=wordmask.words_to_mask(updated),
-                )
-            if wordmask.equal_words(updated, current):
-                recorder.counter("model.gfp_fixpoints")
-                recorder.counter("model.gfp_iterations", iterations)
-                recorder.event(
-                    "gfp",
-                    representation="wordarray",
-                    iterations=iterations,
-                    fixpoint_size=wordmask.popcount_words(current),
-                )
-                return wordmask.words_to_mask(current)
             current = updated
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .bitset import (
     kernel_totals,
     merge_kernel_totals,
     reset_kernel_totals,
-    set_default_backend,
     use_backend,
 )
 from .algebra import (
@@ -67,7 +66,6 @@ __all__ = [
     "kernel_totals",
     "merge_kernel_totals",
     "reset_kernel_totals",
-    "set_default_backend",
     "use_backend",
     "as_fraction",
     "check_probability",

@@ -13,11 +13,11 @@ module provides the representation that makes that algebra cheap:
   outer, contained mask)`` so that repeated interval queries -- the
   dominant access pattern of ``knows_probability_interval`` and the attack
   sweeps -- cost a dictionary hit after first touch.
-* :func:`set_default_backend` / :func:`use_backend` switch newly built
-  spaces between the ``"bitmask"`` engine and the retained ``"naive"``
-  frozenset kernels, for the differential tests and the ablation
-  benchmark.  Switching emits a ``backend_switch`` event through
-  :mod:`repro.obs`, so traces show which kernel actually ran.
+* :func:`use_backend` builds spaces on the retained ``"naive"``
+  frozenset kernels inside a block -- the oracle the differential tests
+  and the ablation benchmark compare the ``"bitmask"`` engine against.
+  Switching emits a ``backend_switch`` event through :mod:`repro.obs`,
+  so traces show which kernel actually ran.
 * :func:`kernel_totals` / :func:`reset_kernel_totals` snapshot the
   process-wide cache hit/miss/eviction and kernel-dispatch counters that
   the observability layer (``repro.obs``, ``tools/tracereport``,
@@ -39,14 +39,11 @@ __all__ = [
     "OutcomeIndex",
     "IntervalCache",
     "BACKENDS",
-    "count_mask_conversion",
     "count_naive_query",
-    "count_wordarray_query",
     "get_default_backend",
     "kernel_totals",
     "merge_kernel_totals",
     "reset_kernel_totals",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -68,8 +65,6 @@ class _KernelTotals:
         "evictions",
         "naive_queries",
         "backend_switches",
-        "wordarray_queries",
-        "mask_conversions",
     )
 
     def __init__(self) -> None:
@@ -78,8 +73,6 @@ class _KernelTotals:
         self.evictions = 0
         self.naive_queries = 0
         self.backend_switches = 0
-        self.wordarray_queries = 0
-        self.mask_conversions = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -88,8 +81,6 @@ class _KernelTotals:
             "cache_evictions": self.evictions,
             "naive_queries": self.naive_queries,
             "backend_switches": self.backend_switches,
-            "wordarray_queries": self.wordarray_queries,
-            "mask_conversions": self.mask_conversions,
         }
 
     def reset(self) -> None:
@@ -98,8 +89,6 @@ class _KernelTotals:
         self.evictions = 0
         self.naive_queries = 0
         self.backend_switches = 0
-        self.wordarray_queries = 0
-        self.mask_conversions = 0
 
 
 _TOTALS = _KernelTotals()
@@ -111,10 +100,8 @@ def kernel_totals() -> Dict[str, int]:
     ``cache_hits``/``cache_misses``/``cache_evictions`` aggregate every
     :class:`IntervalCache` in the process; ``naive_queries`` counts
     interval-kernel calls on the naive (frozenset) backend;
-    ``wordarray_queries`` counts vectorized kernel dispatches and
-    ``mask_conversions`` the int-mask <-> word-array crossings of the
-    ``wordarray`` backend (:mod:`repro.probability.wordmask`);
-    ``backend_switches`` counts :func:`set_default_backend` changes.
+    ``backend_switches`` counts the engine changes :func:`use_backend`
+    makes, entering and leaving.
     """
     return _TOTALS.snapshot()
 
@@ -134,8 +121,6 @@ _TOTALS_ATTRS = {
     "cache_evictions": "evictions",
     "naive_queries": "naive_queries",
     "backend_switches": "backend_switches",
-    "wordarray_queries": "wordarray_queries",
-    "mask_conversions": "mask_conversions",
 }
 
 
@@ -158,16 +143,6 @@ def merge_kernel_totals(delta: Dict[str, int]) -> None:
 def count_naive_query() -> None:
     """Count one naive-backend kernel dispatch (called by the space)."""
     _TOTALS.naive_queries += 1
-
-
-def count_wordarray_query() -> None:
-    """Count one wordarray-backend kernel dispatch (called by wordmask)."""
-    _TOTALS.wordarray_queries += 1
-
-
-def count_mask_conversion() -> None:
-    """Count one int-mask <-> word-array conversion at the index boundary."""
-    _TOTALS.mask_conversions += 1
 
 
 class OutcomeIndex:
@@ -348,12 +323,10 @@ class IntervalCache:
 # Backend selection
 # ----------------------------------------------------------------------
 
-#: The three measure engines: ``"bitmask"`` (indexed ints, default),
-#: ``"wordarray"`` (numpy uint64 word arrays, for >=100k-point systems;
-#: needs numpy and degrades to ``"bitmask"`` without it) and ``"naive"``
-#: (the original frozenset scans, kept for differential testing and the
-#: ablation benchmark).
-BACKENDS: Tuple[str, ...] = ("bitmask", "wordarray", "naive")
+#: The measure engines: ``"bitmask"`` (indexed ints, the default) and
+#: ``"naive"`` (the original frozenset scans, kept only as the oracle the
+#: differential tests and the ablation benchmark compare against).
+BACKENDS: Tuple[str, ...] = ("bitmask", "naive")
 
 _default_backend = "bitmask"
 
@@ -363,37 +336,9 @@ def get_default_backend() -> str:
     return _default_backend
 
 
-def set_default_backend(name: str) -> str:
-    """Select the engine for newly constructed spaces; returns the old one.
-
-    Existing spaces keep the backend they were built with: the choice is
-    baked in at construction, which is what lets the ablation benchmark
-    time the engines on identically constructed inputs.
-
-    Requesting ``"wordarray"`` without numpy installed degrades
-    gracefully to ``"bitmask"`` (numpy is an optional extra, never a
-    hard dependency): a ``backend_fallback`` event records the
-    substitution and the returned previous backend still restores
-    correctly through :func:`use_backend`.
-    """
+def _switch_backend(name: str) -> str:
+    """Make ``name`` the engine for newly built spaces; returns the old one."""
     global _default_backend
-    if name not in BACKENDS:
-        raise ValueError(f"unknown measure backend {name!r}; expected one of {BACKENDS}")
-    if name == "wordarray":
-        # Function-local import: the numpy probe is deferred until the
-        # backend is actually requested, so bitmask-only processes never
-        # pay it (and the module cycle wordmask -> bitset stays one-way
-        # at module scope).
-        from . import wordmask
-
-        if not wordmask.available():
-            get_recorder().event(
-                "backend_fallback",
-                requested="wordarray",
-                backend="bitmask",
-                reason="numpy unavailable",
-            )
-            name = "bitmask"
     previous = _default_backend
     _default_backend = name
     if name != previous:
@@ -406,11 +351,15 @@ def set_default_backend(name: str) -> str:
 def use_backend(name: str) -> Iterator[str]:
     """Context manager: build spaces with ``name`` inside the block.
 
-    Yields the backend actually in effect -- ``"bitmask"`` when
-    ``"wordarray"`` was requested without numpy available.
+    Existing spaces keep the backend they were built with: the choice is
+    baked in at construction, which is what lets the differential tests
+    and the ablation benchmark run the engines on identically
+    constructed inputs.  Yields ``name``.
     """
-    previous = set_default_backend(name)
+    if name not in BACKENDS:
+        raise ValueError(f"unknown measure backend {name!r}; expected one of {BACKENDS}")
+    previous = _switch_backend(name)
     try:
-        yield get_default_backend()
+        yield name
     finally:
-        set_default_backend(previous)
+        _switch_backend(previous)

@@ -11,19 +11,14 @@ measure ``mu`` given by one exact :class:`~fractions.Fraction` per atom.
 Inner and outer measures (Section 5) and the two-valued inner/outer
 expectations of Appendix B.2 are first-class operations.
 
-Three measure engines back the set-algebra kernels (see
-:mod:`repro.probability.bitset`): the default **bitmask** engine indexes
-outcomes to bit positions at construction, turning every atom/event test
-into integer bitwise operations with an LRU-cached ``mask -> (inner,
-outer)`` table; the **wordarray** engine keeps that index and cache but
-answers cache misses with the vectorized numpy kernels of
-:mod:`repro.probability.wordmask` (built for >=100k-point systems, and
-notably *without* materialising per-atom masks, whose powerset cost is
-quadratic in the point count); and the retained **naive** engine scans
-frozensets as the original implementation did.  All three compute
-identical exact Fractions; the ``*_naive`` kernels stay public for
-differential tests and the ablation benchmark
-(``benchmarks/bench_ablation_bitset.py``).
+The **bitmask** engine backs the set-algebra kernels (see
+:mod:`repro.probability.bitset`): it indexes outcomes to bit positions at
+construction, turning every atom/event test into integer bitwise
+operations with an LRU-cached ``mask -> (inner, outer)`` table.  The
+retained **naive** engine scans frozensets as the original
+implementation did; it computes identical exact Fractions and stays,
+with the public ``*_naive`` kernels, as the oracle for the differential
+tests and the ablation benchmark (``benchmarks/bench_ablation_bitset.py``).
 """
 
 from __future__ import annotations
@@ -103,12 +98,11 @@ class FiniteProbabilitySpace:
         "_atom_weights",
         "_weight_denominator",
         "_interval_cache",
-        "_word_kernel",
         "_cache_maxsize",
     )
 
     #: Default bound on the per-space LRU cache of ``event mask ->
-    #: (inner, outer, contained)`` entries (bitmask/wordarray backends).
+    #: (inner, outer, contained)`` entries (bitmask backend).
     #: Overridable per space via ``interval_cache_maxsize``.
     interval_cache_size = 4096
 
@@ -175,12 +169,6 @@ class FiniteProbabilitySpace:
         exact: the common denominator is a multiple of every atom's
         denominator by construction.  Callers that already hold the
         measure in weight form pass ``weights``/``denominator`` directly.
-
-        On the wordarray backend the outcome index and interval cache are
-        built exactly as for bitmask, but per-atom int masks are *not*
-        materialised (for a powerset algebra they cost O(n^2) bits in
-        total); cache misses go to a lazily built
-        :class:`~repro.probability.wordmask.SpaceKernel` instead.
         """
         if weights is None:
             probabilities = self._probabilities_dict
@@ -199,18 +187,15 @@ class FiniteProbabilitySpace:
         self._backend = get_default_backend()
         self._cache_maxsize: Optional[int] = cache_maxsize
         self._atom_of_dict: Optional[Dict[Outcome, Atom]] = None
-        self._word_kernel = None
-        if self._backend in ("bitmask", "wordarray"):
+        if self._backend == "bitmask":
             index = OutcomeIndex(
                 outcome for atom in self._atoms for outcome in atom
             )
             self._index: Optional[OutcomeIndex] = index
-            if self._backend == "wordarray":
-                self._atom_masks: Tuple[int, ...] = ()
-            elif all(len(atom) == 1 for atom in self._atoms):
+            if all(len(atom) == 1 for atom in self._atoms):
                 # powerset algebra: the index enumerated outcomes in atom
                 # order, so atom i owns exactly bit i
-                self._atom_masks = tuple(
+                self._atom_masks: Tuple[int, ...] = tuple(
                     1 << position for position in range(len(self._atoms))
                 )
             else:
@@ -437,47 +422,21 @@ class FiniteProbabilitySpace:
     # of the atoms wholly inside the event.  The event is measurable iff
     # ``contained`` equals its mask, and then ``mu(event) == inner``.
 
-    def _build_word_kernel(self):
-        """The wordarray backend's :class:`~repro.probability.wordmask.SpaceKernel`.
-
-        Built lazily on the first cache miss -- spaces constructed only to
-        be conditioned or inspected never pay for it -- and kept for the
-        space's lifetime.
-        """
-        from . import wordmask
-
-        kernel = wordmask.SpaceKernel(
-            self._atoms,
-            self._index.position,
-            len(self._index),
-            self._atom_weights,
-            self._weight_denominator,
-            all(len(atom) == 1 for atom in self._atoms),
-        )
-        self._word_kernel = kernel
-        return kernel
-
     def _interval_entry(self, mask: int) -> Tuple[Fraction, Fraction, int]:
         cache = self._interval_cache
         entry = cache.get(mask)
         if entry is None:
             denominator = self._weight_denominator
-            if self._backend == "wordarray":
-                kernel = self._word_kernel
-                if kernel is None:
-                    kernel = self._build_word_kernel()
-                inner, outer, contained = kernel.interval_mask(mask)
-            else:
-                inner = 0
-                outer = 0
-                contained = 0
-                for atom_mask, weight in zip(self._atom_masks, self._atom_weights):
-                    overlap = atom_mask & mask
-                    if overlap:
-                        outer += weight
-                        if overlap == atom_mask:
-                            inner += weight
-                            contained |= atom_mask
+            inner = 0
+            outer = 0
+            contained = 0
+            for atom_mask, weight in zip(self._atom_masks, self._atom_weights):
+                overlap = atom_mask & mask
+                if overlap:
+                    outer += weight
+                    if overlap == atom_mask:
+                        inner += weight
+                        contained |= atom_mask
             entry = (
                 Fraction(inner, denominator),
                 Fraction(outer, denominator),

@@ -25,7 +25,6 @@ wrong record -- is a hard :class:`~repro.errors.CheckpointError`.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -42,7 +41,6 @@ from ..attack.sweep import (
 from ..errors import CheckpointError
 from ..obs.audit import AuditBundleWriter
 from ..obs.jsonl import DurableAppender, JsonlFormat
-from ..probability.bitset import get_default_backend, use_backend
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
 from .engine import RetryPolicy, run_tasks
@@ -159,34 +157,6 @@ class SweepCheckpoint:
         return completed
 
 
-class _BackendBoundTask:
-    """A task function bound to run under a fixed measure backend.
-
-    Worker processes start with the module default backend
-    (``"bitmask"``), so the engine's task callable must carry the
-    caller's choice across the process boundary itself.  A class rather
-    than ``functools.partial`` because the engine's ``wants_context``
-    protocol is an attribute probe on the callable -- a partial would
-    hide the wrapped function's opt-in and silently drop the
-    :class:`~repro.robustness.engine.TaskContext` argument.  Instances
-    pickle by value (function by reference, backend as a string).
-    """
-
-    __slots__ = ("function", "backend")
-
-    def __init__(self, function: Callable, backend: str) -> None:
-        self.function = function
-        self.backend = backend
-
-    @property
-    def wants_context(self) -> bool:
-        return bool(getattr(self.function, "wants_context", False))
-
-    def __call__(self, task, *args, **kwargs):
-        with use_backend(self.backend):
-            return self.function(task, *args, **kwargs)
-
-
 def strict_sweep_row_of(task: SweepTask) -> SweepRow:
     """:func:`~repro.attack.sweep.sweep_row_of` with invariant validation.
 
@@ -242,10 +212,8 @@ def robust_guarantee_sweep(
     strict: bool = False,
     task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
     sleep=None,
-    backend: Optional[str] = None,
     progress_every: Optional[int] = None,
     audit: bool = False,
-    audit_path=None,
 ) -> List[SweepRow]:
     """The guarantee sweep of Section 8 on the fault-tolerant engine.
 
@@ -259,20 +227,20 @@ def robust_guarantee_sweep(
     every built system against the paper's structural invariants before
     measuring it.  ``task_function`` overrides the per-task callable
     (the chaos tests inject faults through it); ``sleep`` overrides the
-    backoff sleeper.  ``backend`` runs every task -- in workers too,
-    where the process default would otherwise apply -- under the named
-    measure engine (``None``: the caller's process default); rows are
-    backend-independent, so checkpoints resume across backends.
+    backoff sleeper.  Pool workers compute on the default ``bitmask``
+    engine; a caller's :func:`~repro.probability.use_backend` block
+    reaches only in-process (``max_workers=1``) tasks.  Rows are
+    backend-independent, so checkpoints resume across engines.
     ``progress_every`` emits a ``sweep_progress`` event every that many
     completed rows (see :func:`repro.robustness.engine.run_tasks`);
     pair it with a :class:`~repro.obs.trace.TraceRecorder` and tail the
     file with ``tools/reprotop`` for a live sweep monitor.
 
-    ``audit=True`` (opt-in, default off; implied by an explicit
-    ``audit_path``) additionally chains every completed row into a
-    ``repro-audit/1`` Merkle bundle written alongside the checkpoint
-    (``audit_path``, default ``<checkpoint>.audit``): each leaf binds
-    the task fingerprint, the exact row payload, and the row's
+    ``audit=True`` (opt-in, default off) additionally chains every
+    completed row into a ``repro-audit/1`` Merkle bundle at
+    :func:`default_audit_path` (``<checkpoint>.audit``, the name by which
+    ``tools/verifyaudit`` finds the checkpoint): each leaf binds the
+    task fingerprint, the exact row payload, and the row's
     parent-recomputed threshold-derivation root, so
     ``tools/verifyaudit`` can certify the sweep -- including one that
     was chaos-killed and resumed -- without recomputing it.  Resuming
@@ -283,55 +251,40 @@ def robust_guarantee_sweep(
     never changes the returned rows.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
-    if audit_path is not None:
-        audit = True
     if audit and checkpoint_path is None:
         raise ValueError(
             "audit=True requires checkpoint_path: the audit bundle is "
             "verified against the checkpoint it shadows"
         )
-    if audit and audit_path is None:
-        audit_path = default_audit_path(checkpoint_path)
     if task_function is None:
         task_function = strict_sweep_row_of if strict else sweep_row_of
-    active = backend if backend is not None else get_default_backend()
-    if backend is not None or active != "bitmask":
-        # The default-on-default case stays unwrapped so the engine sees
-        # the exact callables the chaos tests fingerprint.
-        task_function = _BackendBoundTask(task_function, active)
     checkpoint = SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
     keywords = {}
     if sleep is not None:
         keywords["sleep"] = sleep
-    with ExitStack() as stack:
-        if backend is not None:
-            # Activate the engine in the parent too, so the fingerprints
-            # streamed by on_result record the backend that actually
-            # computed the rows (provenance), not the ambient default.
-            stack.enter_context(use_backend(backend))
-        completed = checkpoint.load(tasks) if checkpoint is not None else {}
-        writer = None
-        if audit:
-            writer = AuditBundleWriter(audit_path)
-            # Backfill: a kill can land between the checkpoint append and
-            # the audit append, leaving a row the resumed engine will not
-            # re-run (the checkpoint has it) but the chain never saw.
-            for index in sorted(set(completed) - set(writer.leaf_indexes())):
-                _audit_append(writer, index, tasks[index], completed[index])
-        on_result = None
-        if checkpoint is not None:
-            def on_result(index: int, row: SweepRow) -> None:
-                checkpoint.append(index, tasks[index], row)
-                if writer is not None:
-                    _audit_append(writer, index, tasks[index], row)
-        return run_tasks(
-            task_function,
-            tasks,
-            max_workers=max_workers,
-            policy=policy,
-            timeout=timeout,
-            completed=completed,
-            on_result=on_result,
-            progress_every=progress_every,
-            **keywords,
-        )
+    completed = checkpoint.load(tasks) if checkpoint is not None else {}
+    writer = None
+    if audit:
+        writer = AuditBundleWriter(default_audit_path(checkpoint_path))
+        # Backfill: a kill can land between the checkpoint append and
+        # the audit append, leaving a row the resumed engine will not
+        # re-run (the checkpoint has it) but the chain never saw.
+        for index in sorted(set(completed) - set(writer.leaf_indexes())):
+            _audit_append(writer, index, tasks[index], completed[index])
+    on_result = None
+    if checkpoint is not None:
+        def on_result(index: int, row: SweepRow) -> None:
+            checkpoint.append(index, tasks[index], row)
+            if writer is not None:
+                _audit_append(writer, index, tasks[index], row)
+    return run_tasks(
+        task_function,
+        tasks,
+        max_workers=max_workers,
+        policy=policy,
+        timeout=timeout,
+        completed=completed,
+        on_result=on_result,
+        progress_every=progress_every,
+        **keywords,
+    )

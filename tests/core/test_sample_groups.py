@@ -7,7 +7,7 @@ model checker and the Proposition 11 thresholds evaluate
 simple per-point loop (one ``inner_probability`` call per point) as the
 oracle and demands bit-identical masks, identical thresholds and
 witnesses, and byte-identical induced spaces, on random one- and
-two-tree systems, synchronous and asynchronous, under all three measure
+two-tree systems, synchronous and asynchronous, under both measure
 backends, with uniform and non-uniform assignments.  The REQ1/REQ2
 regressions pin that grouping never hides a requirement violation.
 """
@@ -43,10 +43,9 @@ from repro.logic.syntax import (
     Prop,
     knows_prob_at_least,
 )
-from repro.probability import use_backend
+from repro.probability import BACKENDS, use_backend
 from repro.testing import first_branch_fact, parity_fact, random_psys
 
-BACKENDS = ("bitmask", "wordarray", "naive")
 
 #: Synchronous profiles (every agent reads the clock) and asynchronous
 #: ones (a blind agent merges times), for two agents.

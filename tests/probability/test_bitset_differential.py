@@ -1,17 +1,15 @@
-"""Differential suite: wordarray == bitmask == naive kernels, exactly.
+"""Differential suite: bitmask == naive kernels, exactly.
 
 Hypothesis drives random algebras -- including non-powerset ones, since
 the random partition regularly produces multi-outcome atoms -- random
 rational masses, and random events that may split atoms or mention
 outcomes outside the sample space.  Every kernel of the bitmask engine
 must agree with the retained ``*_naive`` implementation, and a space
-constructed under each backend (``naive``, ``bitmask``, and -- when
-numpy is present -- ``wordarray``) must agree value-for-value as exact
-Fractions.
+constructed under each backend (``bitmask`` and the ``naive`` oracle)
+must agree value-for-value as exact Fractions.
 
 Two universes run the same properties: the seed's 8 outcomes, and a
-70-outcome universe whose masks span two ``uint64`` words with a partial
-tail word -- the word-array backend's classic off-by-one site.
+70-outcome universe whose masks run past 64 bits with many atoms.
 """
 
 from fractions import Fraction
@@ -21,19 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NotMeasurableError
-from repro.probability import FiniteProbabilitySpace, use_backend, wordmask
+from repro.probability import BACKENDS, FiniteProbabilitySpace, use_backend
 
 OUTCOMES = tuple(range(8))
-#: Non-multiple-of-64 so word-array masks carry a partial tail word.
+#: Past 64 bits, and not a multiple of 64.
 WIDE_OUTCOMES = tuple(range(70))
 #: Outcomes never in the space: inner/outer measures must ignore them,
 #: ``measure``/``is_measurable`` must reject them -- on every engine.
 FOREIGN = (98, 99)
-
-#: Backends every space-level property is run under.
-THREE_BACKENDS = ("naive", "bitmask") + (
-    ("wordarray",) if wordmask.available() else ()
-)
 
 
 @st.composite
@@ -65,9 +58,9 @@ wide_events = st.sets(st.sampled_from(WIDE_OUTCOMES + FOREIGN)).map(frozenset)
 
 
 def build_spaces(atoms, probabilities):
-    """The same algebra constructed under every available backend."""
+    """The same algebra constructed under every backend."""
     spaces = {}
-    for backend in THREE_BACKENDS:
+    for backend in BACKENDS:
         with use_backend(backend):
             spaces[backend] = FiniteProbabilitySpace(atoms, probabilities)
         assert spaces[backend].backend == backend
@@ -122,7 +115,7 @@ def test_backends_agree_on_identical_inputs(partition, event):
 @settings(max_examples=40)
 @given(partitions(outcomes=WIDE_OUTCOMES, max_label=12), wide_events)
 def test_backends_agree_on_tail_word_universes(partition, event):
-    """70 outcomes: two words per mask, partial tail word, many atoms."""
+    """70 outcomes: masks past 64 bits, many atoms."""
     atoms, probabilities = partition
     assert_spaces_agree(build_spaces(atoms, probabilities), event)
 
@@ -143,7 +136,7 @@ def test_conditioning_agrees_across_backends(partition):
     atoms, probabilities = partition
     conditioning_event = frozenset(atoms[0])
     conditioned = {}
-    for backend in THREE_BACKENDS:
+    for backend in BACKENDS:
         with use_backend(backend):
             conditioned[backend] = FiniteProbabilitySpace(
                 atoms, probabilities

@@ -108,19 +108,6 @@ class TestAuditedSweep:
         assert bundle.leaf_indexes() == frozenset(completed)
         assert bundle.leaf_indexes() == frozenset(range(len(tasks)))
 
-    def test_explicit_audit_path_implies_audit(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        audit_path = tmp_path / "elsewhere.audit"
-        robust_guarantee_sweep(
-            MESSENGERS,
-            LOSSES,
-            max_workers=1,
-            checkpoint_path=path,
-            audit_path=audit_path,
-        )
-        bundle = read_audit_bundle(audit_path)
-        assert len(bundle.leaves) == len(sweep_tasks(MESSENGERS, LOSSES))
-
 
 class TestChaosAuditedSweep:
     def test_chaos_kill_resume_bundle_verifies_clean(self, tmp_path):

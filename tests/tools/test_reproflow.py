@@ -38,7 +38,7 @@ def copy_tree(tmp_path: Path) -> Path:
 
 #: The sweep's engine call; the payload mutations below replace its
 #: first argument.
-PAYLOAD_CALL = "        return run_tasks(\n            task_function,"
+PAYLOAD_CALL = "    return run_tasks(\n        task_function,"
 
 
 def mutate_payload(
@@ -53,7 +53,7 @@ def mutate_payload(
     checkpoint.write_text(
         source.replace(
             PAYLOAD_CALL,
-            prelude + f"        return run_tasks(\n            {payload},{comment}",
+            prelude + f"    return run_tasks(\n        {payload},{comment}",
             1,
         )
     )
@@ -212,8 +212,8 @@ def test_mutation_nested_function_payload_is_rl011(tmp_path):
     mutate_payload(
         tree,
         "_nested",
-        prelude="        def _nested(task):\n"
-        "            return task_function(task)\n\n",
+        prelude="    def _nested(task):\n"
+        "        return task_function(task)\n\n",
     )
     report = run_flow([tree])
     found = violations_of(report, "RL011")
@@ -259,26 +259,28 @@ def test_mutation_contract_drift_is_rl012(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_wordmask_float_boundary_sanction_is_load_bearing(tmp_path, monkeypatch):
-    """Dropping wordmask from FLOAT_BOUNDARY_MODULES re-taints its callers.
+def test_fractionutil_float_boundary_sanction_is_load_bearing(
+    tmp_path, monkeypatch
+):
+    """Dropping fractionutil from FLOAT_BOUNDARY_MODULES re-taints its callers.
 
-    A float-classified helper inside ``wordmask`` reaches exact code
+    A float-classified helper inside ``fractionutil`` reaches exact code
     through an outside-scope wrapper (``attack.analysis``); the sanction
     is the only thing keeping that chain off RL010's books.
     """
     import tools.reproflow.program as flow_program
 
     tree = copy_tree(tmp_path)
-    wordmask = tree / "probability" / "wordmask.py"
-    wordmask.write_text(
-        wordmask.read_text() + "\n\ndef _mut_scale():\n    return float(1)\n"
+    fractionutil = tree / "probability" / "fractionutil.py"
+    fractionutil.write_text(
+        fractionutil.read_text() + "\n\ndef _mut_scale():\n    return float(1)\n"
     )
     analysis = tree / "attack" / "analysis.py"
     analysis.write_text(
         analysis.read_text()
-        + "\n\nfrom repro.probability import wordmask as _mut_wordmask\n"
+        + "\n\nfrom repro.probability import fractionutil as _mut_fractionutil\n"
         "\n\ndef _mut_wrapper():\n"
-        "    return _mut_wordmask._mut_scale()\n"
+        "    return _mut_fractionutil._mut_scale()\n"
     )
     algebra = tree / "probability" / "algebra.py"
     source = algebra.read_text() + (
@@ -291,14 +293,14 @@ def test_wordmask_float_boundary_sanction_is_load_bearing(tmp_path, monkeypatch)
         source.splitlines().index("    return _mut_analysis._mut_wrapper()") + 1
     )
 
-    # Sanctioned: wordmask is a numeric boundary, nothing fires.
-    assert "repro.probability.wordmask" in flow_program.FLOAT_BOUNDARY_MODULES
+    # Sanctioned: fractionutil is a numeric boundary, nothing fires.
+    assert "repro.probability.fractionutil" in flow_program.FLOAT_BOUNDARY_MODULES
     assert run_flow([tree]).violations == []
 
     monkeypatch.setattr(
         flow_program,
         "FLOAT_BOUNDARY_MODULES",
-        flow_program.FLOAT_BOUNDARY_MODULES - {"repro.probability.wordmask"},
+        flow_program.FLOAT_BOUNDARY_MODULES - {"repro.probability.fractionutil"},
     )
     found = violations_of(run_flow([tree]), "RL010")
     assert len(found) == 1
@@ -306,61 +308,7 @@ def test_wordmask_float_boundary_sanction_is_load_bearing(tmp_path, monkeypatch)
     assert violation.path == str(algebra)
     assert violation.line == call_line
     assert "repro.attack.analysis._mut_wrapper" in violation.message
-    assert "repro.probability.wordmask._mut_scale" in violation.message
-
-
-def test_use_backend_restoring_scope_sanction_is_load_bearing(
-    tmp_path, monkeypatch
-):
-    """Without RESTORING_SCOPE_FUNCTIONS a backend-pinning payload fails.
-
-    ``use_backend`` mutates the module-default backend but restores it in
-    a ``finally``; the sanction stops that confined effect from
-    propagating to the task payloads that pin a measure engine.  On a
-    copy whose ``sweep_row_of`` builds under ``use_backend`` -- the shape
-    of the engine's backend-bound row tasks -- the sanction keeps the
-    tree clean; unsanctioned, the chain surfaces as both RL009 (stateful
-    task payload) and RL012 (contract drift on a ``Deterministic.``
-    declaration) -- proof the skip is load-bearing, not an accident of
-    shape.
-    """
-    import tools.reproflow.program as flow_program
-
-    assert (
-        "repro.probability.bitset.use_backend"
-        in flow_program.RESTORING_SCOPE_FUNCTIONS
-    )
-    tree = copy_tree(tmp_path)
-    sweep = tree / "attack" / "sweep.py"
-    build = (
-        "        attack = builder(messengers, loss)\n"
-        "        row = sweep_row_from_attack("
-    )
-    source = sweep.read_text()
-    assert source.count(build) == 1
-    sweep.write_text(
-        source.replace(
-            build,
-            "        with use_backend(get_default_backend()):\n"
-            "            attack = builder(messengers, loss)\n"
-            "        row = sweep_row_from_attack(",
-        )
-    )
-    assert run_flow([tree]).violations == []
-    monkeypatch.setattr(flow_program, "RESTORING_SCOPE_FUNCTIONS", frozenset())
-    report = run_flow([tree])
-    rl009 = violations_of(report, "RL009")
-    assert any(
-        "mutates module-global state" in v.message
-        and "repro.attack.sweep.sweep_row_of" in v.message
-        for v in rl009
-    )
-    rl012 = violations_of(report, "RL012")
-    assert any(
-        v.message.startswith("'repro.attack.sweep.sweep_row_of' declares")
-        and "use_backend" in v.message
-        for v in rl012
-    )
+    assert "repro.probability.fractionutil._mut_scale" in violation.message
 
 
 # ---------------------------------------------------------------------------

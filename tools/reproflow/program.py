@@ -33,28 +33,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 #: Effects propagated transitively through the call graph.
 TRANSITIVE_EFFECTS = ("reads_clock", "unseeded_random", "mutates_global", "io")
 
-#: The sanctioned float boundaries (RL001's carve-out, honoured here
-#: too): ``fractionutil`` converts floats *into* exact Fractions, and
-#: ``wordmask`` keeps numpy arrays strictly internal -- every public
-#: return is a plain Python int (weight sums proven overflow-safe before
-#: any ``int64`` accumulation) that the space layer wraps into a
-#: Fraction.  Neither module's return values are ever float-tainted.
-FLOAT_BOUNDARY_MODULES = frozenset(
-    {
-        "repro.probability.fractionutil",
-        "repro.probability.wordmask",
-    }
-)
-
-#: Save-and-restore scopes: context managers that mutate a module global
-#: but restore the previous value in a ``finally``, so the mutation is
-#: confined to their dynamic extent.  Re-executing a caller (retry,
-#: resume, pool re-dispatch) is idempotent with respect to these, and no
-#: result value depends on how often or when they ran -- which is the
-#: property RL009/RL012 actually guard.  The intrinsic effect is still
-#: recorded on the function itself; it just does not propagate to
-#: callers.
-RESTORING_SCOPE_FUNCTIONS = frozenset({"repro.probability.bitset.use_backend"})
+#: The sanctioned float boundary (RL001's carve-out, honoured here too):
+#: ``fractionutil`` converts floats *into* exact Fractions, so its return
+#: values are never float-tainted.
+FLOAT_BOUNDARY_MODULES = frozenset({"repro.probability.fractionutil"})
 
 #: A witness for one (function, effect) pair: either the intrinsic site
 #: itself or the first call edge that imported the effect.
@@ -371,11 +353,6 @@ class Program:
             for fqn in sorted(self.functions):
                 for callee, line in self.resolved_calls[fqn]:
                     for effect in TRANSITIVE_EFFECTS:
-                        if (
-                            effect == "mutates_global"
-                            and callee in RESTORING_SCOPE_FUNCTIONS
-                        ):
-                            continue
                         if (callee, effect) in self.effect_cause and (
                             fqn,
                             effect,
@@ -576,6 +553,5 @@ __all__ = [
     "FunctionInfo",
     "PayloadSite",
     "Program",
-    "RESTORING_SCOPE_FUNCTIONS",
     "TRANSITIVE_EFFECTS",
 ]

@@ -28,13 +28,9 @@ This rule walks the resolved call graph and flags every call edge from
 a function in an exact subpackage to a float-returning function outside
 it, with the chain down to the float's origin.  Inside-scope float
 sources stay RL001's (intra-file, faster) business.
-Two modules are sanctioned boundaries, never treated as float sources:
+One module is a sanctioned boundary, never treated as a float source:
 ``repro.probability.fractionutil``, whose functions *consume* floats
-and return Fractions, and ``repro.probability.wordmask``, whose numpy
-``uint64`` arrays stay strictly internal -- every public weight sum
-comes back as a plain Python int (accumulated in ``int64`` only when
-the space's denominator proves overflow impossible) for the space
-layer to wrap into a Fraction.  Convert at the boundary
+and return Fractions.  Convert at the boundary
 (``fractionutil.fraction_of``) or return Fractions from the helper;
 deliberate float plumbing may be waived per line with
 ``# reproflow: disable=RL010``."""

@@ -36,11 +36,9 @@ from repro.reporting import render_table
 __all__ = ["SweepMonitor", "checkpoint_status", "render_status", "snapshot_status"]
 
 #: Counter suffixes (under ``worker.<pid>.kernel.``) that count measure
-#: kernel *queries*; evictions/switches/conversions are bookkeeping, not
+#: kernel *queries*; evictions and switches are bookkeeping, not
 #: throughput.
-_KERNEL_QUERY_KEYS = frozenset(
-    {"cache_hits", "cache_misses", "naive_queries", "wordarray_queries"}
-)
+_KERNEL_QUERY_KEYS = frozenset({"cache_hits", "cache_misses", "naive_queries"})
 
 _WORKER_COUNTER = re.compile(r"^worker\.(\d+)\.(.+)$")
 
