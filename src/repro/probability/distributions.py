@@ -100,13 +100,17 @@ def binomial_survivors(count: int, loss_probability: FractionLike) -> Distributi
     ``0..count``.
     """
     loss = as_fraction(loss_probability)
-    survive = ONE - loss
+    # C(n, s) (1 - l)^s l^(n - s) over the common denominator of l^n, in
+    # integers: one reduction per branch instead of Fraction powers
+    lost, scale = loss.numerator, loss.denominator
+    kept = scale - lost
+    denominator = scale**count
     branches: Distribution = []
     for survivors in range(count + 1):
         ways = _binomial(count, survivors)
-        probability = ways * survive**survivors * loss ** (count - survivors)
-        if probability > ZERO:
-            branches.append((probability, survivors))
+        weight = ways * kept**survivors * lost ** (count - survivors)
+        if weight > 0:
+            branches.append((Fraction(weight, denominator), survivors))
     return branches
 
 

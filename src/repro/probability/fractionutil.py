@@ -9,7 +9,7 @@ exact arithmetic end-to-end means the theorem verifiers compare values with
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 FractionLike = Union[Fraction, int, str, float, tuple]
 
@@ -54,6 +54,30 @@ def check_probability(value: FractionLike) -> Fraction:
     if not ZERO <= fraction <= ONE:
         raise ValueError(f"probability {fraction} outside [0, 1]")
     return fraction
+
+
+def sums_to_one(values: Sequence[FractionLike]) -> bool:
+    """Exactly ``sum(values, ZERO) == ONE``, without a gcd per term.
+
+    Adding two Fractions reduces the result, which costs a gcd.  Rationals
+    (Fractions and ints) are instead accumulated into one unreduced
+    ``numerator / denominator`` pair -- cross-multiplied only when a
+    term's denominator differs from the running one -- and the pair is
+    compared once.  Any other value (a float, say) falls back to the
+    Fraction sum, so every input answers, or raises, as that sum does.
+    """
+    numerator, denominator = 0, 1
+    try:
+        for value in values:
+            term_numerator, term_denominator = value.numerator, value.denominator
+            if term_denominator == denominator:
+                numerator += term_numerator
+            else:
+                numerator = numerator * term_denominator + term_numerator * denominator
+                denominator *= term_denominator
+    except AttributeError:
+        return sum(values, ZERO) == ONE
+    return numerator == denominator
 
 
 def format_fraction(value: Fraction, max_decimal_digits: int = 6) -> str:

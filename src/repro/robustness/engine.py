@@ -443,6 +443,30 @@ class _EngineState:
         return self.record_failure(index, attempt, "raised", outcome.error_text, cause=cause)
 
 
+def _fall_back(state: _EngineState, reason: str) -> None:
+    """Record that the remaining tasks go to the in-process pass."""
+    state.recorder.counter("engine.pool_fallbacks")
+    state.recorder.event(
+        "pool_fallback", reason=reason, remaining=len(state.incomplete_indices())
+    )
+
+
+def _payload_pickles(state: _EngineState) -> bool:
+    """Whether the function and every incomplete task survive pickling.
+
+    Probed before any pool exists: a payload that fails to pickle inside
+    the executor's feeder thread can leave its work item pending, and the
+    abandoned pool's manager thread then blocks interpreter exit.
+    """
+    try:
+        pickle.dumps(state.function)
+        for index in state.incomplete_indices():
+            pickle.dumps(state.tasks[index])
+    except POOL_INFRASTRUCTURE_ERRORS:
+        return False
+    return True
+
+
 def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
     """Drive incomplete tasks through (a sequence of) process pools.
 
@@ -450,6 +474,9 @@ def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
     unpicklable -- incomplete for the serial pass.  Completed results are
     never recomputed, no matter how many pools break underneath us.
     """
+    if not _payload_pickles(state):
+        _fall_back(state, "payload could not cross the process boundary")
+        return
     pool: Optional[ProcessPoolExecutor] = None
     try:
         while state.has_incomplete():
@@ -457,12 +484,7 @@ def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
                 try:
                     pool = ProcessPoolExecutor(max_workers=max_workers)
                 except POOL_INFRASTRUCTURE_ERRORS:
-                    state.recorder.counter("engine.pool_fallbacks")
-                    state.recorder.event(
-                        "pool_fallback",
-                        reason="process pool creation refused",
-                        remaining=len(state.incomplete_indices()),
-                    )
+                    _fall_back(state, "process pool creation refused")
                     return
             pending = state.incomplete_indices()
             submitted: Dict[int, int] = {}
@@ -573,12 +595,7 @@ def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
                     )
             state.sleep(round_backoff)
             if fall_back:
-                state.recorder.counter("engine.pool_fallbacks")
-                state.recorder.event(
-                    "pool_fallback",
-                    reason="payload could not cross the process boundary",
-                    remaining=len(state.incomplete_indices()),
-                )
+                _fall_back(state, "payload could not cross the process boundary")
                 return
     finally:
         if pool is not None:

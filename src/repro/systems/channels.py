@@ -30,7 +30,15 @@ class Channel(ABC):
     def deliveries(
         self, messages: Tuple[Message, ...], round_number: int
     ) -> DeliveryDistribution:
-        """The distribution over delivered-message tuples."""
+        """The distribution over delivered-message tuples.
+
+        Contract: the answer is a function of ``messages`` and
+        ``round_number`` alone, and callers only read it.
+        :func:`~repro.systems.synchronous.run_protocol` relies on this: it
+        asks once per distinct ``(messages, round_number)`` of an
+        unfolding and reuses that answer at every node that sends the
+        same messages in the same round.
+        """
 
 
 class PerfectChannel(Channel):
@@ -125,5 +133,6 @@ def _merge_identical(branches: DeliveryDistribution) -> DeliveryDistribution:
     """Merge branches that deliver exactly the same message tuple."""
     merged: Dict[Tuple[Message, ...], Fraction] = {}
     for probability, delivered in branches:
-        merged[delivered] = merged.get(delivered, ZERO) + probability
+        existing = merged.get(delivered)
+        merged[delivered] = probability if existing is None else existing + probability
     return [(probability, delivered) for delivered, probability in merged.items()]

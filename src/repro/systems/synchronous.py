@@ -20,12 +20,12 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..probability.fractionutil import ONE, ZERO
+from ..probability.fractionutil import ONE, ZERO, sums_to_one
 from ..trees.builder import build_tree
 from ..trees.probabilistic_system import ProbabilisticSystem
 from ..trees.tree import ComputationTree
 from .agents import Agent
-from .channels import Channel, PerfectChannel
+from .channels import Channel, DeliveryDistribution, PerfectChannel
 from .messages import Message, inbox_for, sort_messages
 
 
@@ -69,14 +69,14 @@ def _joint_actions(
         (ONE, ())
     ]
     for index, agent in enumerate(protocol.agents):
-        inbox = inbox_for(index, pending)
+        inbox = inbox_for(index, pending) if pending else ()
         branches = agent.step(states[index], inbox, round_number)
         if len(branches) == 1:
             # deterministic agents (the idle observers of every coin
             # example) multiply every joint branch by 1; skip the
             # Fraction work entirely after checking the lone probability
             probability, action = branches[0]
-            if probability != ONE:
+            if probability is not ONE and probability != ONE:
                 raise SimulationError(
                     f"agent {index} step probabilities sum to {probability} "
                     f"at round {round_number}"
@@ -86,8 +86,9 @@ def _joint_actions(
                 for accumulated, actions in joint
             ]
             continue
-        total = sum((probability for probability, _ in branches), ZERO)
-        if total != ONE:
+        probabilities = [probability for probability, _ in branches]
+        if not sums_to_one(probabilities):
+            total = sum(probabilities, ZERO)
             raise SimulationError(
                 f"agent {index} step probabilities sum to {total} at round {round_number}"
             )
@@ -124,24 +125,29 @@ def run_protocol(
         protocol.wrap_local(index, state, 0) for index, state in enumerate(raw_initials)
     )
 
-    def unwrap(locals_: Tuple[Hashable, ...], round_number: int) -> Tuple[Hashable, ...]:
-        return tuple(
-            local[0] if protocol.clocked[index] else local
-            for index, local in enumerate(locals_)
-        )
+    clocked = tuple(protocol.clocked)
+    channel = protocol.channel
+    # The channel's answer for each distinct (sent, round) of this
+    # unfolding; deliveries are a function of exactly those two (see
+    # Channel.deliveries), so one call per key serves every node.
+    delivery_table: Dict[Tuple[Tuple[Message, ...], int], DeliveryDistribution] = {}
 
     def step(time: int, locals_: Tuple[Hashable, ...], extra: Hashable):
         if time >= protocol.horizon:
             return ()
         pending: Tuple[Message, ...] = extra if extra is not None else ()
-        states = unwrap(locals_, time)
+        states = tuple(
+            [local[0] if clock else local for clock, local in zip(clocked, locals_)]
+        )
         outcomes: Dict[tuple, Fraction] = {}
         for action_probability, actions in _joint_actions(protocol, states, pending, time):
-            new_states = tuple(state for state, _ in actions)
-            sent = sort_messages(
-                message for _, outbox in actions for message in outbox
-            )
-            for delivery_probability, delivered in protocol.channel.deliveries(sent, time):
+            new_states = tuple([state for state, _ in actions])
+            outgoing = [message for _, outbox in actions for message in outbox]
+            sent = sort_messages(outgoing) if outgoing else ()
+            deliveries = delivery_table.get((sent, time))
+            if deliveries is None:
+                deliveries = delivery_table[(sent, time)] = channel.deliveries(sent, time)
+            for delivery_probability, delivered in deliveries:
                 key = (new_states, delivered)
                 contribution = (
                     action_probability
@@ -152,15 +158,18 @@ def run_protocol(
                 outcomes[key] = (
                     contribution if existing is None else existing + contribution
                 )
+        ordered = outcomes.items()
+        if len(outcomes) > 1:
+            ordered = sorted(ordered, key=lambda item: repr(item[0]))
         branches = []
-        for (new_states, delivered), probability in sorted(
-            outcomes.items(), key=lambda item: repr(item[0])
-        ):
+        for label, probability in ordered:
+            new_states, delivered = label
             new_locals = tuple(
-                protocol.wrap_local(index, state, time + 1)
-                for index, state in enumerate(new_states)
+                [
+                    (state, time + 1) if clock else state
+                    for clock, state in zip(clocked, new_states)
+                ]
             )
-            label = (new_states, delivered)
             branches.append((probability, label, new_locals, delivered))
         return branches
 

@@ -19,10 +19,11 @@ they become part of the history and hence of state identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import TreeError
-from ..probability.fractionutil import ONE, ZERO, FractionLike, as_fraction
+from ..probability.fractionutil import ONE, ZERO, FractionLike, as_fraction, sums_to_one
 from ..core.model import GlobalState
 from .tree import ComputationTree
 
@@ -97,17 +98,23 @@ def build_tree(
         labels = [label for _, label, _, _ in branches]
         if len(set(labels)) != len(labels):
             raise TreeError(f"duplicate transition labels {labels!r} at time {time}")
-        total = ZERO
+        probabilities: List[Fraction] = []
         kids: List[GlobalState] = []
         for probability, label, new_locals, new_extra in branches:
             fraction = as_fraction(probability)
-            if fraction <= ZERO:
+            if fraction.numerator < 0:
+                raise TreeError(
+                    f"step probability {fraction} of label {label!r} at time "
+                    f"{time} is negative"
+                )
+            if not fraction.numerator:
                 continue
-            total += fraction
+            probabilities.append(fraction)
             child = GlobalState(env.advanced(label, new_extra), tuple(new_locals))
             kids.append(child)
             edge_probabilities[(state, child)] = fraction
-        if total != ONE:
+        if not sums_to_one(probabilities):
+            total = sum(probabilities, ZERO)
             raise TreeError(f"step probabilities at time {time} sum to {total}, not 1")
         children[state] = tuple(kids)
         for child in kids:
@@ -115,9 +122,9 @@ def build_tree(
 
     expand(root, 0)
     # expand() has already enforced every tree invariant: labels are
-    # distinct and positive and sum to 1 per node, histories extend
-    # strictly (so no global state repeats), and each node was reached
-    # from the root -- skip the duplicate validation pass.
+    # distinct, kept probabilities are positive and sum to 1 per node,
+    # histories extend strictly (so no global state repeats), and each
+    # node was reached from the root -- skip the duplicate validation pass.
     return ComputationTree(adversary, root, children, edge_probabilities, validate=False)
 
 

@@ -32,7 +32,14 @@ from typing import (
 )
 
 from ..errors import InvalidMeasureError, TechnicalAssumptionError, TreeError
-from ..probability.fractionutil import ONE, ZERO, FractionLike, as_fraction, format_fraction
+from ..probability.fractionutil import (
+    ONE,
+    ZERO,
+    FractionLike,
+    as_fraction,
+    format_fraction,
+    sums_to_one,
+)
 from ..probability.space import FiniteProbabilitySpace
 from ..core.model import GlobalState, Point, Run
 
@@ -81,45 +88,48 @@ class ComputationTree:
         }
         if validate:
             self._validate()
-        # Enumerate runs depth-first, accumulating each run's probability
-        # along the way: one multiply per tree edge instead of one per
-        # (run, edge) pair as the old per-run _product_along pass paid.
+        # One depth-first pass yields the runs, their probabilities, their
+        # points, and the nodes in the order they first appear on a run.
+        # A path's probability is carried as an unreduced numerator and
+        # denominator and reduced once per run, not once per edge.
+        children_of = self._children
+        edge_probability = self._edge_probability
         runs: List[Run] = []
         run_probability: Dict[Run, Fraction] = {}
-        stack: List[Tuple[Tuple[GlobalState, ...], Fraction]] = [((root,), ONE)]
+        points: List[Point] = []
+        nodes: Dict[GlobalState, None] = {}
+        stack: List[Tuple[Tuple[GlobalState, ...], int, int]] = [((root,), 1, 1)]
         while stack:
-            path, probability = stack.pop()
+            path, numerator, denominator = stack.pop()
             tail = path[-1]
-            kids = self._children.get(tail, ())
-            if not kids:
+            nodes[tail] = None
+            kids = children_of.get(tail)
+            if kids is None:
                 run = Run(path)
                 runs.append(run)
-                run_probability[run] = probability
+                run_probability[run] = Fraction(numerator, denominator)
+                points.extend(Point(run, time) for time in range(len(path)))
                 continue
             for child in reversed(kids):
+                edge = edge_probability[(tail, child)]
                 stack.append(
-                    (path + (child,), probability * self._edge_probability[(tail, child)])
+                    (
+                        path + (child,),
+                        numerator * edge.numerator,
+                        denominator * edge.denominator,
+                    )
                 )
-        self._runs: Tuple[Run, ...] = tuple(runs)
-        self._run_probability: Dict[Run, Fraction] = run_probability
-        total = sum(run_probability.values(), ZERO)
-        if total != ONE:
+        if not sums_to_one(run_probability.values()):
+            total = sum(run_probability.values(), ZERO)
             raise InvalidMeasureError(
                 f"run probabilities sum to {total}, not 1 (tree mislabeled?)"
             )
-        points: List[Point] = []
-        node_runs: Dict[GlobalState, List[Run]] = {}
-        for run in runs:
-            for time, state in enumerate(run.states):
-                points.append(Point(run, time))
-                node_runs.setdefault(state, []).append(run)
+        self._runs: Tuple[Run, ...] = tuple(runs)
+        self._run_probability: Dict[Run, Fraction] = run_probability
         self._points: Tuple[Point, ...] = tuple(points)
-        # node -> runs through it, precomputed so runs_through_node is a
-        # lookup instead of a runs x states scan per query
-        self._node_runs: Dict[GlobalState, FrozenSet[Run]] = {
-            node: frozenset(through) for node, through in node_runs.items()
-        }
-        self._node_set: FrozenSet[GlobalState] = frozenset(node_runs)
+        self._node_set: FrozenSet[GlobalState] = frozenset(nodes)
+        # node -> runs through it, built by the first runs_through_node
+        self._node_runs: Optional[Dict[GlobalState, FrozenSet[Run]]] = None
         self._run_positions: Optional[Dict[Run, int]] = None
 
     # ------------------------------------------------------------------
@@ -279,11 +289,19 @@ class ComputationTree:
         return frozenset(point.run for point in points)
 
     def runs_through_node(self, node: GlobalState) -> FrozenSet[Run]:
-        """The runs passing through a given global state (indexed lookup)."""
-        try:
-            return self._node_runs[node]
-        except KeyError:
-            return frozenset()
+        """The runs passing through a given global state (indexed lookup).
+
+        The node -> runs index is built on first use.
+        """
+        node_runs = self._node_runs
+        if node_runs is None:
+            through: Dict[GlobalState, List[Run]] = {}
+            for run in self._runs:
+                for state in run.states:
+                    through.setdefault(state, []).append(run)
+            node_runs = {state: frozenset(group) for state, group in through.items()}
+            self._node_runs = node_runs
+        return node_runs.get(node, frozenset())
 
     def runs_through_node_naive(self, node: GlobalState) -> FrozenSet[Run]:
         """:meth:`runs_through_node` via a runs x states scan (ablation

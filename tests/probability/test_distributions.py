@@ -1,5 +1,6 @@
 """Distribution constructors."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,23 @@ class TestChannelsMath:
         )
         for k in range(7):
             assert distribution[k] == distribution[6 - k]
+
+    @pytest.mark.parametrize(
+        "loss",
+        [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(40, 97), "0.99", Fraction(3, 2)],
+    )
+    def test_binomial_survivors_matches_fraction_powers(self, loss):
+        # the binomial formula term by term in Fraction arithmetic, with
+        # every branch that is not positive dropped
+        fraction = Fraction(loss)
+        for count in range(13):
+            expected = []
+            for survivors in range(count + 1):
+                ways = math.comb(count, survivors)
+                term = ways * (1 - fraction) ** survivors * fraction ** (count - survivors)
+                if term > 0:
+                    expected.append((term, survivors))
+            assert repr(binomial_survivors(count, loss)) == repr(expected)
 
     def test_at_least_one_survives_matches_paper(self):
         # Ten messengers, loss 1/2: delivery probability 1 - 2**-10.

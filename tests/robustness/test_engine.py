@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import RetryExhaustedError, TaskTimeoutError
+from repro.obs import MetricsRecorder, use_recorder
 from repro.robustness import RetryPolicy, TaskContext, run_tasks
 from repro.robustness.engine import _EngineState, _run_pool, _run_serial
 from repro.testing import Fault, FaultInjectingTask, FaultPlan
@@ -18,6 +19,10 @@ def _square(value: int) -> int:
 
 def _fraction_half(value: int) -> Fraction:
     return Fraction(value, 2)
+
+
+def _is_callable(value) -> bool:
+    return callable(value)
 
 
 def _boom(value: int) -> int:
@@ -104,6 +109,24 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-1.0)
 
 
+@pytest.fixture
+def pool_constructions(monkeypatch):
+    """Replace the engine's executor by a stub that logs construction.
+
+    The stub then refuses like an OS without process support, so the
+    engine finishes in-process either way and only the log tells whether
+    a pool was attempted.
+    """
+    constructed = []
+
+    def refusing_executor(*args, **kwargs):
+        constructed.append(kwargs)
+        raise OSError("process pools are stubbed out in this test")
+
+    monkeypatch.setattr("repro.robustness.engine.ProcessPoolExecutor", refusing_executor)
+    return constructed
+
+
 class TestRunTasksBasics:
     def test_matches_serial_map_in_order(self):
         assert run_tasks(_square, [3, 1, 2], max_workers=1) == [9, 1, 4]
@@ -128,6 +151,22 @@ class TestRunTasksBasics:
         # falls back in-process and still returns the same map
         assert run_tasks(half, [1, 2, 3], max_workers=2) == expected
         assert run_tasks(half, [1, 2, 3], max_workers=1) == expected
+
+    def test_unpicklable_payload_never_starts_a_pool(self, pool_constructions):
+        # A payload that fails to pickle inside the executor's feeder
+        # thread can leave a work item pending and hang interpreter exit,
+        # so the engine must probe it before any pool exists.
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            assert run_tasks(lambda value: value + 1, [1, 2], max_workers=2) == [2, 3]
+        assert pool_constructions == []
+        assert metrics.counters["engine.pool_fallbacks"] == 1
+        assert metrics.counters["event:pool_fallback"] == 1
+
+    def test_unpicklable_task_never_starts_a_pool(self, pool_constructions):
+        tasks = [1, lambda: None]
+        assert run_tasks(_is_callable, tasks, max_workers=2) == [False, True]
+        assert pool_constructions == []
 
     def test_completed_tasks_are_never_rerun(self):
         calls = []

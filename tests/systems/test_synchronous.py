@@ -140,6 +140,33 @@ class TestRunProtocol:
             Fraction(1, 3),
         ]
 
+    def test_channel_asked_once_per_sent_and_round(self):
+        class CountingChannel(LossyChannel):
+            def __init__(self):
+                super().__init__(Fraction(1, 3))
+                self.calls = []
+
+            def deliveries(self, messages, round_number):
+                self.calls.append((messages, round_number))
+                return super().deliveries(messages, round_number)
+
+        channel = CountingChannel()
+        protocol = SyncProtocol(
+            agents=[CoinTossingAgent(Fraction(1, 2)), SenderAgent(), EchoAgent()],
+            channel=channel,
+            horizon=3,
+        )
+        tree = run_protocol(protocol, [None, "x", None])
+        # more internal nodes than distinct (sent, round) pairs, and each
+        # pair reaches the channel exactly once
+        assert len(channel.calls) == len(set(channel.calls))
+        assert len(channel.calls) < len(tree.structure())
+        # nothing carries over to the next unfolding
+        first = list(channel.calls)
+        channel.calls.clear()
+        run_protocol(protocol, [None, "x", None])
+        assert channel.calls == first
+
 
 class TestProtocolSystem:
     def test_one_tree_per_adversary(self):

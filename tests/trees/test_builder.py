@@ -88,6 +88,17 @@ class TestBuildTree:
         tree = build_tree("A", ("start",), step)
         assert len(tree.runs) == 1
 
+    def test_negative_probability_branch_rejected(self):
+        # the branches sum to 1/2, but with the negative one dropped the
+        # rest sums to 1: the bad branch must be caught where it appears
+        def step(time, locals_, extra):
+            if time == 0:
+                return [(1, "a", ("x",), None), (Fraction(-1, 2), "b", ("y",), None)]
+            return ()
+
+        with pytest.raises(TreeError, match="negative"):
+            build_tree("A", ("start",), step)
+
     def test_max_depth_guard(self):
         def forever(time, locals_, extra):
             return deterministic_step(f"tick", ("s",))
