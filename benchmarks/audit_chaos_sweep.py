@@ -17,8 +17,9 @@ The acceptance scenario behind the ``verify-audit`` CI job, end to end:
 
 Artifacts (checkpoint, bundle, ``repro-verifyaudit/1`` report) land in
 ``--artifact-dir`` for the CI upload step; the chain root is printed so
-the job log itself witnesses what was certified.  Exit status: 0 when
-the resumed bundle verifies clean, 1 otherwise.
+the job log itself witnesses what was certified.  A re-run on the same
+directory deletes the earlier checkpoint and bundle first.  Exit status:
+0 when the resumed bundle verifies clean, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ def main(argv=None) -> int:
     artifact_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = artifact_dir / "audited-sweep.jsonl"
     bundle = Path(default_audit_path(checkpoint))
+    # A checkpoint left by an earlier run would resume complete, and the
+    # scheduled death would never happen: start phase 1 from nothing.
+    for stale in (checkpoint, bundle):
+        stale.unlink(missing_ok=True)
 
     print(f"phase 1: audited sweep, chaos death on task {KILL_INDEX}")
     try:

@@ -319,68 +319,6 @@ def bench_audit_overhead(records, messengers, repeats: int) -> None:
         )
 
 
-def bench_explain_dag(records, messengers, losses, repeats: int, trace) -> None:
-    """Hash-consed ``repro-explain/2`` vs ``/1`` on a sweep's derivations.
-
-    Builds the Section 5 threshold derivation behind every row of a
-    guarantee sweep (>=100 rows at full size), encodes them all into one
-    ``/2`` document via :meth:`DerivationStore.encode_many`, and pins
-    both the exact canonical-byte sizes and losslessness (every decoded
-    derivation fingerprint-identical to its source).  The derived
-    ``explain_dag_compression`` ratio is the acceptance number: ``/1``
-    bytes over ``/2`` bytes, > 1 means the DAG encoding is smaller.
-    """
-    from repro.attack import row_provenance_derivation
-    from repro.attack.sweep import sweep_tasks
-    from repro.obs import DerivationStore, encoded_size
-    from repro.obs.derivstore import decode_derivations
-
-    tasks = sweep_tasks(messengers, losses)
-
-    def workload():
-        derivations = [
-            row_provenance_derivation(builder(count, loss))
-            for _name, builder, count, loss, _epsilon in tasks
-        ]
-        store = DerivationStore()
-        document = store.encode_many(derivations)
-        return derivations, store, document
-
-    seconds, (derivations, store, document), counters = _timed(
-        workload, repeats, trace, label="explain_dag_encode"
-    )
-    tree_bytes = sum(encoded_size(d.json_ready()) for d in derivations)
-    dag_bytes = encoded_size(document)
-    decoded = decode_derivations(document)
-    if [d.fingerprint() for d in decoded] != [
-        d.fingerprint() for d in derivations
-    ]:
-        raise AssertionError("repro-explain/2 round trip lost a derivation")
-    records.append(
-        {
-            "name": "explain_dag_encode",
-            "backend": get_default_backend(),
-            "points": None,
-            "params": {
-                "messengers": list(messengers),
-                "losses": losses,
-                "rows": len(tasks),
-            },
-            "system": {"tasks": len(tasks)},
-            "seconds": round(seconds, 4),
-            "counters": counters,
-            "results": {
-                "tree_bytes": tree_bytes,
-                "dag_bytes": dag_bytes,
-                "nodes_added": store.nodes_added,
-                "nodes_deduped": store.nodes_deduped,
-                "lossless_round_trip": True,
-                "dag_smaller": dag_bytes < tree_bytes,
-            },
-        }
-    )
-
-
 def bench_obs_overhead(records, tosses: int, repeats: int) -> None:
     """The telemetry bill: pipeline under NullRecorder vs MetricsRecorder.
 
@@ -484,19 +422,6 @@ def main(argv=None) -> int:
     ck_messengers = 2 if args.smoke else 4
     repeats = 1 if args.smoke else 5
     audit_messengers = [1, 2] if args.smoke else [1, 2, 3]
-    explain_messengers = [1, 2] if args.smoke else [1, 2, 3, 4, 5, 6]
-    explain_losses = (
-        [Fraction(1, 2)]
-        if args.smoke
-        else [
-            Fraction(1, 2),
-            Fraction(1, 3),
-            Fraction(1, 4),
-            Fraction(2, 3),
-            Fraction(3, 4),
-            Fraction(1, 5),
-        ]
-    )
 
     trace = None
     if args.trace:
@@ -517,9 +442,6 @@ def main(argv=None) -> int:
         lambda: bench_robust_sweep(records, sweep_messengers, repeats, trace),
         lambda: bench_obs_overhead(records, tosses, repeats),
         lambda: bench_audit_overhead(records, audit_messengers, repeats),
-        lambda: bench_explain_dag(
-            records, explain_messengers, explain_losses, repeats, trace
-        ),
     ]
     for runner in runners:
         try:
@@ -567,13 +489,6 @@ def main(argv=None) -> int:
     if audit_seconds.get(False) and audit_seconds.get(True):
         derived["audit_overhead_ratio"] = round(
             audit_seconds[True] / audit_seconds[False], 4
-        )
-    explain_dag = next(
-        (r["results"] for r in records if r["name"] == "explain_dag_encode"), None
-    )
-    if explain_dag and explain_dag["dag_bytes"]:
-        derived["explain_dag_compression"] = round(
-            explain_dag["tree_bytes"] / explain_dag["dag_bytes"], 4
         )
     if derived:
         payload["derived"] = derived

@@ -4,8 +4,8 @@
 citation-annotated :class:`~repro.obs.provenance.Derivation`; this
 module does the same for the *betting* layer, so safety verdicts and the
 Theorem 8(b) adversarial construction are bundle-eligible evidence --
-chainable into ``repro-audit/1`` bundles, hash-consable into
-``repro-explain/2`` DAGs, diffable with ``tools/tracediff`` -- exactly
+chainable into ``repro-audit/1`` bundles (whose node records store
+each distinct subtree once), diffable with ``tools/tracediff`` -- exactly
 like the Section 5 knowledge derivations, reusing
 :mod:`repro.obs.provenance` unchanged.
 

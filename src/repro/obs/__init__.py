@@ -15,11 +15,11 @@ counters, gauges, events and timing spans to the process-global
   ``repro-explain/1`` derivation trees built by ``Model.explain`` and the
   gfp iteration snapshots of the common-knowledge fixpoints -- for
   ``tools/tracediff`` and the auditability layer.
-* :mod:`repro.obs.derivstore` hash-conses derivation subtrees by their
-  Merkle fingerprints into the ``repro-explain/2`` DAG encoding (with a
-  lossless bridge to ``repro-explain/1``), and :mod:`repro.obs.audit`
-  chains sweep rows and their derivation roots into ``repro-audit/1``
-  Merkle-chained audit bundles for ``tools/verifyaudit``.
+* :mod:`repro.obs.audit` chains sweep rows and their derivation roots
+  into ``repro-audit/1`` Merkle-chained audit bundles for
+  ``tools/verifyaudit``; its node records, each distinct derivation
+  subtree streamed once under its Merkle fingerprint, are the one
+  hash-consed derivation encoding.
 * :mod:`repro.obs.snapshot` freezes aggregates into ``repro-metrics/1``
   snapshots and ships per-attempt deltas across process boundaries --
   the cross-process telemetry the sweep engine's workers use, so the
@@ -42,16 +42,6 @@ from .audit import (
     bundle_root,
     read_audit_bundle,
     verify_bundle,
-)
-from .derivstore import (
-    EXPLAIN_SCHEMA_2,
-    DerivationStore,
-    decode_derivation,
-    downgrade,
-    encode_derivation,
-    encoded_size,
-    node_fingerprint,
-    upgrade,
 )
 from .metrics import MetricsRecorder, SpanStats
 from .provenance import (
@@ -92,9 +82,7 @@ __all__ = [
     "AuditBundleWriter",
     "Derivation",
     "DerivationNode",
-    "DerivationStore",
     "EXPLAIN_SCHEMA",
-    "EXPLAIN_SCHEMA_2",
     "METRICS_SCHEMA",
     "MetricsRecorder",
     "MetricsSnapshotWriter",
@@ -109,13 +97,8 @@ __all__ = [
     "TraceRecorder",
     "bundle_root",
     "clock",
-    "decode_derivation",
     "derivation_from_json",
-    "downgrade",
-    "encode_derivation",
-    "encoded_size",
     "get_recorder",
-    "node_fingerprint",
     "merge_worker_delta",
     "read_audit_bundle",
     "read_derivation",
@@ -126,7 +109,6 @@ __all__ = [
     "set_recorder",
     "snapshot_delta",
     "take_snapshot",
-    "upgrade",
     "use_recorder",
     "verify_bundle",
     "write_snapshot",

@@ -16,9 +16,9 @@ An **audit bundle** closes that gap.  It is an append-only JSONL file
 * a ``header`` record naming the schemas; its canonical hash is the
   chain's genesis value;
 * ``node`` records streaming each distinct derivation subtree once,
-  children before parents, keyed by the Merkle fingerprints of
-  :func:`repro.obs.derivstore.node_fingerprint` (the hash-consed
-  ``repro-explain/2`` table, incrementally);
+  children before parents, keyed by its Merkle fingerprint: the SHA-256
+  of the node's canonical payload with children replaced by *their*
+  fingerprints, so one ref commits to a whole subtree;
 * ``leaf`` records, one per completed row: a **leaf hash** over the
   canonical JSON of (task fingerprint, exact row payload, derivation
   root fingerprint, task index), and a **chain hash** linking it to the
@@ -26,7 +26,7 @@ An **audit bundle** closes that gap.  It is an append-only JSONL file
 
 The final chain value is the bundle's *root*: it commits to every row,
 every task identity, and (through the root fingerprints, transitively)
-every node of every derivation DAG.  Publishing the root alone lets
+every node of every derivation.  Publishing the root alone lets
 anyone with the bundle detect a single-bit change anywhere -- the
 ``oracle_gamble_runner`` / ``verify_audit_chain`` witness-chain idea,
 applied to Section 8 sweeps.  ``tools/verifyaudit`` is the replayer.
@@ -50,12 +50,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..errors import AuditError, ProvenanceError
-from .derivstore import EXPLAIN_SCHEMA_2, DerivationStore
 from .jsonl import DurableAppender, JsonlFormat
-from .provenance import Derivation, json_pure
+from .provenance import Derivation, DerivationNode, json_pure
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -66,6 +65,7 @@ __all__ = [
     "genesis_hash",
     "header_record",
     "leaf_hash",
+    "node_from_table",
     "read_audit_bundle",
     "verify_bundle",
 ]
@@ -96,7 +96,10 @@ def header_record() -> Dict[str, object]:
     return {
         "type": "header",
         "schema": AUDIT_SCHEMA,
-        "explain_schema": EXPLAIN_SCHEMA_2,
+        # The name of the node-record encoding.  The header is hashed
+        # into the genesis and resume refuses a changed header, so this
+        # string stays as long as the node records keep their bytes.
+        "explain_schema": "repro-explain/2",
     }
 
 
@@ -259,6 +262,48 @@ def read_audit_bundle(path) -> AuditBundle:
     return _bundle_of(records, os.fspath(path))
 
 
+def node_from_table(
+    nodes: Mapping[str, Dict], ref: str, _path: str = "root"
+) -> DerivationNode:
+    """Rebuild the :class:`DerivationNode` tree rooted at ``ref`` from a
+    bundle's node table (:attr:`AuditBundle.nodes`).
+
+    Raises :class:`~repro.errors.ProvenanceError` on a dangling
+    fingerprint reference or a structurally malformed node record -- a
+    derivation is only meaningful when every reference resolves.
+    """
+    payload = nodes.get(ref)
+    if payload is None:
+        raise ProvenanceError(
+            f"derivation node reference {ref!r} at {_path} resolves to no node"
+        )
+    if not isinstance(payload, Mapping):
+        raise ProvenanceError(f"derivation node {ref!r} is not a JSON object")
+    missing = {"rule", "formula", "holds", "definition", "children"} - set(payload)
+    if missing:
+        raise ProvenanceError(
+            f"derivation node {ref!r} is missing fields {sorted(missing)}"
+        )
+    child_refs = payload["children"]
+    if not isinstance(child_refs, (list, tuple)) or not all(
+        isinstance(child, str) for child in child_refs
+    ):
+        raise ProvenanceError(f"derivation node {ref!r} has non-reference children")
+    children = tuple(
+        node_from_table(nodes, child, f"{_path}.children[{index}]")
+        for index, child in enumerate(child_refs)
+    )
+    return DerivationNode(
+        rule=payload["rule"],
+        formula=payload["formula"],
+        point=payload.get("point"),
+        holds=bool(payload["holds"]),
+        definition=payload["definition"],
+        detail=payload.get("detail", {}),
+        children=children,
+    )
+
+
 def verify_bundle(bundle: AuditBundle) -> List[str]:
     """Recompute every hash in a bundle; return the list of defects.
 
@@ -353,8 +398,8 @@ class AuditBundleWriter:
     leaf being written, as a torn final line.  Opening an existing bundle
     *resumes* its chain: the file is cut back to the records the reader
     keeps, the last kept leaf's chain value becomes the running tip, and
-    node records already streamed are never re-emitted (the hash-consing
-    store deduplicates across the kill).  A bundle with no intact record
+    node records already streamed are never re-emitted (the streamed-ref
+    set is seeded from the kept records).  A bundle with no intact record
     starts afresh from its header.  Chain order is completion order, not
     index order -- exactly like checkpoint rows -- and resumed bundles may
     carry duplicate leaves for an index whose checkpoint row was torn; the
@@ -364,7 +409,6 @@ class AuditBundleWriter:
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
         self._log = DurableAppender(self.path, _AUDIT_LOG)
-        self._store = DerivationStore()
         self._streamed: Set[str] = set()
         self._indexes: Set[int] = set()
         header = header_record()
@@ -407,19 +451,14 @@ class AuditBundleWriter:
 
         ``task`` and ``row`` are the JSON-ready payloads the checkpoint
         records (exact ``"p/q"`` strings); ``derivation`` is the row's
-        threshold derivation, hash-consed into the bundle's node table
+        threshold derivation, streamed into the bundle's node table
         (only subtrees never streamed before are written).  The leaf is
         written last, after its nodes, so a kill mid-append can only
-        lose the leaf -- never produce a leaf whose DAG is missing.
+        lose the leaf -- never produce a leaf whose derivation is missing.
         """
         root_ref: Optional[str] = None
         if derivation is not None:
-            root_ref, new_entries = self._store.add_new(derivation.root)
-            for ref, payload in new_entries:
-                if ref in self._streamed:
-                    continue
-                self._log.append({"type": "node", "ref": ref, "node": payload})
-                self._streamed.add(ref)
+            root_ref = self._stream_node(derivation.root)
         leaf = leaf_hash(index, task, row, root_ref)
         record = {
             "type": "leaf",
@@ -435,3 +474,25 @@ class AuditBundleWriter:
         self.chain = record["chain"]
         self._indexes.add(index)
         return self.chain
+
+    def _stream_node(self, node: DerivationNode) -> str:
+        """Stream one subtree, children first; return its fingerprint.
+
+        The ref is the SHA-256 of the node's canonical payload with
+        children replaced by their refs, so equal refs mean equal
+        subtrees and a subtree already in the bundle is written once.
+        """
+        payload = {
+            "rule": node.rule,
+            "formula": node.formula,
+            "point": node.point,
+            "holds": node.holds,
+            "definition": node.definition,
+            "detail": node.detail,
+            "children": [self._stream_node(child) for child in node.children],
+        }
+        ref = _sha256(_canonical(payload))
+        if ref not in self._streamed:
+            self._log.append({"type": "node", "ref": ref, "node": payload})
+            self._streamed.add(ref)
+        return ref

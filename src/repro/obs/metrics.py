@@ -95,11 +95,11 @@ class MetricsRecorder(Recorder):
     def gauge(self, name: str, value) -> None:
         self.gauges[name] = value
 
-    def event(self, kind: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
         key = f"event:{kind}"
         self.counters[key] = self.counters.get(key, 0) + 1
 
-    def span(self, name: str, **fields) -> _MetricsSpan:
+    def span(self, name: str, /, **fields) -> _MetricsSpan:
         return _MetricsSpan(self, name)
 
     def snapshot(self) -> Dict[str, object]:

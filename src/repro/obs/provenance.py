@@ -344,7 +344,7 @@ class ProvenanceRecorder(Recorder):
         #: Every event kind seen (captured or not) with its count.
         self.event_counts: Dict[str, int] = {}
 
-    def event(self, kind: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
         self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
         if kind in CAPTURED_KINDS:
             self.events.append((kind, dict(fields)))

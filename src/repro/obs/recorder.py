@@ -80,10 +80,10 @@ class Recorder:
     def gauge(self, name: str, value) -> None:
         """Set gauge ``name`` to ``value`` (exact ``Fraction`` welcome)."""
 
-    def event(self, kind: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
         """Record one structured event of ``kind`` with arbitrary fields."""
 
-    def span(self, name: str, **fields):
+    def span(self, name: str, /, **fields):
         """A context manager timing the enclosed block as span ``name``."""
         return _NULL_SPAN
 
@@ -139,11 +139,11 @@ class MultiRecorder(Recorder):
         for child in self.children:
             child.gauge(name, value)
 
-    def event(self, kind: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
         for child in self.children:
             child.event(kind, **fields)
 
-    def span(self, name: str, **fields):
+    def span(self, name: str, /, **fields):
         return _MultiSpan([child.span(name, **fields) for child in self.children])
 
     def close(self) -> None:

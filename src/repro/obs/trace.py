@@ -154,10 +154,10 @@ class TraceRecorder(Recorder):
     def gauge(self, name: str, value) -> None:
         self._emit({"type": "gauge", "name": name, "value": value})
 
-    def event(self, kind: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
         self._emit({"type": "event", "kind": kind, "fields": fields})
 
-    def span(self, name: str, **fields) -> _TraceSpan:
+    def span(self, name: str, /, **fields) -> _TraceSpan:
         return _TraceSpan(self, name, fields)
 
     def close(self) -> None:

@@ -1,5 +1,6 @@
 """Betting-layer provenance: certificates and witnesses as derivations."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,7 @@ from repro.betting import (
 from repro.reporting import fraction_from_json
 from repro.core import PostAssignment, opponent_assignment
 from repro.examples_lib import three_agent_coin_system
-from repro.obs import (
-    decode_derivation,
-    downgrade,
-    encode_derivation,
-    upgrade,
-)
+from repro.obs import derivation_from_json
 
 HALF = Fraction(1, 2)
 
@@ -94,15 +90,14 @@ class TestSafetyDerivation:
         )
         assert safe.fingerprint() != unsafe.fingerprint()
 
-    def test_round_trips_through_both_schemas(self, coin, against_p3, c1):
+    def test_round_trips_through_json(self, coin, against_p3, c1):
         derivation = safety_derivation(
             against_p3, _unsafe_certificate(coin, against_p3, c1)
         )
-        doc_1 = derivation.json_ready()
-        doc_2 = encode_derivation(derivation)
-        assert decode_derivation(doc_1).fingerprint() == derivation.fingerprint()
-        assert decode_derivation(doc_2).fingerprint() == derivation.fingerprint()
-        assert downgrade(upgrade(doc_1)) == doc_1
+        text = json.dumps(derivation.json_ready(), sort_keys=True)
+        decoded = derivation_from_json(text)
+        assert decoded == derivation
+        assert decoded.fingerprint() == derivation.fingerprint()
 
 
 class TestTheorem8WitnessDerivation:
@@ -132,9 +127,10 @@ class TestTheorem8WitnessDerivation:
             detail["alpha_opponent"]
         )
 
-    def test_round_trips_through_schema_2(self, witness):
+    def test_round_trips_through_json(self, witness):
         derivation = theorem8_witness_derivation(witness, agent=0, opponent=2)
-        decoded = decode_derivation(encode_derivation(derivation))
+        decoded = derivation_from_json(json.loads(json.dumps(derivation.json_ready())))
+        assert decoded == derivation
         assert decoded.fingerprint() == derivation.fingerprint()
 
 

@@ -1,11 +1,17 @@
-"""``repro-audit/1`` bundles: chain arithmetic, torn tails, tamper."""
+"""``repro-audit/1`` bundles: chain arithmetic, node records, torn
+tails, tamper."""
 
+import hashlib
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import AuditError
+from repro.errors import AuditError, ProvenanceError
 from repro.obs import (
     AUDIT_SCHEMA,
     AuditBundleWriter,
@@ -13,7 +19,13 @@ from repro.obs import (
     read_audit_bundle,
     verify_bundle,
 )
-from repro.obs.audit import chain_hash, genesis_hash, header_record, leaf_hash
+from repro.obs.audit import (
+    chain_hash,
+    genesis_hash,
+    header_record,
+    leaf_hash,
+    node_from_table,
+)
 from repro.obs.provenance import Derivation, DerivationNode
 
 
@@ -110,6 +122,184 @@ class TestChainArithmetic:
                     assert child in seen
                 seen.add(record["ref"])
         assert seen  # the bundle really streamed nodes
+
+
+# ----------------------------------------------------------------------
+# Node records: the one Merkle encoding of derivation trees
+# ----------------------------------------------------------------------
+
+_points = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {
+            "bit": st.integers(min_value=0, max_value=7),
+            "time": st.integers(min_value=0, max_value=3),
+            "label": st.sampled_from(["(r0, 0)", "(r1, 1)", "(r2, 2)"]),
+        }
+    ),
+)
+
+_details = st.fixed_dictionaries(
+    {},
+    optional={
+        "measure": st.fractions(min_value=0, max_value=1),
+        "count": st.integers(min_value=0, max_value=9),
+        "witness": st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    },
+)
+
+
+def _node_strategy(children):
+    return st.builds(
+        DerivationNode,
+        rule=st.sampled_from(["prop", "knows", "pr-at-least", "cell", "gfp-step"]),
+        formula=st.sampled_from(["heads", "K0 heads", "Pr0(coord) >= 1/2"]),
+        point=_points,
+        holds=st.booleans(),
+        definition=st.sampled_from(["Section 4", "Section 5", "Theorem 7"]),
+        detail=_details,
+        children=children,
+    )
+
+
+def _with_shared_subtree(pair):
+    """Children, optionally repeating the first child: a shared subtree."""
+    children, repeat = pair
+    return tuple(children + children[:1]) if repeat else tuple(children)
+
+
+_nodes = st.recursive(
+    _node_strategy(st.just(())),
+    lambda inner: _node_strategy(
+        st.tuples(st.lists(inner, min_size=1, max_size=3), st.booleans()).map(
+            _with_shared_subtree
+        )
+    ),
+    max_leaves=10,
+)
+
+_derivations = st.builds(
+    Derivation,
+    assignment=st.sampled_from(["post", "fut", "prior"]),
+    formula=st.sampled_from(["K0 heads", "Pr0(coord) >= 1/2"]),
+    point=_points,
+    root=_nodes,
+)
+
+
+def wide_derivation(copies=6):
+    """One shared subtree referenced ``copies`` times: the dedup case."""
+    shared = DerivationNode(
+        rule="cell",
+        formula="heads",
+        point={"bit": 0, "time": 1, "label": "(r0, 1)"},
+        holds=True,
+        definition="Section 5",
+        detail={"measure": Fraction(1, 2), "mask": 0b1010},
+        children=(
+            DerivationNode(
+                rule="prop",
+                formula="heads",
+                point={"bit": 0, "time": 0, "label": "(r0, 0)"},
+                holds=True,
+                definition="Section 5",
+            ),
+        ),
+    )
+    root = DerivationNode(
+        rule="gfp-step",
+        formula="C_G^a coord",
+        point={"bit": 1, "time": 1, "label": "(r1, 1)"},
+        holds=True,
+        definition="Section 8",
+        children=tuple(shared for _ in range(copies)),
+    )
+    return Derivation(
+        assignment="post",
+        formula="C_G^a coord",
+        point={"bit": 1, "time": 1, "label": "(r1, 1)"},
+        root=root,
+    )
+
+
+def _node_records(path):
+    """The bundle's node records, in file order."""
+    return [
+        record
+        for record in map(json.loads, Path(path).read_text().splitlines())
+        if record["type"] == "node"
+    ]
+
+
+def _streamed_table(path, derivation):
+    """Stream one derivation into a fresh bundle; return (nodes, root ref)."""
+    AuditBundleWriter(path).append(0, _task(0), _row(0), derivation)
+    bundle = read_audit_bundle(path)
+    return bundle.nodes, bundle.leaves[0]["root_ref"]
+
+
+class TestNodeRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(_derivations)
+    def test_node_records_are_a_merkle_table_of_the_tree(self, derivation):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "s.audit"
+            nodes, root_ref = _streamed_table(path, derivation)
+            records = _node_records(path)
+        # each ref is the sha256 of its canonical payload
+        for record in records:
+            canonical = json.dumps(record["node"], sort_keys=True)
+            assert record["ref"] == hashlib.sha256(canonical.encode()).hexdigest()
+        # one record per distinct subtree, however often it occurs
+        distinct = {
+            json.dumps(node.json_ready(), sort_keys=True)
+            for node in derivation.root.walk()
+        }
+        assert len(records) == len(distinct)
+        # every record rebuilds to a subtree of the source
+        for ref in nodes:
+            rebuilt = node_from_table(nodes, ref)
+            assert json.dumps(rebuilt.json_ready(), sort_keys=True) in distinct
+        # and the root rebuilds to the source derivation itself
+        root = node_from_table(nodes, root_ref)
+        assert root == derivation.root
+        rebuilt = Derivation(
+            assignment=derivation.assignment,
+            formula=derivation.formula,
+            point=derivation.point,
+            root=root,
+        )
+        assert rebuilt.fingerprint() == derivation.fingerprint()
+
+    def test_shared_subtree_streamed_once(self, tmp_path):
+        path = tmp_path / "s.audit"
+        _streamed_table(path, wide_derivation(copies=6))
+        # root + shared cell + its prop leaf: 3 distinct subtrees,
+        # though the tree form writes the cell and leaf 6 times each
+        assert len(_node_records(path)) == 3
+        # across rows too, and across a resume: a later derivation with
+        # the same cell streams only its own (different) root
+        AuditBundleWriter(path).append(1, _task(1), _row(1), wide_derivation(3))
+        assert len(_node_records(path)) == 4
+        assert verify_bundle(read_audit_bundle(path)) == []
+
+    def test_dangling_reference_is_an_error(self, tmp_path):
+        nodes, root_ref = _streamed_table(tmp_path / "s.audit", wide_derivation())
+        del nodes[nodes[root_ref]["children"][0]]
+        with pytest.raises(ProvenanceError, match="resolves to no node"):
+            node_from_table(nodes, root_ref)
+
+    def test_missing_field_is_an_error(self, tmp_path):
+        nodes, root_ref = _streamed_table(tmp_path / "s.audit", wide_derivation())
+        del nodes[root_ref]["rule"]
+        with pytest.raises(ProvenanceError, match="missing fields"):
+            node_from_table(nodes, root_ref)
+
+    def test_non_reference_children_are_an_error(self, tmp_path):
+        nodes, root_ref = _streamed_table(tmp_path / "s.audit", wide_derivation())
+        nodes[root_ref]["children"] = [42]
+        with pytest.raises(ProvenanceError, match="non-reference children"):
+            node_from_table(nodes, root_ref)
 
 
 class TestTamper:

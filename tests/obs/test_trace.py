@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
@@ -125,6 +125,7 @@ class TestHypothesisRoundTrip:
             max_size=5,
         )
     )
+    @example(fields={"self": None, "kind": 1, "name": True})
     def test_event_fields_round_trip_through_jsonl(self, fields):
         buffer = io.StringIO()
         recorder = TraceRecorder(buffer)

@@ -1,5 +1,7 @@
 """Audited sweeps: chained rows survive chaos, resume, and tamper."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -108,8 +110,46 @@ class TestAuditedSweep:
         assert bundle.leaf_indexes() == frozenset(completed)
         assert bundle.leaf_indexes() == frozenset(range(len(tasks)))
 
+    def test_checkpoint_and_bundle_bytes_are_pinned(self, tmp_path):
+        # Golden digests: the 54-row audited sweep must write the same
+        # checkpoint and bundle bytes, byte for byte, across refactors
+        # of the bundle writer.
+        path = tmp_path / "golden.jsonl"
+        robust_guarantee_sweep(
+            range(1, 7),
+            [Fraction(40, 97), Fraction(36, 97), Fraction(48, 97)],
+            checkpoint_path=path,
+            audit=True,
+            max_workers=1,
+        )
+        digests = [
+            hashlib.sha256(Path(artifact).read_bytes()).hexdigest()
+            for artifact in (path, default_audit_path(path))
+        ]
+        assert digests == [
+            "594404d1800a6c0f8030640f1d912c57a39d848973c8c3fcde62a9457786c90f",
+            "ed5c84edfd1f975d87172aa6a15ef2c880a595d925d674260b85270d04eb8b5c",
+        ]
+
+
+def _audit_chaos_script():
+    spec = importlib.util.spec_from_file_location(
+        "audit_chaos_sweep", REPO_ROOT / "benchmarks" / "audit_chaos_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 class TestChaosAuditedSweep:
+    def test_chaos_script_reruns_on_the_same_directory(self, tmp_path, capsys):
+        # A second run must not resume the first run's complete
+        # checkpoint: the scheduled death has to happen again.
+        script = _audit_chaos_script()
+        assert script.main(["--artifact-dir", str(tmp_path)]) == 0
+        assert script.main(["--artifact-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("sweep died as scheduled") == 2
+
     def test_chaos_kill_resume_bundle_verifies_clean(self, tmp_path):
         # The pinned acceptance scenario: kill a sweep mid-flight,
         # resume it, and verifyaudit must certify the merged bundle

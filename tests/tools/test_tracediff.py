@@ -1,5 +1,7 @@
 """The tracediff CLI: run-to-run regression analysis on artifacts."""
 
+import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -14,7 +16,22 @@ if str(REPO_ROOT) not in sys.path:
 from repro.errors import TraceError  # noqa: E402
 from repro.attack import build_ca2, row_provenance_derivation  # noqa: E402
 from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks  # noqa: E402
-from repro.obs import TraceRecorder, use_recorder, write_derivation  # noqa: E402
+from repro.core import standard_assignments  # noqa: E402
+from repro.examples_lib import three_agent_coin_system  # noqa: E402
+from repro.logic import (  # noqa: E402
+    CommonKnowsProb,
+    EveryoneKnowsProb,
+    Model,
+    Prop,
+    knows_prob_at_least,
+)
+from repro.obs import (  # noqa: E402
+    AuditBundleWriter,
+    TraceRecorder,
+    read_audit_bundle,
+    use_recorder,
+    write_derivation,
+)
 from repro.probability import reset_kernel_totals  # noqa: E402
 from repro.robustness import RetryPolicy, run_tasks  # noqa: E402
 from repro.testing import FaultInjectingTask, FaultPlan  # noqa: E402
@@ -25,6 +42,13 @@ from tools.tracediff.cli import main as cli_main  # noqa: E402
 
 def _double(value):
     return value * 2
+
+
+def _node_table(path, derivation):
+    """Stream one derivation into a fresh audit bundle: (nodes, root ref)."""
+    AuditBundleWriter(path).append(0, {"task": 0}, {"row": 0}, derivation)
+    bundle = read_audit_bundle(path)
+    return bundle.nodes, bundle.leaves[0]["root_ref"]
 
 
 def make_chaos_trace(path, seed, provenance=False):
@@ -309,33 +333,27 @@ class TestExplainV2AndAuditDiff:
         path.write_text(json.dumps(document, sort_keys=True) + "\n")
         return path
 
-    def test_v1_and_v2_encodings_of_one_derivation_collide(self, tmp_path):
-        from repro.obs import encode_derivation
-
+    def test_explain_v2_document_exits_two(self, tmp_path, capsys):
+        # Stand-alone repro-explain/2 documents are retired: tracediff
+        # refuses the schema like any other it does not know.
         derivation = row_provenance_derivation(build_ca2(2, Fraction(1, 2)))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_derivation(derivation, a)
-        self._write_json(b, encode_derivation(derivation))
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["kind"] == "explain"
-        assert summary["diverged"] is False
-
-    def test_explain_dag_roots_compared_by_membership(self, tmp_path):
-        from repro.obs import DerivationStore
-
-        first = row_provenance_derivation(build_ca2(2, Fraction(1, 2)))
-        second = row_provenance_derivation(build_ca2(3, Fraction(1, 2)))
-        a = self._write_json(
-            tmp_path / "a.json", DerivationStore().encode_many([first, second])
+        nodes, root_ref = _node_table(tmp_path / "d.audit", derivation)
+        document = self._write_json(
+            tmp_path / "d.json",
+            {
+                "schema": "repro-explain/2",
+                "assignment": derivation.assignment,
+                "formula": derivation.formula,
+                "point": derivation.point,
+                "holds": derivation.holds,
+                "root": root_ref,
+                "nodes": nodes,
+            },
         )
-        b = self._write_json(
-            tmp_path / "b.json", DerivationStore().encode_many([first])
-        )
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["kind"] == "explain-dag"
-        assert summary["diverged"] is True
-        assert len(summary["only_in_a"]) == 1
-        assert summary["only_in_b"] == []
+        assert cli_main([str(document), str(document)]) == 2
+        assert cli_main(["--bisect", str(document), str(document)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unrecognised artifact schema 'repro-explain/2'") == 2
 
     def _audited_sweep(self, tmp_path, name):
         from repro.robustness import default_audit_path, robust_guarantee_sweep
@@ -437,15 +455,11 @@ class TestBisect:
     def test_bisect_rejects_bench_artifacts(self, tmp_path):
         from tools.tracediff import bisect_artifacts
 
-        document = {
-            "schema": "repro-bench/1",
-            "results": {},
-            "environment": {},
-        }
+        document = {"schema": "repro-bench/2", "benchmarks": []}
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(json.dumps(document))
         b.write_text(json.dumps(document))
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="no order to bisect"):
             bisect_artifacts(str(a), str(b))
 
     def test_cli_bisect_exit_codes(self, tmp_path, capsys):
@@ -455,3 +469,106 @@ class TestBisect:
         assert "pointer" in capsys.readouterr().out
         c = make_chaos_trace(tmp_path / "c.jsonl", seed=7)
         assert cli_main(["--bisect", str(a), str(c)]) == 0
+
+
+def _explained_derivations():
+    """Section 8 derivations of the three-agent coin: ``C_G^alpha``,
+    ``E_G^alpha`` and ``K_i^alpha`` explained at two points under the
+    post and fut assignments (up to 8 nodes, with shared subtrees)."""
+    coin = three_agent_coin_system()
+    heads = Prop("heads")
+    group = (0, 1, 2)
+    points = sorted(coin.psys.system.points, key=coin.psys.point_index.position)
+    formulas = [
+        CommonKnowsProb(group, Fraction(1, 2), heads),
+        EveryoneKnowsProb(group, Fraction(1, 2), heads),
+        knows_prob_at_least(0, Fraction(1, 2), heads),
+    ]
+    derivations = []
+    for name in ("post", "fut"):
+        model = Model(standard_assignments(coin.psys)[name], {"heads": coin.heads})
+        for formula in formulas:
+            for point in points[:2]:
+                derivations.append(model.explain(formula, point))
+    return derivations
+
+
+def _node_paths(node, path=()):
+    """Every node position of a tree, as tuples of child indexes."""
+    yield path
+    for position, child in enumerate(node.children):
+        yield from _node_paths(child, path + (position,))
+
+
+def _replace_at(node, path, change):
+    """``node`` with ``change`` applied to the one descendant at ``path``."""
+    if not path:
+        return change(node)
+    children = list(node.children)
+    children[path[0]] = _replace_at(children[path[0]], path[1:], change)
+    return dataclasses.replace(node, children=tuple(children))
+
+
+_MUTATIONS = (
+    lambda node: dataclasses.replace(node, holds=not node.holds),
+    lambda node: dataclasses.replace(node, detail={**node.detail, "mutated": 1}),
+    lambda node: dataclasses.replace(node, children=node.children[:-1]),
+)
+
+
+def _node_mutations(derivation):
+    """``derivation`` with one field of one node changed, every way, and
+    with the verdicts of two nodes flipped, every pair."""
+    paths = list(_node_paths(derivation.root))
+    for path in paths:
+        for mutate in _MUTATIONS:
+            root = _replace_at(derivation.root, path, mutate)
+            if root != derivation.root:
+                yield dataclasses.replace(derivation, root=root)
+    for first, second in itertools.combinations(paths, 2):
+        root = _replace_at(derivation.root, first, _MUTATIONS[0])
+        root = _replace_at(root, second, _MUTATIONS[0])
+        yield dataclasses.replace(derivation, root=root)
+
+
+class TestBisectMatchesDiff:
+    def test_explain_bisect_and_diff_agree_on_the_first_divergence(self, tmp_path):
+        # Differential: on repro-explain/1 pairs, --bisect reports the
+        # plain diff's first divergence, and both agree with a
+        # fingerprint-first descent of the two trees' audit node tables.
+        from tools.tracediff import bisect_artifacts
+        from tools.tracediff.diff import dag_divergence
+
+        derivations = _explained_derivations()
+        pairs = list(itertools.combinations(derivations, 2)) + [
+            (derivation, mutated)
+            for derivation in derivations
+            for mutated in _node_mutations(derivation)
+        ]
+        node_level = 0
+        for number, (first, second) in enumerate(pairs):
+            a, b = tmp_path / f"{number}a.json", tmp_path / f"{number}b.json"
+            write_derivation(first, a)
+            write_derivation(second, b)
+            diff = diff_artifacts(str(a), str(b))
+            bisect = bisect_artifacts(str(a), str(b))
+            assert bisect["diverged"] == diff["diverged"]
+            divergence = diff["first_divergence"]
+            assert bisect["first_divergence"] == divergence
+            if divergence is None:
+                assert bisect["pointer"] is None
+                continue
+            if not divergence["path"].startswith("root"):
+                assert bisect["pointer"] == divergence["field"]
+                continue
+            node_level += 1
+            assert bisect["pointer"] == f"{divergence['path']}.{divergence['field']}"
+            nodes_a, ref_a = _node_table(tmp_path / f"{number}a.audit", first)
+            nodes_b, ref_b = _node_table(tmp_path / f"{number}b.audit", second)
+            merkle = dag_divergence(nodes_a, nodes_b, ref_a, ref_b)
+            keys = ("path", "field", "rule", "a", "b")
+            assert {key: merkle[key] for key in keys} == {
+                key: divergence[key] for key in keys
+            }
+        # the mutations really reach below the root
+        assert node_level > 100

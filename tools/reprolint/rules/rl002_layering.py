@@ -90,10 +90,8 @@ INTRA_LAYERS = {
         # imports only, the measure-kernel totals), so it sits above the
         # recorders it reads.
         "snapshot": 2,
-        # derivstore hash-conses the trees provenance defines
-        # (repro-explain/2 is an encoding of /1, never the other way
-        # round); audit chains derivstore fingerprints into bundles.
-        "derivstore": 2,
+        # audit hash-conses the trees provenance defines into its node
+        # records and chains their fingerprints into bundles.
         "audit": 3,
     },
     "logic": {

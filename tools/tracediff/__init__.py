@@ -1,7 +1,7 @@
 """tracediff: explain *why* two runs differ, not just that they do.
 
 Compares two observability artifacts -- ``repro-trace/1`` JSONL traces,
-``repro-explain/1`` or hash-consed ``repro-explain/2`` derivation files,
+``repro-explain/1`` derivation files,
 ``repro-audit/1`` Merkle audit bundles, ``repro-bench/2`` benchmark
 reports, or ``repro-metrics/1`` snapshot streams (auto-detected) -- and
 reports:
@@ -25,9 +25,8 @@ plan must produce zero divergence; two chaos runs with different fault plans div
 first diverging record localises where.  ``--bisect`` skips the
 aggregate summaries and binary-searches straight to the first diverging
 record (rolling hash chains over normalised records, the bundle's own
-Merkle chain for ``repro-audit/1``) or derivation node
-(fingerprint-guided descent that never enters a shared subtree),
-printing a minimal reproduction pointer.  Usage::
+Merkle chain for ``repro-audit/1``) or derivation node, printing a
+minimal reproduction pointer.  Usage::
 
     PYTHONPATH=src python -m tools.tracediff A.jsonl B.jsonl
     PYTHONPATH=src python -m tools.tracediff --json A B
@@ -45,7 +44,6 @@ from .diff import (
     diff_audit,
     diff_bench,
     diff_derivations,
-    diff_explain_dag,
     diff_metrics,
     diff_traces,
     load_artifact,
@@ -58,7 +56,6 @@ __all__ = [
     "diff_audit",
     "diff_bench",
     "diff_derivations",
-    "diff_explain_dag",
     "diff_metrics",
     "diff_traces",
     "load_artifact",

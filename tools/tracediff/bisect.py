@@ -14,19 +14,17 @@ Two hash structures make the binary search sound:
   chain, and equal chain values at a position prove the whole prefixes
   equal -- so the first diverging record is found by binary search over
   chain positions, O(log n) probes.
-* **Merkle artifacts** (``repro-explain/2``, ``repro-audit/1``): the
-  hashes are already in the artifact.  An audit bundle's ``chain``
-  column is binary-searched the same way, and a derivation DAG is
-  descended fingerprint-first -- equal child refs prove subtrees equal
-  without visiting them, so the walk touches one root-to-divergence
-  path and skips every shared subtree
-  (:func:`tools.tracediff.diff.dag_divergence`).
+* **Audit bundles** (``repro-audit/1``): the hashes are already in the
+  artifact.  The ``chain`` column is binary-searched the same way, and a
+  diverging leaf's derivation is descended fingerprint-first through the
+  node tables -- equal child refs prove subtrees equal without visiting
+  them (:func:`tools.tracediff.diff.dag_divergence`).
 
-``repro-explain/1`` trees and single-root ``/2`` documents are
-hash-consed on the fly before descending, so ``--bisect`` accepts the
-same artifact kinds as the plain diff -- except ``repro-bench/2``
-reports, which are keyed by benchmark name, not sequenced, and have
-nothing to bisect.
+A ``repro-explain/1`` derivation is a single tree, so its bisection is
+the plain diff's depth-first walk to the shallowest, leftmost diverging
+node, reported as a pointer.  ``--bisect`` accepts the same artifact
+kinds as the plain diff -- except ``repro-bench/2`` reports, which are
+keyed by benchmark name, not sequenced, and have nothing to bisect.
 """
 
 from __future__ import annotations
@@ -37,13 +35,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.obs.audit import AuditBundle
-from repro.obs.derivstore import DerivationStore
 from repro.obs.provenance import Derivation
 
 from .diff import (
     _record_summary,
-    dag_divergence,
-    diff_explain_dag,
+    diff_derivations,
     leaf_divergence,
     load_artifact,
     normalize_record,
@@ -141,60 +137,16 @@ def _bisect_records(
 
 
 def _bisect_derivations(a: Derivation, b: Derivation) -> Dict[str, Any]:
-    # Hash-consing on the fly turns the two trees into node tables the
-    # fingerprint descent can skip shared subtrees of.
-    store_a = DerivationStore()
-    store_b = DerivationStore()
-    ref_a = store_a.add(a.root)
-    ref_b = store_b.add(b.root)
-    summary: Dict[str, Any] = {
-        "kind": "explain",
-        "mode": "bisect",
-        "fingerprint_a": a.fingerprint(),
-        "fingerprint_b": b.fingerprint(),
-        "nodes_a": len(store_a),
-        "nodes_b": len(store_b),
-        "diverged": False,
-        "pointer": None,
-        "first_divergence": None,
-        "shared_subtrees_skipped": 0,
-    }
-    for field_name in ("assignment", "formula", "point"):
-        value_a = getattr(a, field_name)
-        value_b = getattr(b, field_name)
-        if value_a != value_b:
-            summary["diverged"] = True
-            summary["pointer"] = field_name
-            summary["first_divergence"] = {
-                "path": field_name,
-                "field": field_name,
-                "a": value_a,
-                "b": value_b,
-            }
-            return summary
-    divergence, skipped = dag_divergence(
-        store_a.table(), store_b.table(), ref_a, ref_b
-    )
-    summary["shared_subtrees_skipped"] = skipped
-    if divergence is not None:
-        summary["diverged"] = True
-        summary["pointer"] = f"{divergence['path']}.{divergence['field']}"
-        summary["first_divergence"] = divergence
-    return summary
-
-
-def _bisect_explain_dag(
-    doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
-) -> Dict[str, Any]:
-    summary = diff_explain_dag(doc_a, doc_b)
+    summary = diff_derivations(a, b)
     summary["mode"] = "bisect"
-    divergence = summary.get("first_divergence")
+    divergence = summary["first_divergence"]
     if divergence is None:
         summary["pointer"] = None
-    elif divergence.get("path"):
-        summary["pointer"] = f"{divergence['path']}.{divergence['field']}"
+    elif divergence["path"] == divergence["field"]:
+        # A top-level field (assignment, formula, point) parted.
+        summary["pointer"] = divergence["field"]
     else:
-        summary["pointer"] = "roots"
+        summary["pointer"] = f"{divergence['path']}.{divergence['field']}"
     return summary
 
 
@@ -293,8 +245,6 @@ def bisect_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = _bisect_records(kind_a, payload_a, payload_b)
     elif kind_a == "explain":
         summary = _bisect_derivations(payload_a, payload_b)
-    elif kind_a == "explain-dag":
-        summary = _bisect_explain_dag(payload_a, payload_b)
     else:
         summary = _bisect_audit(payload_a, payload_b)
     summary["a"] = path_a
@@ -313,10 +263,6 @@ def render_bisect(summary: Mapping[str, Any]) -> str:
     ]
     if "probes" in summary:
         lines.append(f"probes: {summary['probes']}")
-    if "shared_subtrees_skipped" in summary:
-        lines.append(
-            f"shared subtrees skipped: {summary['shared_subtrees_skipped']}"
-        )
     pointer = summary.get("pointer")
     if pointer is not None:
         lines.append(f"pointer: {pointer}")

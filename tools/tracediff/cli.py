@@ -19,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tracediff",
         description=(
             "Diff two observability artifacts (repro-trace/1 JSONL, "
-            "repro-explain/1 or /2 derivation, repro-audit/1 bundle, "
+            "repro-explain/1 derivation, repro-audit/1 bundle, "
             "repro-bench/2 report, or "
             "repro-metrics/1 snapshot stream; auto-detected): counter deltas, cache hit-rate shift, "
             "per-span timing ratios, and the first diverging record or "
@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "binary-search to the first diverging record or derivation "
             "node (hash chains for record streams and audit bundles, "
-            "Merkle fingerprints for derivation DAGs) and print a "
-            "minimal reproduction pointer instead of the full diff"
+            "Merkle fingerprints for a bundle's derivation nodes) and "
+            "print a minimal reproduction pointer instead of the full diff"
         ),
     )
     parser.add_argument(

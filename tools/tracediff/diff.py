@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ProvenanceError, TraceError
 from repro.obs.audit import AUDIT_SCHEMA, AuditBundle, read_audit_bundle
-from repro.obs.derivstore import EXPLAIN_SCHEMA_2, decode_derivation
 from repro.obs.provenance import (
     EXPLAIN_SCHEMA,
     Derivation,
@@ -34,14 +33,13 @@ __all__ = [
     "diff_audit",
     "diff_bench",
     "diff_derivations",
-    "diff_explain_dag",
     "diff_metrics",
     "diff_traces",
     "load_artifact",
     "render_diff",
 ]
 
-#: Benchmark-report schema this tool understands (``scripts/collect_bench``).
+#: Benchmark-report schema this tool understands (``benchmarks/collect.py``).
 BENCH_SCHEMA = "repro-bench/2"
 
 #: Record keys that vary run to run without the content differing: the
@@ -81,10 +79,8 @@ def load_artifact(path: str) -> Tuple[str, Any]:
 
     Returns ``(kind, payload)`` where ``kind`` is ``"trace"`` (payload: a
     record list from :func:`repro.obs.trace.read_trace`), ``"explain"``
-    (payload: a :class:`~repro.obs.provenance.Derivation`, from either
-    ``repro-explain/1`` or a single-root ``repro-explain/2`` document),
-    ``"explain-dag"`` (payload: a multi-root ``repro-explain/2``
-    document, kept in table form), ``"audit"`` (payload: an
+    (payload: a :class:`~repro.obs.provenance.Derivation` decoded from a
+    ``repro-explain/1`` document), ``"audit"`` (payload: an
     :class:`~repro.obs.audit.AuditBundle`), ``"bench"``
     (payload: the decoded ``repro-bench/2`` document), or ``"metrics"``
     (payload: a record list from :func:`repro.obs.snapshot.read_snapshots`).
@@ -102,10 +98,6 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         schema = document.get("schema")
         if schema == EXPLAIN_SCHEMA:
             return "explain", derivation_from_json(document)
-        if schema == EXPLAIN_SCHEMA_2:
-            if "roots" in document:
-                return "explain-dag", document
-            return "explain", decode_derivation(document)
         if schema == AUDIT_SCHEMA and document.get("type") == "header":
             # A header-only bundle: an audited sweep that was killed
             # before its first leaf.  Still a valid (empty) bundle.
@@ -125,8 +117,7 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         raise TraceError(
             f"{path!r}: unrecognised artifact schema {schema!r} "
             f"(expected {TRACE_SCHEMA!r}, {EXPLAIN_SCHEMA!r}, "
-            f"{EXPLAIN_SCHEMA_2!r}, {AUDIT_SCHEMA!r}, "
-            f"{BENCH_SCHEMA!r}, or {METRICS_SCHEMA!r})"
+            f"{AUDIT_SCHEMA!r}, {BENCH_SCHEMA!r}, or {METRICS_SCHEMA!r})"
         )
     # Multi-line JSONL: the header's schema field says which stream it is.
     first_line = next((line for line in text.splitlines() if line.strip()), "")
@@ -251,6 +242,11 @@ def _record_summary(record: Optional[Mapping[str, Any]]) -> Optional[Dict[str, A
 # ----------------------------------------------------------------------
 
 
+#: Derivation-node fields compared when two derivations part, in
+#: reporting order (most meaningful first; ``children`` is structural).
+_NODE_FIELDS = ("rule", "formula", "point", "holds", "definition", "detail")
+
+
 def _node_divergence(
     a: DerivationNode, b: DerivationNode, path: str
 ) -> Optional[Dict[str, Any]]:
@@ -259,7 +255,7 @@ def _node_divergence(
     A node's own content is compared before its children, so the
     reported path is the shallowest, leftmost point of disagreement.
     """
-    for field_name in ("rule", "formula", "point", "holds", "definition", "detail"):
+    for field_name in _NODE_FIELDS:
         value_a = getattr(a, field_name)
         value_b = getattr(b, field_name)
         if value_a != value_b:
@@ -334,12 +330,8 @@ def _embedded_derivation(record: Mapping[str, Any]) -> Optional[Derivation]:
 
 
 # ----------------------------------------------------------------------
-# Hash-consed DAG diff (repro-explain/2, and audit-bundle node tables)
+# Audit-bundle node-table descent
 # ----------------------------------------------------------------------
-
-#: Node-payload fields compared during fingerprint-guided descent, in
-#: reporting order (most meaningful first; ``children`` is structural).
-_DAG_CONTENT_FIELDS = ("rule", "formula", "point", "holds", "definition", "detail")
 
 
 def dag_divergence(
@@ -347,154 +339,77 @@ def dag_divergence(
     nodes_b: Mapping[str, Mapping[str, Any]],
     ref_a: str,
     ref_b: str,
-) -> Tuple[Optional[Dict[str, Any]], int]:
-    """Fingerprint-guided descent to the first diverging DAG node.
+) -> Optional[Dict[str, Any]]:
+    """Fingerprint-guided descent to the first diverging node of two
+    audit-bundle node tables; ``None`` when the roots agree.
 
-    The hash-consed counterpart of :func:`_node_divergence`: because a
-    ``repro-explain/2`` fingerprint commits to its whole subtree, equal
+    The node-table counterpart of :func:`_node_divergence`: because a
+    node record's fingerprint commits to its whole subtree, equal
     child refs prove the subtrees identical without visiting them, and
     the walk descends only into the leftmost child whose refs differ --
     one root-to-divergence path instead of a full tree comparison.
-
-    Returns ``(divergence, skipped)`` where ``divergence`` is ``None``
-    when the roots agree and ``skipped`` counts the shared subtrees the
-    descent never had to enter.
     """
-    skipped = 0
     path = "root"
     while True:
         if ref_a == ref_b:
-            return None, skipped
+            return None
         payload_a = nodes_a.get(ref_a)
         payload_b = nodes_b.get(ref_b)
         if payload_a is None or payload_b is None:
-            return (
-                {
-                    "path": path,
-                    "field": "nodes",
-                    "a": ref_a if payload_a is None else "resolved",
-                    "b": ref_b if payload_b is None else "resolved",
-                    "note": "dangling fingerprint reference",
-                },
-                skipped,
-            )
-        for field_name in _DAG_CONTENT_FIELDS:
+            return {
+                "path": path,
+                "field": "nodes",
+                "a": ref_a if payload_a is None else "resolved",
+                "b": ref_b if payload_b is None else "resolved",
+                "note": "dangling fingerprint reference",
+            }
+        for field_name in _NODE_FIELDS:
             value_a = payload_a.get(field_name)
             value_b = payload_b.get(field_name)
             if value_a != value_b:
-                return (
-                    {
-                        "path": path,
-                        "field": field_name,
-                        "rule": payload_a.get("rule"),
-                        "a": value_a,
-                        "b": value_b,
-                        "ref_a": ref_a,
-                        "ref_b": ref_b,
-                    },
-                    skipped,
-                )
+                return {
+                    "path": path,
+                    "field": field_name,
+                    "rule": payload_a.get("rule"),
+                    "a": value_a,
+                    "b": value_b,
+                    "ref_a": ref_a,
+                    "ref_b": ref_b,
+                }
         children_a = payload_a.get("children", [])
         children_b = payload_b.get("children", [])
         if len(children_a) != len(children_b):
-            return (
-                {
-                    "path": path,
-                    "field": "children",
-                    "rule": payload_a.get("rule"),
-                    "a": len(children_a),
-                    "b": len(children_b),
-                    "ref_a": ref_a,
-                    "ref_b": ref_b,
-                },
-                skipped,
-            )
-        descend: Optional[Tuple[int, str, str]] = None
-        for position, (child_a, child_b) in enumerate(zip(children_a, children_b)):
-            if child_a == child_b:
-                skipped += 1
-            elif descend is None:
-                descend = (position, child_a, child_b)
+            return {
+                "path": path,
+                "field": "children",
+                "rule": payload_a.get("rule"),
+                "a": len(children_a),
+                "b": len(children_b),
+                "ref_a": ref_a,
+                "ref_b": ref_b,
+            }
+        descend = next(
+            (
+                (position, child_a, child_b)
+                for position, (child_a, child_b) in enumerate(
+                    zip(children_a, children_b)
+                )
+                if child_a != child_b
+            ),
+            None,
+        )
         if descend is None:
             # Same payload under two fingerprints: the refs lie about
             # the content, which verifyaudit's hash tier would flag.
-            return (
-                {
-                    "path": path,
-                    "field": "fingerprint",
-                    "a": ref_a,
-                    "b": ref_b,
-                    "note": "equal payloads filed under different fingerprints",
-                },
-                skipped,
-            )
+            return {
+                "path": path,
+                "field": "fingerprint",
+                "a": ref_a,
+                "b": ref_b,
+                "note": "equal payloads filed under different fingerprints",
+            }
         position, ref_a, ref_b = descend
         path = f"{path}.children[{position}]"
-
-
-def _dag_root_key(entry: Mapping[str, Any]) -> str:
-    return json.dumps(
-        {
-            "assignment": entry.get("assignment"),
-            "formula": entry.get("formula"),
-            "point": entry.get("point"),
-        },
-        sort_keys=True,
-    )
-
-
-def diff_explain_dag(
-    doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Compare two multi-root ``repro-explain/2`` documents (sweep explains).
-
-    Roots align on (assignment, formula, point); a shared root diverges
-    exactly when its fingerprints differ (the Merkle property), and the
-    first diverging root is localised by fingerprint-guided descent --
-    shared subtrees are skipped wholesale, never re-compared.
-    """
-    roots_a = {_dag_root_key(entry): entry for entry in doc_a.get("roots", [])}
-    roots_b = {_dag_root_key(entry): entry for entry in doc_b.get("roots", [])}
-    only_a = sorted(set(roots_a) - set(roots_b))
-    only_b = sorted(set(roots_b) - set(roots_a))
-    diverging = [
-        key
-        for key in sorted(set(roots_a) & set(roots_b))
-        if roots_a[key].get("root") != roots_b[key].get("root")
-    ]
-    summary: Dict[str, Any] = {
-        "kind": "explain-dag",
-        "roots_a": len(roots_a),
-        "roots_b": len(roots_b),
-        "nodes_a": len(doc_a.get("nodes", {})),
-        "nodes_b": len(doc_b.get("nodes", {})),
-        "only_in_a": only_a,
-        "only_in_b": only_b,
-        "diverging_roots": len(diverging),
-        "diverged": bool(diverging or only_a or only_b),
-        "first_divergence": None,
-        "shared_subtrees_skipped": 0,
-    }
-    if diverging:
-        key = diverging[0]
-        divergence, skipped = dag_divergence(
-            doc_a.get("nodes", {}),
-            doc_b.get("nodes", {}),
-            roots_a[key]["root"],
-            roots_b[key]["root"],
-        )
-        if divergence is not None:
-            divergence["root"] = json.loads(key)
-        summary["first_divergence"] = divergence
-        summary["shared_subtrees_skipped"] = skipped
-    elif only_a or only_b:
-        summary["first_divergence"] = {
-            "field": "roots",
-            "root": json.loads((only_a + only_b)[0]),
-            "a": (only_a + only_b)[0] in set(roots_a),
-            "b": (only_a + only_b)[0] in set(roots_b),
-        }
-    return summary
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +452,7 @@ def leaf_divergence(
     ref_a = leaf_a.get("root_ref")
     ref_b = leaf_b.get("root_ref")
     if ref_a != ref_b and ref_a is not None and ref_b is not None:
-        node_divergence, _skipped = dag_divergence(
+        node_divergence = dag_divergence(
             bundle_a.nodes, bundle_b.nodes, ref_a, ref_b
         )
     return divergence, node_divergence
@@ -939,8 +854,6 @@ def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = diff_traces(payload_a, payload_b)
     elif kind_a == "explain":
         summary = diff_derivations(payload_a, payload_b)
-    elif kind_a == "explain-dag":
-        summary = diff_explain_dag(payload_a, payload_b)
     elif kind_a == "audit":
         summary = diff_audit(payload_a, payload_b)
     elif kind_a == "metrics":
@@ -1013,24 +926,6 @@ def render_diff(summary: Mapping[str, Any]) -> str:
             lines.append(
                 f"first diverging derivation node: {node.get('path')} "
                 f"[{node.get('field')}]: {node.get('a')!r} vs {node.get('b')!r}"
-            )
-        else:
-            lines.append("first divergence: none")
-    elif kind == "explain-dag":
-        lines.append(
-            f"roots: {summary['roots_a']} vs {summary['roots_b']} "
-            f"({summary['diverging_roots']} diverging); "
-            f"nodes: {summary['nodes_a']} vs {summary['nodes_b']}"
-        )
-        for side, keys in (("A", summary["only_in_a"]), ("B", summary["only_in_b"])):
-            if keys:
-                lines.append(f"roots only in {side}: {len(keys)}")
-        node = summary.get("first_divergence")
-        if node is not None:
-            lines.append(
-                f"first diverging derivation node: {node.get('path')} "
-                f"[{node.get('field')}] "
-                f"({summary['shared_subtrees_skipped']} shared subtree(s) skipped)"
             )
         else:
             lines.append("first divergence: none")

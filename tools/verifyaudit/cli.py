@@ -20,7 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
             "recomputing the sweep it certifies: recompute the hash "
             "chain and every derivation-node fingerprint, cross-check "
             "leaf payloads against the sweep checkpoint, and replay "
-            "audit_derivation over the recorded repro-explain/2 DAGs."
+            "audit_derivation over the derivations rebuilt from the "
+            "bundle's node records."
         ),
     )
     parser.add_argument("bundle", help="repro-audit/1 bundle (JSONL)")

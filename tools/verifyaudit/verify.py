@@ -37,8 +37,12 @@ from repro.core.standard import standard_assignments
 from repro.errors import AuditError, CheckpointError, ProvenanceError, ReproError
 from repro.logic.explain import audit_derivation
 from repro.logic.semantics import Model
-from repro.obs.audit import AuditBundle, read_audit_bundle, verify_bundle
-from repro.obs.derivstore import node_from_table
+from repro.obs.audit import (
+    AuditBundle,
+    node_from_table,
+    read_audit_bundle,
+    verify_bundle,
+)
 from repro.obs.jsonl import JsonlFormat
 from repro.obs.provenance import Derivation
 from repro.reporting import fraction_from_json
