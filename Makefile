@@ -1,8 +1,6 @@
 # Convenience targets for the reproduction.
 
 PYTHON ?= python3
-# Benchmark report for the current PR (see docs/performance.md).
-BENCH ?= BENCH_10.json
 # Trace file consumed by `make trace-report` / `make trace-top`
 # (see docs/observability.md).
 TRACE ?= trace.jsonl
@@ -13,7 +11,7 @@ SEED ?= 1
 PERFBENCH_SECONDS ?= 20
 PERFBENCH_TRACE ?= 0
 
-.PHONY: install test test-chaos bench bench-json bench-json-smoke perfbench examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-top trace-diff audit-verify audit-chaos clean
+.PHONY: install test test-chaos bench perfbench examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-top trace-diff audit-verify audit-chaos clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -63,13 +61,6 @@ perfbench:
 	@cat .perfbench/result-$(W)-seed$(SEED).txt
 	@tail -n 1 .perfbench/result-$(W)-seed$(SEED).txt | $(PYTHON) -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] is True else "perfbench: a job failed its check")'
 
-# Machine-readable benchmark report (see docs/performance.md).
-bench-json:
-	$(PYTHON) benchmarks/collect.py --output $(BENCH)
-
-bench-json-smoke:
-	$(PYTHON) benchmarks/collect.py --smoke --output $(BENCH)
-
 # Summarise a repro-trace/1 JSONL trace (see docs/observability.md).
 trace-report:
 	PYTHONPATH=src $(PYTHON) -m tools.tracereport $(TRACE)
@@ -79,7 +70,7 @@ trace-report:
 trace-top:
 	PYTHONPATH=src $(PYTHON) -m tools.reprotop $(TOP_ARGS) $(TRACE)
 
-# Diff two traces / derivations / bench reports: counter deltas,
+# Diff two traces / derivations / audit bundles: counter deltas,
 # hit-rate shift, timing ratios, first diverging record or derivation
 # node.  Usage: make trace-diff A=run1.jsonl B=run2.jsonl
 trace-diff:

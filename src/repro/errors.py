@@ -175,18 +175,6 @@ class TraceError(ReproError):
     """
 
 
-class MetricsError(ReproError):
-    """A metrics artifact does not conform to the ``repro-metrics/1`` schema.
-
-    Raised when a reader (``tools/tracereport --metrics``,
-    ``tools/reprotop``, :func:`repro.obs.snapshot.read_snapshots`) is
-    handed a file whose header is missing or names a different schema,
-    or whose records are not well-formed snapshots, so a worker-merged
-    counter report is never silently folded from a file that was not
-    produced by :mod:`repro.obs.snapshot`.
-    """
-
-
 class AuditError(ReproError):
     """An audit bundle does not conform to ``repro-audit/1`` or fails its
     hash chain.

@@ -20,13 +20,13 @@ counters, gauges, events and timing spans to the process-global
   ``tools/verifyaudit``; its node records, each distinct derivation
   subtree streamed once under its Merkle fingerprint, are the one
   hash-consed derivation encoding.
-* :mod:`repro.obs.snapshot` freezes aggregates into ``repro-metrics/1``
-  snapshots and ships per-attempt deltas across process boundaries --
-  the cross-process telemetry the sweep engine's workers use, so the
-  parent's counters cover the whole sweep.
+* :mod:`repro.obs.snapshot` freezes aggregates in memory and ships
+  per-attempt deltas across process boundaries -- the cross-process
+  telemetry the sweep engine's workers use, so the parent's counters
+  cover the whole sweep.
 * :mod:`repro.obs.jsonl` is the one torn-tail rule and fsynced appender
-  behind every streamed JSONL artifact (traces, metrics, checkpoints,
-  audit bundles): a kill mid-write costs at most the final line.
+  behind every streamed JSONL artifact (traces, checkpoints, audit
+  bundles): a kill mid-write costs at most the final line.
 * :mod:`repro.obs.clock` quarantines every wall-clock read in the
   library (statically enforced by reprolint RL008).
 
@@ -63,17 +63,7 @@ from .recorder import (
     set_recorder,
     use_recorder,
 )
-from .snapshot import (
-    METRICS_SCHEMA,
-    MetricsSnapshotWriter,
-    ObsDeltaCapture,
-    merge_worker_delta,
-    read_snapshot,
-    read_snapshots,
-    snapshot_delta,
-    take_snapshot,
-    write_snapshot,
-)
+from .snapshot import ObsDeltaCapture, merge_worker_delta, snapshot_delta, take_snapshot
 from .trace import TRACE_SCHEMA, TraceRecorder, read_trace
 
 __all__ = [
@@ -83,9 +73,7 @@ __all__ = [
     "Derivation",
     "DerivationNode",
     "EXPLAIN_SCHEMA",
-    "METRICS_SCHEMA",
     "MetricsRecorder",
-    "MetricsSnapshotWriter",
     "MultiRecorder",
     "NULL_RECORDER",
     "NullRecorder",
@@ -102,8 +90,6 @@ __all__ = [
     "merge_worker_delta",
     "read_audit_bundle",
     "read_derivation",
-    "read_snapshot",
-    "read_snapshots",
     "read_trace",
     "render_derivation",
     "set_recorder",
@@ -111,5 +97,4 @@ __all__ = [
     "take_snapshot",
     "use_recorder",
     "verify_bundle",
-    "write_snapshot",
 ]

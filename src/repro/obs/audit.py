@@ -262,20 +262,31 @@ def read_audit_bundle(path) -> AuditBundle:
     return _bundle_of(records, os.fspath(path))
 
 
-def node_from_table(
-    nodes: Mapping[str, Dict], ref: str, _path: str = "root"
-) -> DerivationNode:
+def node_from_table(nodes: Mapping[str, Dict], ref: str) -> DerivationNode:
     """Rebuild the :class:`DerivationNode` tree rooted at ``ref`` from a
     bundle's node table (:attr:`AuditBundle.nodes`).
 
     Raises :class:`~repro.errors.ProvenanceError` on a dangling
-    fingerprint reference or a structurally malformed node record -- a
-    derivation is only meaningful when every reference resolves.
+    fingerprint reference, a reference that repeats on its own descent
+    path (a cycle, which no Merkle table can hold), or a structurally
+    malformed node record -- a derivation is only meaningful when every
+    reference resolves to a finite tree.
     """
+    return _node_from_table(nodes, ref, "root", frozenset())
+
+
+def _node_from_table(
+    nodes: Mapping[str, Dict], ref: str, path: str, ancestors: FrozenSet[str]
+) -> DerivationNode:
+    if ref in ancestors:
+        raise ProvenanceError(
+            f"derivation node reference {ref!r} at {path} repeats on its own "
+            "descent path"
+        )
     payload = nodes.get(ref)
     if payload is None:
         raise ProvenanceError(
-            f"derivation node reference {ref!r} at {_path} resolves to no node"
+            f"derivation node reference {ref!r} at {path} resolves to no node"
         )
     if not isinstance(payload, Mapping):
         raise ProvenanceError(f"derivation node {ref!r} is not a JSON object")
@@ -289,8 +300,9 @@ def node_from_table(
         isinstance(child, str) for child in child_refs
     ):
         raise ProvenanceError(f"derivation node {ref!r} has non-reference children")
+    ancestors = ancestors | {ref}
     children = tuple(
-        node_from_table(nodes, child, f"{_path}.children[{index}]")
+        _node_from_table(nodes, child, f"{path}.children[{index}]", ancestors)
         for index, child in enumerate(child_refs)
     )
     return DerivationNode(

@@ -1,8 +1,8 @@
 """Append-only JSONL logs that survive being killed mid-write.
 
 Every streamed artifact of the reproduction -- ``repro-trace/1`` traces,
-``repro-metrics/1`` snapshots, the Section 8 sweep checkpoints and the
-``repro-audit/1`` bundles that shadow them -- is one JSON object per
+the Section 8 sweep checkpoints and the ``repro-audit/1`` bundles that
+shadow them -- is one JSON object per
 line, appended in order.  A process killed mid-write damages at most the
 line it was writing: the last one.  This module is the one place that
 rule lives:

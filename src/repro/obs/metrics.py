@@ -2,9 +2,9 @@
 
 :class:`MetricsRecorder` aggregates everything in plain dictionaries so
 a caller can run a workload, take a :meth:`~MetricsRecorder.snapshot`,
-and attach it to a report -- this is how ``benchmarks/collect.py`` puts
-cache hit rates, gfp iteration counts and retry totals next to each
-timing in ``BENCH_4.json``.
+and attach it to a report -- this is how ``perfbench`` puts per-layer
+spans and work counters (kernel queries, gfp iterations, retries) next
+to each job's timing.
 
 * **Counters** are monotonically increasing integers keyed by name.
   Events also bump a ``event:<kind>`` counter, so the chaos suite can

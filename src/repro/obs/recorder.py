@@ -19,8 +19,8 @@ Three recorders ship with the library:
 * :class:`~repro.obs.trace.TraceRecorder` -- streams structured JSONL
   events (schema ``repro-trace/1``) for ``tools/tracereport``.
 
-:class:`MultiRecorder` fans out to several recorders at once (the
-benchmark collector records a trace *and* a metrics snapshot).
+:class:`MultiRecorder` fans out to several recorders at once
+(``perfbench``'s traced jobs feed a trace *and* a metrics recorder).
 
 The active recorder is process-global state, installed with
 :func:`set_recorder` or scoped with the :func:`use_recorder` context

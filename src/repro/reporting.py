@@ -1,10 +1,10 @@
-"""Plain-text table and machine-readable JSON rendering for benchmarks.
+"""Plain-text table and machine-readable JSON rendering.
 
 Every experiment bench regenerates one of the paper's worked results and
 prints it as a table; this module keeps the formatting in one place so the
 tables in ``bench_output.txt`` and EXPERIMENTS.md stay consistent.  The
-JSON helpers back ``make bench-json`` / ``benchmarks/collect.py``, which
-emit ``BENCH_<n>.json`` so the perf trajectory is comparable PR-over-PR.
+JSON helpers encode the values every artifact writer and ``--json`` tool
+output shares (traces, checkpoints, audit bundles, tool summaries).
 Exact values stay exact in JSON: a :class:`fractions.Fraction` is encoded
 as its ``"p/q"`` string, never as a float.
 """
@@ -12,7 +12,6 @@ as its ``"p/q"`` string, never as a float.
 from __future__ import annotations
 
 import dataclasses
-import json
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence
 
@@ -59,7 +58,7 @@ def print_table(
 
 
 # ----------------------------------------------------------------------
-# Machine-readable benchmark reports
+# Exact JSON encoding
 # ----------------------------------------------------------------------
 
 
@@ -68,7 +67,7 @@ def print_table(
 #: so :func:`json_ready` encodes them as exact ``"0x..."`` hex strings
 #: instead (hex conversion is not subject to the limit).  The bound is in
 #: bits and sits safely below the first over-limit value, so the point
-#: masks of >=100k-point word-array systems serialise losslessly while
+#: masks of >=100k-point systems serialise losslessly while
 #: every int that *could* appear in an existing artifact keeps its plain
 #: JSON number representation.
 _INT_DECIMAL_SAFE_BITS = 14_000
@@ -121,14 +120,3 @@ def fraction_from_json(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ValueError(f"not an exact fraction encoding: {value!r}")
-
-
-def write_bench_json(path, payload) -> str:
-    """Serialise a benchmark report to pretty-printed JSON at ``path``.
-
-    Returns the rendered text (callers print it for the tee'd log).
-    """
-    text = json.dumps(json_ready(payload), indent=2, sort_keys=False)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return text

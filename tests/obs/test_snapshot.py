@@ -1,33 +1,22 @@
-"""The ``repro-metrics/1`` snapshot schema: round-trips, deltas, capture."""
+"""In-memory metric snapshots: shape, deltas, worker capture and merge."""
 
-import io
-import json
 import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import MetricsError
 from repro.obs import (
-    METRICS_SCHEMA,
     MetricsRecorder,
-    MetricsSnapshotWriter,
     NULL_RECORDER,
     ObsDeltaCapture,
     get_recorder,
     merge_worker_delta,
-    read_snapshot,
-    read_snapshots,
     snapshot_delta,
     take_snapshot,
     use_recorder,
-    write_snapshot,
 )
 from repro.probability import kernel_totals, reset_kernel_totals
 from repro.probability.bitset import merge_kernel_totals
-from repro.reporting import fraction_from_json
 
 
 def _instrumented_recorder():
@@ -43,116 +32,23 @@ def _instrumented_recorder():
 
 class TestTakeSnapshot:
     def test_shape_and_derived_sections(self):
+        # Exactly the four sections snapshot_delta subtracts: no derived
+        # sections ride along.
         snapshot = take_snapshot(
             _instrumented_recorder(),
-            label="t",
             kernel={"cache_hits": 3, "cache_misses": 1},
         )
-        assert snapshot["type"] == "snapshot"
-        assert snapshot["label"] == "t"
+        assert set(snapshot) == {"counters", "gauges", "spans", "kernel_totals"}
         assert snapshot["counters"]["model.points"] == 12
+        assert snapshot["counters"]["model.gfp_iterations"] == 7
         assert snapshot["gauges"]["exact.p"] == Fraction(1, 3)
         assert snapshot["spans"]["build"]["count"] == 1
-        assert snapshot["cache"]["hit_rate"] == Fraction(3, 4)
-        assert snapshot["gfp"] == {"fixpoints": 2, "iterations": 7}
+        assert snapshot["kernel_totals"] == {"cache_hits": 3, "cache_misses": 1}
 
     def test_no_recorder_still_carries_kernel_totals(self):
         snapshot = take_snapshot(kernel={"naive_queries": 5})
         assert snapshot["counters"] == {}
         assert snapshot["kernel_totals"]["naive_queries"] == 5
-        assert snapshot["cache"]["hit_rate"] is None
-
-
-class TestRoundTrip:
-    def test_header_then_snapshot(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        write_snapshot(path, metrics=_instrumented_recorder(), label="after")
-        records = read_snapshots(path)
-        assert records[0]["type"] == "header"
-        assert records[0]["schema"] == METRICS_SCHEMA
-        assert records[0]["pid"] == os.getpid()
-        final = read_snapshot(path)
-        assert final["label"] == "after"
-        # Exact values survive the trip as "p/q" strings.
-        assert fraction_from_json(final["gauges"]["exact.p"]) == Fraction(1, 3)
-
-    def test_writer_streams_many_snapshots(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        with MetricsSnapshotWriter(path) as writer:
-            for label in ("one", "two", "three"):
-                writer.write(take_snapshot(label=label, kernel={}))
-        records = read_snapshots(path)
-        assert [r["label"] for r in records if r["type"] == "snapshot"] == [
-            "one",
-            "two",
-            "three",
-        ]
-        assert [r["seq"] for r in records] == list(range(4))
-        # read_snapshot returns the *last* snapshot.
-        assert read_snapshot(path)["label"] == "three"
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        counters=st.dictionaries(
-            st.text(
-                alphabet="abcdefghijklmnopqrstuvwxyz._", min_size=1, max_size=12
-            ),
-            st.integers(min_value=0, max_value=10**9),
-            max_size=6,
-        ),
-        numerator=st.integers(min_value=0, max_value=99),
-        truncate=st.integers(min_value=1, max_value=40),
-    )
-    def test_truncated_tail_is_dropped_not_fatal(self, counters, numerator, truncate):
-        """A kill mid-``write`` loses at most the half-written final line."""
-        metrics = MetricsRecorder()
-        for name, value in counters.items():
-            metrics.counter(name, value)
-        metrics.gauge("exact.q", Fraction(numerator, 100))
-        buffer = io.StringIO()
-        writer = MetricsSnapshotWriter(buffer)
-        writer.write(take_snapshot(metrics, label="full", kernel={}))
-        writer.write(take_snapshot(metrics, label="doomed", kernel={}))
-        text = buffer.getvalue()
-        intact = read_snapshots(text.splitlines())
-        torn = read_snapshots(text[:-truncate].splitlines())
-        # Whatever survives is a prefix of the intact stream, and the
-        # surviving records decode identically -- including the exact
-        # Fraction gauge.
-        assert torn == intact[: len(torn)]
-        assert len(torn) >= 1
-        for record in torn:
-            if record["type"] == "snapshot":
-                assert record["counters"] == dict(counters)
-                assert fraction_from_json(record["gauges"]["exact.q"]) == Fraction(
-                    numerator, 100
-                )
-
-
-class TestReadErrors:
-    def test_missing_header_rejected(self):
-        line = json.dumps({"type": "snapshot", "label": "", "counters": {}})
-        with pytest.raises(MetricsError):
-            read_snapshots([line])
-
-    def test_wrong_schema_rejected(self):
-        line = json.dumps({"type": "header", "schema": "repro-trace/1"})
-        with pytest.raises(MetricsError):
-            read_snapshots([line])
-
-    def test_garbage_before_the_end_is_fatal(self):
-        header = json.dumps({"type": "header", "schema": METRICS_SCHEMA})
-        with pytest.raises(MetricsError):
-            read_snapshots([header, "{torn", json.dumps({"type": "snapshot"})])
-
-    def test_empty_file_without_header_rejected(self):
-        with pytest.raises(MetricsError):
-            read_snapshot([])
-
-    def test_no_snapshot_records_rejected(self):
-        header = json.dumps({"type": "header", "schema": METRICS_SCHEMA})
-        with pytest.raises(MetricsError):
-            read_snapshot([header])
 
 
 class TestSnapshotDelta:

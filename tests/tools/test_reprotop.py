@@ -13,38 +13,24 @@ if str(REPO_ROOT) not in sys.path:
 
 from repro.attack.sweep import sweep_row_of, sweep_tasks  # noqa: E402
 from repro.errors import TraceError  # noqa: E402
-from repro.obs import (  # noqa: E402
-    MetricsRecorder,
-    MultiRecorder,
-    TraceRecorder,
-    read_trace,
-    use_recorder,
-    write_snapshot,
-)
+from repro.obs import TraceRecorder, read_trace, use_recorder  # noqa: E402
 from repro.probability import reset_kernel_totals  # noqa: E402
 from repro.robustness import run_tasks  # noqa: E402
 
-from tools.reprotop import (  # noqa: E402
-    SweepMonitor,
-    checkpoint_status,
-    render_status,
-    snapshot_status,
-)
+from tools.reprotop import SweepMonitor, checkpoint_status, render_status  # noqa: E402
 from tools.reprotop.cli import _TraceTail, main as cli_main  # noqa: E402
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
 
 
-def make_artifacts(tmp_path, max_workers=1):
-    """One instrumented sweep; returns (trace path, metrics path, task count)."""
+def make_trace(tmp_path, max_workers=1):
+    """One traced sweep; returns (trace path, task count)."""
     reset_kernel_totals()
     tasks = sweep_tasks(MESSENGERS, LOSSES)
     trace_path = tmp_path / "trace.jsonl"
-    metrics_path = tmp_path / "metrics.jsonl"
-    metrics = MetricsRecorder()
     trace = TraceRecorder(trace_path)
-    with use_recorder(MultiRecorder([metrics, trace])):
+    with use_recorder(trace):
         run_tasks(
             sweep_row_of,
             tasks,
@@ -53,13 +39,12 @@ def make_artifacts(tmp_path, max_workers=1):
             sleep=lambda _seconds: None,
         )
     trace.close()
-    write_snapshot(metrics_path, metrics=metrics, label="after sweep")
-    return trace_path, metrics_path, len(tasks)
+    return trace_path, len(tasks)
 
 
 class TestSweepMonitor:
     def test_folds_progress_attempts_and_cache(self, tmp_path):
-        trace_path, _metrics, total = make_artifacts(tmp_path)
+        trace_path, total = make_trace(tmp_path)
         monitor = SweepMonitor()
         monitor.feed_all(read_trace(trace_path))
         status = monitor.status()
@@ -82,7 +67,7 @@ class TestSweepMonitor:
         assert status["cache"]["hit_rate"] is None
 
     def test_render_mentions_every_section(self, tmp_path):
-        trace_path, _metrics, total = make_artifacts(tmp_path)
+        trace_path, total = make_trace(tmp_path)
         monitor = SweepMonitor()
         monitor.feed_all(read_trace(trace_path))
         text = render_status(monitor.status())
@@ -112,20 +97,6 @@ class TestCheckpointStatus:
             checkpoint_status(str(path))
 
 
-class TestSnapshotStatus:
-    def test_lifts_snapshot_with_progress(self, tmp_path):
-        from repro.obs import read_snapshot
-
-        _trace, metrics_path, total = make_artifacts(tmp_path)
-        snapshot = read_snapshot(metrics_path)
-        status = snapshot_status(snapshot, done=total, total=total)
-        assert status["done"] == total
-        assert status["finished"] is True
-        assert status["retries"] == 0
-        assert status["snapshot_label"] == "after sweep"
-        assert status["cache"]["hits"] + status["cache"]["misses"] > 0
-
-
 class TestTraceTail:
     def test_holds_back_partial_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -149,35 +120,24 @@ class TestTraceTail:
 
 class TestCli:
     def test_once_json_on_trace(self, tmp_path, capsys):
-        trace_path, _metrics, total = make_artifacts(tmp_path)
+        trace_path, total = make_trace(tmp_path)
         assert cli_main(["--once", "--json", str(trace_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["done"] == total
         assert payload["finished"] is True
 
-    def test_checkpoint_plus_metrics(self, tmp_path, capsys):
-        _trace, metrics_path, total = make_artifacts(tmp_path)
+    def test_checkpoint_with_total(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.jsonl"
-        ckpt.write_text(
-            "".join(json.dumps({"index": i}) + "\n" for i in range(total))
-        )
+        ckpt.write_text("".join(json.dumps({"index": i}) + "\n" for i in range(3)))
         code = cli_main(
-            [
-                "--once",
-                "--json",
-                "--checkpoint",
-                str(ckpt),
-                "--metrics",
-                str(metrics_path),
-                "--total",
-                str(total),
-            ]
+            ["--once", "--json", "--checkpoint", str(ckpt), "--total", "4"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["done"] == total
-        assert payload["finished"] is True
-        assert payload["snapshot_label"] == "after sweep"
+        assert payload["done"] == 3
+        assert payload["total"] == 4
+        assert payload["percent"] == 75.0
+        assert payload["finished"] is False
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli_main(["--once", str(tmp_path / "nope.jsonl")]) == 2
@@ -188,16 +148,6 @@ class TestCli:
         path.write_text('{"type": "header", "schema": "repro-metrics/1"}\n')
         assert cli_main(["--once", str(path)]) == 2
         assert "repro-trace/1" in capsys.readouterr().err
-
-    def test_wrong_metrics_schema_exits_2(self, tmp_path, capsys):
-        trace_path, _metrics, _total = make_artifacts(tmp_path)
-        ckpt = tmp_path / "ckpt.jsonl"
-        ckpt.write_text(json.dumps({"index": 0}) + "\n")
-        code = cli_main(
-            ["--once", "--checkpoint", str(ckpt), "--metrics", str(trace_path)]
-        )
-        assert code == 2
-        assert "repro-metrics/1" in capsys.readouterr().err
 
     def test_requires_exactly_one_input(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,7 +13,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.errors import TraceError  # noqa: E402
 from repro.attack import build_ca2, row_provenance_derivation  # noqa: E402
 from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks  # noqa: E402
 from repro.core import standard_assignments  # noqa: E402
@@ -162,39 +161,6 @@ class TestExplainDiff:
         assert "path" in divergence and "field" in divergence
 
 
-class TestBenchDiff:
-    def test_self_diff_is_clean_and_ratios_reported(self, tmp_path):
-        bench = REPO_ROOT / "BENCH_4.json"
-        summary = diff_artifacts(str(bench), str(bench))
-        assert summary["kind"] == "bench"
-        assert summary["diverged"] is False
-        assert summary["result_divergences"] == []
-        assert all(
-            entry["ratio"] in (1.0, None)
-            for entry in summary["timing_ratios"].values()
-        )
-
-    def test_changed_results_diverge_but_timing_does_not(self, tmp_path):
-        document = json.loads((REPO_ROOT / "BENCH_4.json").read_text())
-        timing_only = json.loads(json.dumps(document))
-        for entry in timing_only["benchmarks"]:
-            entry["seconds"] = entry.get("seconds", 0.0) * 10
-        changed = json.loads(json.dumps(document))
-        changed["benchmarks"][0]["results"] = {"tampered": True}
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(document), encoding="utf-8")
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(timing_only), encoding="utf-8")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(changed), encoding="utf-8")
-        assert diff_artifacts(str(base), str(slow))["diverged"] is False
-        summary = diff_artifacts(str(base), str(bad))
-        assert summary["diverged"] is True
-        assert summary["first_divergence"]["benchmark"] == (
-            summary["result_divergences"][0]["name"]
-        )
-
-
 class TestCli:
     def test_zero_divergence_exit_zero(self, tmp_path, capsys):
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
@@ -231,6 +197,29 @@ class TestCli:
         bogus.write_text('{"schema": "repro-mystery/9"}', encoding="utf-8")
         assert cli_main([str(bogus), str(bogus)]) == 2
         assert "unrecognised" in capsys.readouterr().err
+        # Retired formats are refused like any other unknown schema.
+        bench = tmp_path / "bench.json"
+        bench.write_text(
+            json.dumps({"schema": "repro-bench/2", "benchmarks": []}), encoding="utf-8"
+        )
+        assert cli_main([str(bench), str(bench)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tracediff:")
+        assert "unrecognised artifact schema 'repro-bench/2'" in err
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(
+            json.dumps({"type": "header", "schema": "repro-metrics/1"})
+            + "\n"
+            + json.dumps({"type": "snapshot", "counters": {}})
+            + "\n",
+            encoding="utf-8",
+        )
+        assert cli_main([str(metrics), str(metrics)]) == 2
+        err = capsys.readouterr().err
+        # A multi-line stream is read as a trace and fails its header check.
+        assert err.startswith("tracediff:")
+        assert "repro-trace/1" in err
+        assert "unrecognised" not in err
 
     def test_kind_mismatch_exits_two(self, tmp_path, capsys):
         trace = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
@@ -249,50 +238,6 @@ class TestRender:
         assert "counter deltas" in text
         assert "timing ratios (informational, B/A)" in text
         assert "first divergence" in text
-
-
-class TestMetricsDiff:
-    def _snapshot(self, path, label="run", extra=0, worker=123):
-        from repro.obs import MetricsRecorder, write_snapshot
-
-        metrics = MetricsRecorder()
-        metrics.counter("model.points", 10 + extra)
-        metrics.counter(f"worker.{worker}.kernel.cache_hits", 5)
-        write_snapshot(path, metrics=metrics, label=label)
-        return path
-
-    def test_metrics_artifacts_detected_and_identical(self, tmp_path):
-        a = self._snapshot(tmp_path / "a.jsonl", worker=111)
-        b = self._snapshot(tmp_path / "b.jsonl", worker=999)
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["kind"] == "metrics"
-        # Worker pids are OS-assigned labels, masked before comparing.
-        assert summary["diverged"] is False
-        assert summary["counter_deltas"] == {}
-
-    def test_counter_divergence_is_content(self, tmp_path):
-        a = self._snapshot(tmp_path / "a.jsonl")
-        b = self._snapshot(tmp_path / "b.jsonl", extra=3)
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["diverged"] is True
-        assert summary["counter_deltas"]["model.points"]["delta"] == 3
-        assert summary["first_divergence"]["field"] == "counters"
-        rendered = render_diff(summary)
-        assert "DIVERGED" in rendered
-        assert "model.points" in rendered
-
-    def test_label_mismatch_is_content(self, tmp_path):
-        a = self._snapshot(tmp_path / "a.jsonl", label="one")
-        b = self._snapshot(tmp_path / "b.jsonl", label="two")
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["diverged"] is True
-        assert summary["first_divergence"]["field"] == "label"
-
-    def test_cannot_mix_metrics_and_trace(self, tmp_path):
-        metrics = self._snapshot(tmp_path / "m.jsonl")
-        trace = make_chaos_trace(tmp_path / "t.jsonl", seed=7)
-        with pytest.raises(TraceError):
-            diff_artifacts(str(metrics), str(trace))
 
 
 class TestWorkerTelemetryNormalisation:
@@ -451,16 +396,6 @@ class TestBisect:
         summary = bisect_artifacts(str(a), str(b))
         assert summary["diverged"] is True
         assert summary["pointer"].startswith("leaf[1]")
-
-    def test_bisect_rejects_bench_artifacts(self, tmp_path):
-        from tools.tracediff import bisect_artifacts
-
-        document = {"schema": "repro-bench/2", "benchmarks": []}
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(document))
-        b.write_text(json.dumps(document))
-        with pytest.raises(TraceError, match="no order to bisect"):
-            bisect_artifacts(str(a), str(b))
 
     def test_cli_bisect_exit_codes(self, tmp_path, capsys):
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)

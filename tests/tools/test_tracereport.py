@@ -9,10 +9,20 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.obs import TraceRecorder, read_trace, use_recorder  # noqa: E402
+from repro.obs import (  # noqa: E402
+    TraceRecorder,
+    read_audit_bundle,
+    read_trace,
+    use_recorder,
+)
 from repro.attack.sweep import guarantee_sweep  # noqa: E402
 from repro.probability import reset_kernel_totals  # noqa: E402
-from repro.robustness import RetryPolicy, run_tasks  # noqa: E402
+from repro.robustness import (  # noqa: E402
+    RetryPolicy,
+    default_audit_path,
+    robust_guarantee_sweep,
+    run_tasks,
+)
 from repro.testing import FaultInjectingTask, FaultPlan  # noqa: E402
 
 from tools.tracereport import render_report, summarize  # noqa: E402
@@ -173,48 +183,52 @@ class TestEmptyTrace:
         assert payload["spans"] == {}
 
 
-class TestMetricsSection:
-    def _artifacts(self, tmp_path):
-        from repro.obs import MetricsRecorder, MultiRecorder, write_snapshot
-        from repro.robustness import run_tasks as run
+def make_audit_bundle(tmp_path):
+    """The audited ``[1, 2] x [1/2]`` sweep; returns its bundle path."""
+    checkpoint = tmp_path / "sweep.jsonl"
+    robust_guarantee_sweep(
+        [1, 2], [Fraction(1, 2)], max_workers=1, checkpoint_path=checkpoint, audit=True
+    )
+    return Path(default_audit_path(checkpoint))
 
-        reset_kernel_totals()
-        trace_path = tmp_path / "t.jsonl"
-        metrics_path = tmp_path / "m.jsonl"
-        metrics = MetricsRecorder()
-        trace = TraceRecorder(trace_path)
-        with use_recorder(MultiRecorder([metrics, trace])):
-            guarantee_sweep([1, 2], [Fraction(1, 2)])
-        trace.close()
-        metrics.counter("worker.123.kernel.cache_hits", 7)
-        write_snapshot(metrics_path, metrics=metrics, label="pool run")
-        return trace_path, metrics_path
 
-    def test_metrics_flag_folds_worker_counters(self, tmp_path, capsys):
-        trace_path, metrics_path = self._artifacts(tmp_path)
-        code = cli_main(["--json", str(trace_path), "--metrics", str(metrics_path)])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        metrics = payload["metrics"]
-        assert metrics["label"] == "pool run"
-        assert metrics["worker_counters"]["worker.123.kernel.cache_hits"] == 7
-        assert metrics["kernel_totals"]["cache_hits"] >= 0
+class TestAuditSection:
+    def test_audit_flag_folds_the_bundle(self, tmp_path, capsys):
+        trace = make_trace(tmp_path / "t.jsonl")
+        bundle = make_audit_bundle(tmp_path)
+        assert cli_main(["--json", str(trace), "--audit", str(bundle)]) == 0
+        audit = json.loads(capsys.readouterr().out)["audit"]
+        assert audit["leaves"] == 6
+        assert audit["distinct_indexes"] == 6
+        assert audit["nodes"] == 5
+        assert audit["tree_nodes"] == 6
+        assert audit["dedup_ratio"] == "6/5"
+        assert audit["protocols"] == {"CA1": 2, "CA1-adaptive": 2, "CA2": 2}
+        assert audit["root"] == read_audit_bundle(bundle).root
 
-    def test_metrics_tables_rendered(self, tmp_path, capsys):
-        trace_path, metrics_path = self._artifacts(tmp_path)
-        assert cli_main([str(trace_path), "--metrics", str(metrics_path)]) == 0
+    def test_audit_tables_rendered(self, tmp_path, capsys):
+        trace = make_trace(tmp_path / "t.jsonl")
+        bundle = make_audit_bundle(tmp_path)
+        assert cli_main([str(trace), "--audit", str(bundle)]) == 0
         out = capsys.readouterr().out
-        assert "Worker-merged counters" in out
-        assert "kernel totals" in out
+        assert "== Audit bundle ==" in out
+        assert "== Audit leaves by protocol ==" in out
+        assert "CA1-adaptive" in out
+        assert f"chain root: {read_audit_bundle(bundle).root}" in out
 
-    def test_wrong_schema_metrics_exits_2(self, tmp_path, capsys):
-        trace_path, _metrics = self._artifacts(tmp_path)
-        code = cli_main([str(trace_path), "--metrics", str(trace_path)])
-        assert code == 2
-        assert "repro-metrics/1" in capsys.readouterr().err
-
-    def test_missing_metrics_file_exits_2(self, tmp_path, capsys):
-        trace_path, _metrics = self._artifacts(tmp_path)
-        code = cli_main([str(trace_path), "--metrics", str(tmp_path / "no.jsonl")])
-        assert code == 2
-        assert "cannot read" in capsys.readouterr().err
+    def test_cyclic_node_reference_exits_two(self, tmp_path, capsys):
+        trace = make_trace(tmp_path / "t.jsonl")
+        bundle = make_audit_bundle(tmp_path)
+        lines = bundle.read_text().splitlines()
+        for position, line in enumerate(lines):
+            record = json.loads(line)
+            if record["type"] == "node":
+                record["node"]["children"] = [record["ref"]]
+                lines[position] = json.dumps(record, sort_keys=True)
+                break
+        bundle.write_text("\n".join(lines) + "\n")
+        assert cli_main([str(trace), "--audit", str(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracereport:")
+        assert "not streamed before it" in captured.err

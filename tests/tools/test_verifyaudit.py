@@ -47,6 +47,20 @@ def tamper_first_leaf(audit_path):
     audit_path.write_text("\n".join(out) + "\n")
 
 
+def make_first_node_cyclic(audit_path):
+    """Point the first node record's children at its own ref."""
+    lines = audit_path.read_text().splitlines()
+    for position, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("type") == "node":
+            record["node"]["children"] = [record["ref"]]
+            lines[position] = json.dumps(record, sort_keys=True)
+            break
+    else:
+        raise AssertionError("bundle has no node record")
+    audit_path.write_text("\n".join(lines) + "\n")
+
+
 class TestVerifyAudit:
     def test_clean_bundle_all_tiers(self, tmp_path):
         checkpoint, audit_path = make_audited_sweep(tmp_path)
@@ -65,6 +79,17 @@ class TestVerifyAudit:
         report = verify_audit(str(audit_path))
         assert report["verdict"] == "divergent"
         assert report["hash_defects"]
+
+    def test_cyclic_node_reference_is_a_replay_defect(self, tmp_path):
+        _checkpoint, audit_path = make_audited_sweep(tmp_path)
+        make_first_node_cyclic(audit_path)
+        report = verify_audit(str(audit_path))
+        assert report["verdict"] == "divergent"
+        assert any(
+            "not streamed before its parent" in defect
+            for defect in report["hash_defects"]
+        )
+        assert any("replay failed" in defect for defect in report["replay_defects"])
 
     def test_sample_replays_fewer_derivations(self, tmp_path):
         _checkpoint, audit_path = make_audited_sweep(tmp_path)
@@ -130,6 +155,12 @@ class TestCli:
         tamper_first_leaf(audit_path)
         assert cli_main([str(audit_path)]) == 1
         assert "DEFECT" in capsys.readouterr().out
+
+    def test_cyclic_node_reference_exits_1(self, tmp_path, capsys):
+        _checkpoint, audit_path = make_audited_sweep(tmp_path)
+        make_first_node_cyclic(audit_path)
+        assert cli_main([str(audit_path)]) == 1
+        assert "DIVERGENT" in capsys.readouterr().out
 
     def test_unreadable_bundle_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such.audit"

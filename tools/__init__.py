@@ -8,7 +8,7 @@ Two static-analysis tiers plus two artifact CLIs:
   effect inference over ``src/repro`` (``python -m tools.reproflow
   src/repro``).
 * ``tools.tracereport`` / ``tools.tracediff`` -- fold and diff the
-  ``repro-trace/1`` / ``repro-explain/1`` / ``repro-bench/2`` artifacts.
+  ``repro-trace/1`` / ``repro-explain/1`` / ``repro-audit/1`` artifacts.
 """
 
 __all__ = []

@@ -80,7 +80,7 @@ INTRA_LAYERS = {
     "obs": {
         "clock": 0,
         # jsonl is the one torn-tail-tolerant log every streamed
-        # artifact (trace, metrics, audit) reads and appends through.
+        # artifact (trace, checkpoint, audit) reads and appends through.
         "jsonl": 0,
         "recorder": 0,
         "metrics": 1,

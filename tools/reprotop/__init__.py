@@ -3,8 +3,8 @@
 The fault-tolerant sweep engine (``repro.robustness``) emits
 ``sweep_progress`` events, per-worker shipped counters and cache
 statistics into its ``repro-trace/1`` stream; this tool tails that
-stream (or reads a sweep checkpoint plus a ``repro-metrics/1``
-snapshot) and renders a refreshing status table:
+stream (or counts the rows of a sweep checkpoint) and renders a
+refreshing status table:
 
 * **Progress** -- done/total, percent, retry count, elapsed seconds and
   an ETA extrapolated from the observed row rate.
@@ -18,8 +18,7 @@ Usage::
 
     PYTHONPATH=src python -m tools.reprotop trace.jsonl
     PYTHONPATH=src python -m tools.reprotop --once --json trace.jsonl
-    PYTHONPATH=src python -m tools.reprotop --checkpoint sweep.jsonl \
-        --metrics metrics.jsonl --total 42
+    PYTHONPATH=src python -m tools.reprotop --checkpoint sweep.jsonl --total 42
 
 ``--once`` renders a single status and exits (CI mode); ``--json``
 emits the status dict via :func:`repro.reporting.json_ready` instead of
@@ -33,6 +32,6 @@ clock reads go through ``repro.obs.clock`` (reprolint RL008 holds for
 exception).
 """
 
-from .monitor import SweepMonitor, checkpoint_status, render_status, snapshot_status
+from .monitor import SweepMonitor, checkpoint_status, render_status
 
-__all__ = ["SweepMonitor", "checkpoint_status", "render_status", "snapshot_status"]
+__all__ = ["SweepMonitor", "checkpoint_status", "render_status"]

@@ -6,9 +6,7 @@ Two input modes:
   JSONL, folding new records into a :class:`~tools.reprotop.monitor.SweepMonitor`
   every ``--interval`` seconds until the sweep reports itself finished.
 * **Checkpoint mode** (``--checkpoint``): count completed rows in a
-  sweep checkpoint, optionally enriched by a ``repro-metrics/1``
-  snapshot (``--metrics``) for worker/cache detail and ``--total`` for
-  percent/ETA.
+  sweep checkpoint, with ``--total`` for percent and completion.
 
 ``--once`` renders a single status and exits (the CI shape); ``--json``
 swaps the tables for the status dict.  Per RL008 this module reads the
@@ -24,13 +22,13 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.errors import MetricsError, TraceError
-from repro.obs import read_snapshot, read_trace
+from repro.errors import TraceError
+from repro.obs import read_trace
 from repro.obs.clock import monotonic
 from repro.obs.trace import TRACE_SCHEMA
 from repro.reporting import json_ready
 
-from .monitor import SweepMonitor, checkpoint_status, render_status, snapshot_status
+from .monitor import SweepMonitor, checkpoint_status, render_status
 
 #: ANSI clear-screen + home, prefixed to each refresh in live table mode.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -41,10 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprotop",
         description=(
             "Live monitor for guarantee sweeps: tails a repro-trace/1 "
-            "JSONL (or reads a checkpoint plus a repro-metrics/1 "
-            "snapshot) and renders done/total, ETA, the retry "
-            "histogram, per-worker kernel throughput and the cache hit "
-            "rate."
+            "JSONL (or counts a checkpoint's rows) and renders done/total, "
+            "ETA, the retry histogram, per-worker kernel throughput and "
+            "the cache hit rate."
         ),
     )
     parser.add_argument(
@@ -57,13 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitor a sweep checkpoint JSONL instead of a trace",
     )
     parser.add_argument(
-        "--metrics",
-        help="repro-metrics/1 snapshot to enrich --checkpoint status with",
-    )
-    parser.add_argument(
         "--total",
         type=int,
-        help="expected row count (enables percent/ETA in --checkpoint mode)",
+        help="expected row count (enables percent and completion in --checkpoint mode)",
     )
     parser.add_argument(
         "--interval",
@@ -146,9 +139,6 @@ def _emit(status: Dict, as_json: bool, clear: bool) -> None:
 
 def _checkpoint_once(args: argparse.Namespace) -> Dict:
     done = checkpoint_status(args.checkpoint)
-    if args.metrics:
-        snapshot = read_snapshot(args.metrics)
-        return snapshot_status(snapshot, done=done, total=args.total)
     monitor = SweepMonitor()
     status = monitor.status()
     status.update(done=done, total=args.total)
@@ -194,8 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if (args.trace is None) == (args.checkpoint is None):
         parser.error("exactly one of TRACE or --checkpoint is required")
-    if args.metrics and not args.checkpoint:
-        parser.error("--metrics only applies in --checkpoint mode")
     if args.interval <= 0:
         parser.error("--interval must be positive")
     try:
@@ -206,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Ctrl-C is how an open-ended tail is *meant* to end.
         print()
         return 0
-    except (TraceError, MetricsError) as error:
+    except TraceError as error:
         print(f"reprotop: {error}", file=sys.stderr)
         return 2
     except OSError as error:

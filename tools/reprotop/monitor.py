@@ -2,10 +2,9 @@
 
 Everything here is side-effect free so it can be tested without a
 terminal or a running sweep: :class:`SweepMonitor` folds ``repro-trace/1``
-records one at a time, :func:`snapshot_status` lifts a ``repro-metrics/1``
-snapshot into the same status shape, :func:`checkpoint_status` counts
-completed rows in a sweep checkpoint, and :func:`render_status` turns a
-status dict into the tables the CLI refreshes.
+records one at a time, :func:`checkpoint_status` counts completed rows in
+a sweep checkpoint, and :func:`render_status` turns a status dict into
+the tables the CLI refreshes.
 
 The status dict is the tool's contract (``--json`` emits it via
 :func:`repro.reporting.json_ready`)::
@@ -29,11 +28,11 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
-from repro.errors import MetricsError, TraceError
+from repro.errors import TraceError
 from repro.obs.jsonl import JsonlFormat
 from repro.reporting import render_table
 
-__all__ = ["SweepMonitor", "checkpoint_status", "render_status", "snapshot_status"]
+__all__ = ["SweepMonitor", "checkpoint_status", "render_status"]
 
 #: Counter suffixes (under ``worker.<pid>.kernel.``) that count measure
 #: kernel *queries*; evictions and switches are bookkeeping, not
@@ -216,45 +215,6 @@ def _derive_status(
         "cache": cache,
         "finished": bool(total is not None and done is not None and done >= total and total > 0),
     }
-
-
-def snapshot_status(
-    snapshot: Dict, done: Optional[int] = None, total: Optional[int] = None
-) -> Dict:
-    """Lift a ``repro-metrics/1`` snapshot record into a status dict.
-
-    The snapshot carries no notion of progress of its own, so ``done``
-    (typically a :func:`checkpoint_status` count) and ``total`` come from
-    the caller.  Counters, per-worker kernel attribution, cache stats and
-    span timings all come from the snapshot.
-    """
-    if snapshot.get("type") != "snapshot":
-        raise MetricsError(
-            f"expected a snapshot record, got type={snapshot.get('type')!r}"
-        )
-    counters = {str(k): int(v) for k, v in snapshot.get("counters", {}).items()}
-    workers = _worker_entries(counters)
-    kernel = snapshot.get("kernel_totals", {})
-    hits = int(kernel.get("cache_hits", 0))
-    misses = int(kernel.get("cache_misses", 0))
-    spans = snapshot.get("spans", {})
-    run_span = spans.get("run_tasks") or spans.get("robust_sweep") or {}
-    elapsed = run_span.get("total_seconds")
-    status = _derive_status(
-        done=done,
-        total=total,
-        retries=counters.get("engine.retries", 0),
-        elapsed=elapsed,
-        workers=workers,
-        worker_attempts={},
-        cache={"hits": hits, "misses": misses, "hit_rate": _fraction_or_none(hits, misses)},
-        maxrss_kb=snapshot.get("gauges", {}).get("engine.maxrss_kb"),
-    )
-    status["retry_histogram"] = {}
-    status["outcomes"] = {}
-    status["records"] = 1
-    status["snapshot_label"] = snapshot.get("label", "")
-    return status
 
 
 def checkpoint_status(path: str) -> int:

@@ -1,10 +1,8 @@
 """tracediff: explain *why* two runs differ, not just that they do.
 
 Compares two observability artifacts -- ``repro-trace/1`` JSONL traces,
-``repro-explain/1`` derivation files,
-``repro-audit/1`` Merkle audit bundles, ``repro-bench/2`` benchmark
-reports, or ``repro-metrics/1`` snapshot streams (auto-detected) -- and
-reports:
+``repro-explain/1`` derivation files, or ``repro-audit/1`` Merkle audit
+bundles (auto-detected) -- and reports:
 
 * **counter deltas** -- every monotonic counter whose folded total
   changed between the runs;
@@ -17,12 +15,11 @@ reports:
   ``repro-explain/1`` derivations, the first diverging *derivation node*
   by tree path (aligned by derivation fingerprint).
 
-For metrics streams the final snapshots are compared: counter and
-kernel-total deltas are content (worker pids masked -- the telemetry
-layer ships deterministic per-attempt deltas, only their pid labels
-vary), span seconds are timing.  Two runs with the same seeds and fault
-plan must produce zero divergence; two chaos runs with different fault plans diverge, and the
-first diverging record localises where.  ``--bisect`` skips the
+Worker-shipped counters are content with their pids masked (the
+telemetry layer ships deterministic per-attempt deltas, only their pid
+labels vary).  Two runs with the same seeds and fault plan must produce
+zero divergence; two chaos runs with different fault plans diverge, and
+the first diverging record localises where.  ``--bisect`` skips the
 aggregate summaries and binary-searches straight to the first diverging
 record (rolling hash chains over normalised records, the bundle's own
 Merkle chain for ``repro-audit/1``) or derivation node, printing a
@@ -42,9 +39,7 @@ from .bisect import bisect_artifacts, render_bisect
 from .diff import (
     diff_artifacts,
     diff_audit,
-    diff_bench,
     diff_derivations,
-    diff_metrics,
     diff_traces,
     load_artifact,
     render_diff,
@@ -54,9 +49,7 @@ __all__ = [
     "bisect_artifacts",
     "diff_artifacts",
     "diff_audit",
-    "diff_bench",
     "diff_derivations",
-    "diff_metrics",
     "diff_traces",
     "load_artifact",
     "render_bisect",

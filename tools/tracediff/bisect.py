@@ -9,11 +9,11 @@ small enough to paste into a regression report.
 
 Two hash structures make the binary search sound:
 
-* **Record streams** (``repro-trace/1``, ``repro-metrics/1``): each
-  normalised record is hashed, the hashes are folded into a rolling
-  chain, and equal chain values at a position prove the whole prefixes
-  equal -- so the first diverging record is found by binary search over
-  chain positions, O(log n) probes.
+* **Traces** (``repro-trace/1``): each normalised record is hashed, the
+  hashes are folded into a rolling chain, and equal chain values at a
+  position prove the whole prefixes equal -- so the first diverging
+  record is found by binary search over chain positions, O(log n)
+  probes.
 * **Audit bundles** (``repro-audit/1``): the hashes are already in the
   artifact.  The ``chain`` column is binary-searched the same way, and a
   diverging leaf's derivation is descended fingerprint-first through the
@@ -23,8 +23,7 @@ Two hash structures make the binary search sound:
 A ``repro-explain/1`` derivation is a single tree, so its bisection is
 the plain diff's depth-first walk to the shallowest, leftmost diverging
 node, reported as a pointer.  ``--bisect`` accepts the same artifact
-kinds as the plain diff -- except ``repro-bench/2`` reports, which are
-keyed by benchmark name, not sequenced, and have nothing to bisect.
+kinds as the plain diff.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ def first_chain_divergence(
 
 
 def _bisect_records(
-    kind: str,
     records_a: Sequence[Mapping[str, Any]],
     records_b: Sequence[Mapping[str, Any]],
 ) -> Dict[str, Any]:
@@ -112,7 +110,7 @@ def _bisect_records(
         record_chain(normalized_a), record_chain(normalized_b)
     )
     summary: Dict[str, Any] = {
-        "kind": kind,
+        "kind": "trace",
         "mode": "bisect",
         "records_a": len(records_a),
         "records_b": len(records_b),
@@ -224,8 +222,7 @@ def bisect_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
     """Load two artifacts and binary-search their first divergence.
 
     Accepts the same auto-detected artifact kinds as
-    :func:`tools.tracediff.diff.diff_artifacts` except ``bench`` (keyed,
-    not sequenced -- there is no order to bisect).  The summary always
+    :func:`tools.tracediff.diff.diff_artifacts`.  The summary always
     carries ``pointer``: the minimal reproduction pointer, ``None`` when
     the artifacts' content is identical.
     """
@@ -236,13 +233,8 @@ def bisect_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
             f"cannot bisect a {kind_a} artifact against a {kind_b} artifact "
             f"({path_a!r} vs {path_b!r})"
         )
-    if kind_a == "bench":
-        raise TraceError(
-            "bench reports are keyed by benchmark name, not sequenced; "
-            "there is no order to bisect -- use the plain diff"
-        )
-    if kind_a in ("trace", "metrics"):
-        summary = _bisect_records(kind_a, payload_a, payload_b)
+    if kind_a == "trace":
+        summary = _bisect_records(payload_a, payload_b)
     elif kind_a == "explain":
         summary = _bisect_derivations(payload_a, payload_b)
     else:

@@ -7,7 +7,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.errors import AuditError, MetricsError, ProvenanceError, TraceError
+from repro.errors import AuditError, ProvenanceError, TraceError
 from repro.reporting import json_ready
 
 from .bisect import bisect_artifacts, render_bisect
@@ -19,9 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tracediff",
         description=(
             "Diff two observability artifacts (repro-trace/1 JSONL, "
-            "repro-explain/1 derivation, repro-audit/1 bundle, "
-            "repro-bench/2 report, or "
-            "repro-metrics/1 snapshot stream; auto-detected): counter deltas, cache hit-rate shift, "
+            "repro-explain/1 derivation, or repro-audit/1 bundle; "
+            "auto-detected): counter deltas, cache hit-rate shift, "
             "per-span timing ratios, and the first diverging record or "
             "derivation node.  Timing drift is informational; only "
             "content divergence counts as divergence."
@@ -59,7 +58,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             summary = bisect_artifacts(args.a, args.b)
         else:
             summary = diff_artifacts(args.a, args.b)
-    except (AuditError, TraceError, ProvenanceError, MetricsError) as error:
+    except (AuditError, TraceError, ProvenanceError) as error:
         print(f"tracediff: {error}", file=sys.stderr)
         return 2
     except OSError as error:

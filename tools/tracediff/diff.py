@@ -24,29 +24,21 @@ from repro.obs.provenance import (
     DerivationNode,
     derivation_from_json,
 )
-from repro.obs.snapshot import METRICS_SCHEMA, read_snapshots
 from repro.obs.trace import TRACE_SCHEMA, read_trace
 
 __all__ = [
-    "BENCH_SCHEMA",
     "diff_artifacts",
     "diff_audit",
-    "diff_bench",
     "diff_derivations",
-    "diff_metrics",
     "diff_traces",
     "load_artifact",
     "render_diff",
 ]
 
-#: Benchmark-report schema this tool understands (``benchmarks/collect.py``).
-BENCH_SCHEMA = "repro-bench/2"
-
 #: Record keys that vary run to run without the content differing: the
 #: wall-clock quarantine (``ts``, ``seconds``) plus bookkeeping ids
-#: (``seq``, ``span``, ``parent``, and ``repro-metrics/1``'s ``pid``)
-#: that shift when unrelated records are interleaved or the process
-#: changes.
+#: (``seq``, ``span``, ``parent``, ``pid``) that shift when unrelated
+#: records are interleaved or the process changes.
 VOLATILE_KEYS = frozenset({"seq", "ts", "span", "parent", "seconds", "pid"})
 
 #: Worker pids are assigned by the OS, so per-worker counter names
@@ -80,13 +72,12 @@ def load_artifact(path: str) -> Tuple[str, Any]:
     Returns ``(kind, payload)`` where ``kind`` is ``"trace"`` (payload: a
     record list from :func:`repro.obs.trace.read_trace`), ``"explain"``
     (payload: a :class:`~repro.obs.provenance.Derivation` decoded from a
-    ``repro-explain/1`` document), ``"audit"`` (payload: an
-    :class:`~repro.obs.audit.AuditBundle`), ``"bench"``
-    (payload: the decoded ``repro-bench/2`` document), or ``"metrics"``
-    (payload: a record list from :func:`repro.obs.snapshot.read_snapshots`).
-    Raises :class:`~repro.errors.TraceError` or
-    :class:`~repro.errors.ProvenanceError` when the file matches no
-    known schema.
+    ``repro-explain/1`` document), or ``"audit"`` (payload: an
+    :class:`~repro.obs.audit.AuditBundle`).  Raises
+    :class:`~repro.errors.TraceError`,
+    :class:`~repro.errors.ProvenanceError` or
+    :class:`~repro.errors.AuditError` when the file matches no known
+    schema or fails its reader's checks.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -102,22 +93,13 @@ def load_artifact(path: str) -> Tuple[str, Any]:
             # A header-only bundle: an audited sweep that was killed
             # before its first leaf.  Still a valid (empty) bundle.
             return "audit", read_audit_bundle(path)
-        if schema == BENCH_SCHEMA:
-            if not isinstance(document.get("benchmarks"), list):
-                raise TraceError(
-                    f"{path!r}: {BENCH_SCHEMA} document has no 'benchmarks' list"
-                )
-            return "bench", document
         if schema == TRACE_SCHEMA and document.get("type") == "header":
             # A header-only trace is a single JSON object and a valid
             # one-line JSONL file at the same time; treat it as a trace.
             return "trace", read_trace(text.splitlines())
-        if schema == METRICS_SCHEMA and document.get("type") == "header":
-            return "metrics", read_snapshots(text.splitlines())
         raise TraceError(
             f"{path!r}: unrecognised artifact schema {schema!r} "
-            f"(expected {TRACE_SCHEMA!r}, {EXPLAIN_SCHEMA!r}, "
-            f"{AUDIT_SCHEMA!r}, {BENCH_SCHEMA!r}, or {METRICS_SCHEMA!r})"
+            f"(expected {TRACE_SCHEMA!r}, {EXPLAIN_SCHEMA!r}, or {AUDIT_SCHEMA!r})"
         )
     # Multi-line JSONL: the header's schema field says which stream it is.
     first_line = next((line for line in text.splitlines() if line.strip()), "")
@@ -125,8 +107,6 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         header = json.loads(first_line)
     except json.JSONDecodeError:
         header = None
-    if isinstance(header, dict) and header.get("schema") == METRICS_SCHEMA:
-        return "metrics", read_snapshots(text.splitlines())
     if isinstance(header, dict) and header.get("schema") == AUDIT_SCHEMA:
         return "audit", read_audit_bundle(path)
     return "trace", read_trace(text.splitlines())
@@ -634,205 +614,6 @@ def diff_traces(
 
 
 # ----------------------------------------------------------------------
-# Metrics-snapshot diff
-# ----------------------------------------------------------------------
-
-
-def _final_snapshot(records: Sequence[Mapping[str, Any]]) -> Optional[Mapping[str, Any]]:
-    last = None
-    for record in records:
-        if record.get("type") == "snapshot":
-            last = record
-    return last
-
-
-def _masked_ints(mapping: Any) -> Dict[str, int]:
-    if not isinstance(mapping, Mapping):
-        return {}
-    totals: Dict[str, int] = {}
-    for name, value in mapping.items():
-        key = _mask_worker(str(name))
-        totals[key] = totals.get(key, 0) + int(value)
-    return totals
-
-
-def _int_deltas(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, Dict[str, int]]:
-    return {
-        name: {
-            "a": a.get(name, 0),
-            "b": b.get(name, 0),
-            "delta": b.get(name, 0) - a.get(name, 0),
-        }
-        for name in sorted(set(a) | set(b))
-        if a.get(name, 0) != b.get(name, 0)
-    }
-
-
-def diff_metrics(
-    records_a: Sequence[Mapping[str, Any]],
-    records_b: Sequence[Mapping[str, Any]],
-) -> Dict[str, Any]:
-    """Compare two ``repro-metrics/1`` snapshot streams.
-
-    The *final* snapshot of each stream is compared (a stream may
-    checkpoint many snapshots; the last one is the run's totals).
-    Counter and kernel-total deltas are **content** -- after worker
-    telemetry shipping they must match exactly between identically
-    seeded runs, pids masked.  Span timings are reported as ratios only,
-    and the per-record ``ts``/``pid`` stamps were never compared at all
-    (:data:`VOLATILE_KEYS`).
-    """
-    final_a = _final_snapshot(records_a)
-    final_b = _final_snapshot(records_b)
-    summary: Dict[str, Any] = {
-        "kind": "metrics",
-        "snapshots_a": sum(1 for r in records_a if r.get("type") == "snapshot"),
-        "snapshots_b": sum(1 for r in records_b if r.get("type") == "snapshot"),
-        "label_a": final_a.get("label", "") if final_a else None,
-        "label_b": final_b.get("label", "") if final_b else None,
-        "counter_deltas": {},
-        "kernel_deltas": {},
-        "span_count_deltas": {},
-        "timing_ratios": {},
-        "diverged": False,
-        "first_divergence": None,
-    }
-    if final_a is None or final_b is None:
-        if (final_a is None) != (final_b is None):
-            summary["diverged"] = True
-            summary["first_divergence"] = {
-                "field": "snapshots",
-                "a": summary["snapshots_a"],
-                "b": summary["snapshots_b"],
-            }
-        return summary
-    counters_a = _masked_ints(final_a.get("counters"))
-    counters_b = _masked_ints(final_b.get("counters"))
-    summary["counter_deltas"] = _int_deltas(counters_a, counters_b)
-    kernel_a = _masked_ints(final_a.get("kernel_totals"))
-    kernel_b = _masked_ints(final_b.get("kernel_totals"))
-    summary["kernel_deltas"] = _int_deltas(kernel_a, kernel_b)
-
-    spans_a = final_a.get("spans") or {}
-    spans_b = final_b.get("spans") or {}
-    count_a = {str(n): int(e.get("count", 0)) for n, e in spans_a.items()}
-    count_b = {str(n): int(e.get("count", 0)) for n, e in spans_b.items()}
-    summary["span_count_deltas"] = _int_deltas(count_a, count_b)
-    for name in sorted(set(spans_a) | set(spans_b)):
-        seconds_a = float(spans_a.get(name, {}).get("total_seconds", 0.0))
-        seconds_b = float(spans_b.get(name, {}).get("total_seconds", 0.0))
-        summary["timing_ratios"][name] = {
-            "seconds_a": round(seconds_a, 6),
-            "seconds_b": round(seconds_b, 6),
-            "ratio": round(seconds_b / seconds_a, 4) if seconds_a > 0.0 else None,
-        }
-
-    for field, deltas in (
-        ("counters", summary["counter_deltas"]),
-        ("kernel_totals", summary["kernel_deltas"]),
-        ("spans", summary["span_count_deltas"]),
-    ):
-        if deltas:
-            summary["diverged"] = True
-            if summary["first_divergence"] is None:
-                name = next(iter(deltas))
-                summary["first_divergence"] = {"field": field, "name": name, **deltas[name]}
-    if summary["label_a"] != summary["label_b"]:
-        summary["diverged"] = True
-        if summary["first_divergence"] is None:
-            summary["first_divergence"] = {
-                "field": "label",
-                "a": summary["label_a"],
-                "b": summary["label_b"],
-            }
-    return summary
-
-
-# ----------------------------------------------------------------------
-# Bench diff
-# ----------------------------------------------------------------------
-
-
-def _bench_key(entry: Mapping[str, Any]) -> str:
-    """Alignment key for one benchmark entry.
-
-    A report may legitimately repeat a benchmark name across backends or
-    parameter sets (``BENCH_4.json`` runs ``scalability_pipeline`` once
-    per backend), so the key folds in whatever distinguishes the runs.
-    """
-    name = str(entry.get("name"))
-    backend = entry.get("backend")
-    params = entry.get("params")
-    suffix = ""
-    if backend is not None:
-        suffix += f"[{backend}]"
-    if params:
-        suffix += json.dumps(params, sort_keys=True)
-    return name + suffix
-
-
-def diff_bench(doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]) -> Dict[str, Any]:
-    """Compare two ``repro-bench/2`` reports, aligned by benchmark.
-
-    Entries align on name plus backend/params (names repeat across
-    backends).  Exact ``results`` must match (content divergence);
-    ``seconds`` are reported as ratios only, so timing drift between
-    machines or runs never fails a diff.
-    """
-    by_name_a = {_bench_key(entry): entry for entry in doc_a.get("benchmarks", [])}
-    by_name_b = {_bench_key(entry): entry for entry in doc_b.get("benchmarks", [])}
-    only_a = sorted(set(by_name_a) - set(by_name_b))
-    only_b = sorted(set(by_name_b) - set(by_name_a))
-    result_divergences = []
-    timing_ratios = {}
-    counter_deltas: Dict[str, Dict[str, Any]] = {}
-    for name in sorted(set(by_name_a) & set(by_name_b)):
-        entry_a = by_name_a[name]
-        entry_b = by_name_b[name]
-        seconds_a = float(entry_a.get("seconds", 0.0))
-        seconds_b = float(entry_b.get("seconds", 0.0))
-        timing_ratios[name] = {
-            "seconds_a": round(seconds_a, 6),
-            "seconds_b": round(seconds_b, 6),
-            "ratio": round(seconds_b / seconds_a, 4) if seconds_a > 0.0 else None,
-        }
-        results_a = entry_a.get("results")
-        results_b = entry_b.get("results")
-        if results_a != results_b:
-            result_divergences.append(
-                {"name": name, "a": results_a, "b": results_b}
-            )
-        for counter in sorted(
-            set(entry_a.get("counters", {})) | set(entry_b.get("counters", {}))
-        ):
-            value_a = entry_a.get("counters", {}).get(counter, 0)
-            value_b = entry_b.get("counters", {}).get(counter, 0)
-            if value_a != value_b:
-                counter_deltas[f"{name}.{counter}"] = {
-                    "a": value_a,
-                    "b": value_b,
-                    "delta": value_b - value_a,
-                }
-    diverged = bool(result_divergences or only_a or only_b)
-    return {
-        "kind": "bench",
-        "benchmarks_a": len(by_name_a),
-        "benchmarks_b": len(by_name_b),
-        "only_in_a": only_a,
-        "only_in_b": only_b,
-        "result_divergences": result_divergences,
-        "counter_deltas": counter_deltas,
-        "timing_ratios": timing_ratios,
-        "diverged": diverged,
-        "first_divergence": (
-            {"benchmark": result_divergences[0]["name"]}
-            if result_divergences
-            else ({"benchmark": (only_a + only_b)[0]} if diverged else None)
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
 # Entry point + rendering
 # ----------------------------------------------------------------------
 
@@ -841,7 +622,7 @@ def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
     """Load, kind-check, and diff two artifact files.
 
     The two files must be the same kind of artifact; mixing (say) a
-    trace with a bench report raises :class:`~repro.errors.TraceError`.
+    trace with an audit bundle raises :class:`~repro.errors.TraceError`.
     """
     kind_a, payload_a = load_artifact(path_a)
     kind_b, payload_b = load_artifact(path_b)
@@ -854,12 +635,8 @@ def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = diff_traces(payload_a, payload_b)
     elif kind_a == "explain":
         summary = diff_derivations(payload_a, payload_b)
-    elif kind_a == "audit":
-        summary = diff_audit(payload_a, payload_b)
-    elif kind_a == "metrics":
-        summary = diff_metrics(payload_a, payload_b)
     else:
-        summary = diff_bench(payload_a, payload_b)
+        summary = diff_audit(payload_a, payload_b)
     summary["a"] = path_a
     summary["b"] = path_b
     return summary
@@ -943,59 +720,4 @@ def render_diff(summary: Mapping[str, Any]) -> str:
                 "first diverging derivation node: "
                 f"{node.get('path')} [{node.get('field')}]"
             )
-    elif kind == "metrics":
-        lines.append(
-            f"snapshots: {summary['snapshots_a']} vs {summary['snapshots_b']}"
-        )
-        if summary.get("label_a") != summary.get("label_b"):
-            lines.append(
-                f"labels: {summary.get('label_a')!r} vs {summary.get('label_b')!r}"
-            )
-        for title, deltas in (
-            ("counter deltas", summary.get("counter_deltas", {})),
-            ("kernel totals deltas", summary.get("kernel_deltas", {})),
-            ("span count deltas", summary.get("span_count_deltas", {})),
-        ):
-            if deltas:
-                lines.append(f"{title}:")
-                for name, entry in deltas.items():
-                    lines.append(
-                        f"  {name}: {entry['a']} -> {entry['b']} ({entry['delta']:+d})"
-                    )
-            else:
-                lines.append(f"{title}: none")
-        ratios = summary.get("timing_ratios", {})
-        if ratios:
-            lines.append("timing ratios (informational, B/A):")
-            for name, entry in ratios.items():
-                ratio = entry["ratio"]
-                shown = f"{ratio:.4f}" if ratio is not None else "n/a"
-                lines.append(
-                    f"  {name}: {entry['seconds_a']:.6f}s -> "
-                    f"{entry['seconds_b']:.6f}s (x{shown})"
-                )
-        _render_divergence(summary.get("first_divergence"), lines)
-    elif kind == "bench":
-        lines.append(
-            f"benchmarks: {summary['benchmarks_a']} vs {summary['benchmarks_b']}"
-        )
-        for side, names in (("A", summary["only_in_a"]), ("B", summary["only_in_b"])):
-            if names:
-                lines.append(f"only in {side}: {', '.join(names)}")
-        for divergence in summary.get("result_divergences", []):
-            lines.append(f"results differ: {divergence['name']}")
-        deltas = summary.get("counter_deltas", {})
-        if deltas:
-            lines.append("counter deltas:")
-            for name, entry in deltas.items():
-                lines.append(
-                    f"  {name}: {entry['a']} -> {entry['b']} ({entry['delta']:+d})"
-                )
-        ratios = summary.get("timing_ratios", {})
-        if ratios:
-            lines.append("timing ratios (informational, B/A):")
-            for name, entry in ratios.items():
-                ratio = entry["ratio"]
-                shown = f"{ratio:.4f}" if ratio is not None else "n/a"
-                lines.append(f"  {name}: x{shown}")
     return "\n".join(lines)

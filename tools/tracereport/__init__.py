@@ -20,37 +20,17 @@ Usage::
 
     PYTHONPATH=src python -m tools.tracereport trace.jsonl
     PYTHONPATH=src python -m tools.tracereport --json trace.jsonl
-    PYTHONPATH=src python -m tools.tracereport trace.jsonl --metrics m.jsonl
     PYTHONPATH=src python -m tools.tracereport trace.jsonl --audit s.audit
 
-``--metrics`` folds a ``repro-metrics/1`` snapshot into the report as a
-worker-merged counters section -- after a pool sweep the snapshot holds
-the per-worker shipped totals (``worker.<pid>.*``) and the exact
-whole-sweep kernel totals.  ``--audit`` folds a ``repro-audit/1``
-bundle in as an audit section: leaf/node totals, the chain root, and
-the exact hash-consing dedup ratio (``repro-explain/1`` tree nodes
-over ``/2`` table entries).
+``--audit`` folds a ``repro-audit/1`` bundle in as an audit section:
+leaf/node totals, the chain root, and the exact hash-consing dedup ratio
+(``repro-explain/1`` tree nodes over the bundle's node records).
 
 Exit status: 0 on success, 2 when the trace is not a valid
-``repro-trace/1`` artifact, the ``--metrics`` file is not a valid
-``repro-metrics/1`` snapshot, or the ``--audit`` file is not a valid
+``repro-trace/1`` artifact or the ``--audit`` file is not a valid
 ``repro-audit/1`` bundle.
 """
 
-from .report import (
-    render_audit,
-    render_metrics,
-    render_report,
-    summarize,
-    summarize_audit,
-    summarize_metrics,
-)
+from .report import render_audit, render_report, summarize, summarize_audit
 
-__all__ = [
-    "render_audit",
-    "render_metrics",
-    "render_report",
-    "summarize",
-    "summarize_audit",
-    "summarize_metrics",
-]
+__all__ = ["render_audit", "render_report", "summarize", "summarize_audit"]

@@ -7,18 +7,11 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.errors import AuditError, MetricsError, TraceError
-from repro.obs import read_audit_bundle, read_snapshot, read_trace
+from repro.errors import AuditError, TraceError
+from repro.obs import read_audit_bundle, read_trace
 from repro.reporting import json_ready
 
-from .report import (
-    render_audit,
-    render_metrics,
-    render_report,
-    summarize,
-    summarize_audit,
-    summarize_metrics,
-)
+from .report import render_audit, render_report, summarize, summarize_audit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,13 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("trace", help="path to a repro-trace/1 JSONL file")
-    parser.add_argument(
-        "--metrics",
-        help=(
-            "repro-metrics/1 snapshot to fold in as a worker-merged "
-            "counters section"
-        ),
-    )
     parser.add_argument(
         "--audit",
         help=(
@@ -64,21 +50,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"tracereport: cannot read {args.trace!r}: {error}", file=sys.stderr)
         return 2
     summary = summarize(records)
-    if args.metrics:
-        try:
-            snapshot = read_snapshot(args.metrics)
-        except MetricsError as error:
-            print(f"tracereport: {error}", file=sys.stderr)
-            return 2
-        except OSError as error:
-            print(
-                f"tracereport: cannot read {args.metrics!r}: {error}", file=sys.stderr
-            )
-            return 2
-        summary["metrics"] = summarize_metrics(snapshot)
     if args.audit:
         try:
-            bundle = read_audit_bundle(args.audit)
+            summary["audit"] = summarize_audit(read_audit_bundle(args.audit))
         except AuditError as error:
             print(f"tracereport: {error}", file=sys.stderr)
             return 2
@@ -87,14 +61,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"tracereport: cannot read {args.audit!r}: {error}", file=sys.stderr
             )
             return 2
-        summary["audit"] = summarize_audit(bundle)
     try:
         if args.json:
             print(json.dumps(json_ready(summary), indent=2))
         else:
             report = render_report(summary)
-            if "metrics" in summary:
-                report += "\n\n" + render_metrics(summary["metrics"])
             if "audit" in summary:
                 report += "\n\n" + render_audit(summary["audit"])
             print(report)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+from repro.errors import AuditError
 from repro.reporting import render_table
 
 #: Counters whose totals get their own "gfp fixpoints" table rather
@@ -106,35 +107,30 @@ def summarize_audit(bundle) -> Dict:
     Alongside the chain totals, the section quantifies what hash-consing
     bought: ``tree_nodes`` is what ``repro-explain/1`` would have stored
     (every subtree occurrence written in full, summed over all leaves),
-    ``nodes`` is what the bundle actually streamed, and ``dedup_ratio``
-    is their exact quotient.
+    ``nodes`` is what the bundle actually streamed as node records, and
+    ``dedup_ratio`` is their exact quotient.  Raises
+    :class:`~repro.errors.AuditError` when a node record names a child
+    that was not streamed before it (a dangling or cyclic reference).
     """
     protocols: Dict[str, int] = {}
     for leaf in bundle.leaves:
         name = str(leaf.get("task", {}).get("protocol"))
         protocols[name] = protocols.get(name, 0) + 1
-    # Tree size per subtree by memoised descent: O(table), even though
-    # the unfolded trees can be exponentially larger than the DAG.
+    # Writers stream every child before its parent, so one pass in stream
+    # order sizes each subtree from its children's sizes: O(table), even
+    # though the unfolded trees can be exponentially larger than the DAG.
     tree_sizes: Dict[str, int] = {}
-
-    def tree_size(ref: str) -> int:
-        known = tree_sizes.get(ref)
-        if known is not None:
-            return known
-        payload = bundle.nodes.get(ref)
-        size = (
-            1 + sum(tree_size(child) for child in payload.get("children", []))
-            if payload is not None
-            else 0
-        )
+    for ref, payload in bundle.nodes.items():
+        size = 1
+        for child in payload.get("children", []):
+            if child not in tree_sizes:
+                raise AuditError(
+                    f"audit node {ref} names child {child}, which is not "
+                    "streamed before it"
+                )
+            size += tree_sizes[child]
         tree_sizes[ref] = size
-        return size
-
-    tree_nodes = sum(
-        tree_size(leaf["root_ref"])
-        for leaf in bundle.leaves
-        if leaf.get("root_ref") is not None
-    )
+    tree_nodes = sum(tree_sizes.get(leaf.get("root_ref"), 0) for leaf in bundle.leaves)
     return {
         "explain_schema": bundle.header.get("explain_schema"),
         "leaves": len(bundle.leaves),
@@ -175,78 +171,6 @@ def render_audit(audit: Dict) -> str:
             )
         )
     sections.append(f"chain root: {audit['root']}")
-    return "\n\n".join(sections)
-
-
-def summarize_metrics(snapshot: Dict) -> Dict:
-    """Fold a ``repro-metrics/1`` snapshot into the report's metrics section.
-
-    The snapshot is one record from :func:`repro.obs.read_snapshot` --
-    typically taken after a pool sweep, so its counters carry the
-    worker-merged totals (``worker.<pid>.*``) the trace alone would lack
-    on an uninstrumented run.  Returned shape::
-
-        {"label": ..., "counters": {...}, "worker_counters": {...},
-         "kernel_totals": {...}, "cache": {...}}
-    """
-    counters = {
-        str(name): int(value)
-        for name, value in snapshot.get("counters", {}).items()
-    }
-    worker_counters = {
-        name: value for name, value in counters.items() if name.startswith("worker.")
-    }
-    cache = dict(snapshot.get("cache", {}))
-    return {
-        "label": snapshot.get("label", ""),
-        "counters": dict(sorted(counters.items())),
-        "worker_counters": dict(sorted(worker_counters.items())),
-        "kernel_totals": dict(snapshot.get("kernel_totals", {})),
-        "cache": cache,
-    }
-
-
-def render_metrics(metrics: Dict) -> str:
-    """Render a :func:`summarize_metrics` result as plain-text tables."""
-    sections: List[str] = []
-    label = metrics.get("label") or "(unlabelled)"
-    kernel = metrics.get("kernel_totals", {})
-    if kernel:
-        sections.append(
-            render_table(
-                f"Metrics snapshot {label}: kernel totals",
-                ["counter", "total"],
-                sorted(kernel.items()),
-            )
-        )
-    worker_counters = metrics.get("worker_counters", {})
-    if worker_counters:
-        sections.append(
-            render_table(
-                "Worker-merged counters",
-                ["counter", "total"],
-                list(worker_counters.items()),
-            )
-        )
-    cache = metrics.get("cache", {})
-    if cache:
-        rate = cache.get("hit_rate")
-        sections.append(
-            render_table(
-                "Snapshot cache",
-                ["hits", "misses", "evictions", "hit rate"],
-                [
-                    [
-                        cache.get("hits", 0),
-                        cache.get("misses", 0),
-                        cache.get("evictions", 0),
-                        rate if rate is not None else "n/a",
-                    ]
-                ],
-            )
-        )
-    if not sections:
-        return "(metrics snapshot carries no kernel, worker, or cache data)"
     return "\n\n".join(sections)
 
 
