@@ -46,7 +46,7 @@ def _minimum_inner(
     order and groups in point-index order, and only a strictly smaller
     value replaces the best, so ties keep the first agent and point.
     """
-    target = attack.coordinated.points(attack.psys.system)
+    target = assignment.fact_mask(attack.coordinated)
     best: Optional[Tuple[Fraction, int, Point]] = None
     for agent in attack.group:
         for group, inner in assignment.inner_probabilities(agent, target):

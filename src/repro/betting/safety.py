@@ -103,10 +103,9 @@ def is_safe(
 ) -> bool:
     """``Bet(phi, alpha)`` is S-safe for ``p_i`` at ``c``: ``p_i`` knows it
     breaks even, i.e. it breaks even at every point of ``K_i(c)``."""
-    system = assignment.psys.system
     return all(
         breaks_even(assignment, agent, candidate, rule, strategies, semantics)
-        for candidate in system.knowledge_set(agent, point)
+        for candidate in assignment.knowledge_set(agent, point)
     )
 
 
@@ -164,10 +163,9 @@ def is_safe_analytic(
     :func:`repro.betting.theorems.verify_theorem7`.
     """
     threshold = as_fraction(alpha)
-    system = opponent_assignment.psys.system
     return all(
         opponent_assignment.inner_probability(agent, candidate, fact) >= threshold
-        for candidate in system.knowledge_set(agent, point)
+        for candidate in opponent_assignment.knowledge_set(agent, point)
     )
 
 
@@ -188,8 +186,7 @@ def refuting_strategy(
     from .strategies import targeted_strategy
 
     threshold = as_fraction(alpha)
-    system = opponent_assignment.psys.system
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in opponent_assignment.knowledge_set(agent, point):
         if opponent_assignment.inner_probability(agent, candidate, fact) < threshold:
             return targeted_strategy(
                 opponent,
@@ -262,10 +259,8 @@ def safety_certificate(
     certificates are deterministic and diffable across runs.
     """
     threshold = as_fraction(alpha)
-    psys = opponent_assignment.psys
-    system = psys.system
-    index = psys.point_index
-    ordered = sorted(system.knowledge_set(agent, point), key=index.position)
+    index = opponent_assignment.psys.point_index
+    ordered = sorted(opponent_assignment.knowledge_set(agent, point), key=index.position)
     candidates = tuple(
         (candidate, opponent_assignment.inner_probability(agent, candidate, fact))
         for candidate in ordered

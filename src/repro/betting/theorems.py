@@ -107,7 +107,7 @@ def _strategy_family(
     """
     system = assignment.psys.system
     relevant_points: set = set()
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in assignment.knowledge_set(agent, point):
         relevant_points |= assignment.sample_space(agent, candidate)
     locals_ = opponent_states(system, opponent, relevant_points)
     menu = [ONE, ONE / alpha, 2 / alpha]
@@ -137,7 +137,7 @@ def verify_theorem7(
     test_points = list(points) if points is not None else list(system.points)
     report = VerificationReport("Theorem 7", True, 0)
     for point in test_points:
-        candidate_points = system.knowledge_set(agent, point)
+        candidate_points = opponent_pa.knowledge_set(agent, point)
         grid = (
             tuple(as_fraction(alpha) for alpha in alphas)
             if alphas is not None
@@ -205,7 +205,7 @@ def verify_proposition6(
     test_points = list(points) if points is not None else list(system.points)
     report = VerificationReport("Proposition 6", True, 0)
     for point in test_points:
-        candidate_points = system.knowledge_set(agent, point)
+        candidate_points = opp_pa.knowledge_set(agent, point)
         grid = (
             tuple(as_fraction(alpha) for alpha in alphas)
             if alphas is not None
@@ -255,7 +255,7 @@ def determines_safe_bets(
     system = assignment.psys.system
     for fact in facts:
         for point in system.points:
-            candidate_points = system.knowledge_set(agent, point)
+            candidate_points = assignment.knowledge_set(agent, point)
             grid = (
                 tuple(as_fraction(alpha) for alpha in alphas)
                 if alphas is not None
@@ -515,8 +515,7 @@ def acceptance_rule_is_safe(
     from .game import acceptance_set_rule
 
     gain = acceptance_set_rule(fact, accepted)
-    system = assignment.psys.system
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in assignment.knowledge_set(agent, point):
         space = assignment.space(agent, point=candidate)
         for strategy in strategies:
 
@@ -551,7 +550,7 @@ def footnote13_threshold_optimality(
     opponent_pa = opponent_assignment(psys, opponent)
     system = psys.system
     relevant_points: set = set()
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in opponent_pa.knowledge_set(agent, point):
         relevant_points |= opponent_pa.sample_space(agent, candidate)
     locals_ = opponent_states(system, opponent, relevant_points)
     menu = [ONE] + payoffs + [payoffs[0] + Fraction(1, 2)]

@@ -26,17 +26,23 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     Iterator,
     List,
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
-from ..errors import NotMeasurableError, Req1Error, Req2Error
+from ..errors import NotMeasurableError, Req1Error, Req2Error, TreeError
+from ..probability.bitset import (
+    OutcomeIndex,
+    compress_mask,
+    mask_of_positions,
+    members_of_mask,
+)
 from ..probability.fractionutil import ZERO
 from ..probability.space import FiniteProbabilitySpace
 from .facts import Fact, state_generated_point_set
@@ -79,11 +85,21 @@ def check_req2(
     """
     sample_set = frozenset(sample)
     tree = check_req1(psys, point, sample_set)
-    runs = tree.runs_through(sample_set)
-    space = psys.run_space(tree.adversary)
-    if not space.is_measurable(runs):
-        raise Req2Error("the runs through the sample space are not measurable")
-    measure = space.measure(runs)
+    run_position = tree.run_position
+    return _check_runs(
+        psys.run_space(tree.adversary),
+        mask_of_positions([run_position(run) for run in tree.runs_through(sample_set)]),
+    )
+
+
+def _check_runs(run_space: FiniteProbabilitySpace, runs: int) -> Fraction:
+    """REQ2 on ``R(S)``, given as a mask over the run space of the tree
+    REQ1 placed the sample in: bit ``k`` is the tree's ``k``-th run,
+    whose singleton atom is the run space's ``k``-th."""
+    try:
+        measure = run_space.measure_mask(runs)  # raises on a split atom
+    except NotMeasurableError:
+        raise Req2Error("the runs through the sample space are not measurable") from None
     if measure <= ZERO:
         raise Req2Error("the runs through the sample space have measure zero")
     return measure
@@ -170,32 +186,103 @@ def induced_point_space(
     on ``r`` -- one atom per run the sample touches, in run-atom order,
     which in asynchronous systems may contain several points (this is
     exactly the source of Section 7's non-measurability).  The measure
-    conditions ``mu_A`` on ``R(S_ic)``.
+    conditions ``mu_A`` on ``R(S_ic)``.  The space numbers the sample's
+    points in ``System.point_index`` order.
     """
     sample_set = frozenset(sample)
-    check_req2(psys, point, sample_set)  # REQ1 checked inside
-    tree = psys.tree_of(point)
-    run_weights = psys.run_space(tree.adversary).atom_weights
-    # group the sample by run once: only the runs the sample touches are
-    # projected, so the cost is linear in the sample, not in the tree
-    points_on_run: Dict[Run, List[Point]] = {}
-    for member in sample_set:
-        points_on_run.setdefault(member.run, []).append(member)
-    positions = sorted(tree.run_position(run) for run in points_on_run)
-    runs = tree.runs
-    # conditioning on R(S_ic) in integer weight form: the conditional
-    # measure of a projected atom is its run weight over the total weight
-    # of runs through the sample, with no per-atom Fraction division.
-    # Distinct runs project to disjoint nonempty point sets covering the
-    # sample, so the atoms partition it by construction, and check_req2
-    # guarantees the total weight is positive.
-    weights = tuple(run_weights[position] for position in positions)
-    return FiniteProbabilitySpace._from_atom_weights(
-        tuple(frozenset(points_on_run[runs[position]]) for position in positions),
+    tree = check_req1(psys, point, sample_set)
+    position = psys.point_index.position
+    return _space_over(psys, tree, tuple(sorted(sample_set, key=position)))
+
+
+def _space_over(
+    psys: ProbabilisticSystem, tree: ComputationTree, points: Tuple[Point, ...]
+) -> FiniteProbabilitySpace:
+    """The one construction of an induced point space (Section 5).
+
+    ``points`` is a REQ1-checked sample of ``tree`` in
+    ``System.point_index`` order, and is the space's numbering: bit ``i``
+    of an atom mask is ``points[i]``.  REQ2 is checked here, on the runs
+    the sample touches.  Conditioning on ``R(S)`` in integer weight form,
+    each atom weighs its run's integer weight over the total weight of
+    runs through the sample, with no per-atom Fraction division.
+    Distinct runs project to disjoint nonempty point sets covering the
+    sample, so the atoms partition it by construction, and REQ2
+    guarantees the total weight is positive.
+    """
+    run_space = psys.run_space(tree.adversary)
+    run_position = tree.run_position
+    # one pass over the sample: only the runs it touches are projected,
+    # so the cost is linear in the sample, not in the tree
+    atom_of_run: Dict[int, int] = {}
+    bit = 1
+    for member in points:
+        position = run_position(member.run)
+        atom_of_run[position] = atom_of_run.get(position, 0) | bit
+        bit <<= 1
+    order = sorted(atom_of_run)
+    _check_runs(run_space, mask_of_positions(order))
+    run_weights = run_space.atom_weights
+    weights = tuple(run_weights[position] for position in order)
+    return FiniteProbabilitySpace._from_numbered_atoms(
+        points,
+        tuple(atom_of_run[position] for position in order),
         weights,
         sum(weights),
         interval_cache_maxsize=psys.interval_cache_maxsize,
     )
+
+
+# ----------------------------------------------------------------------
+# Partitions of the point index (standard assignments, Section 6)
+# ----------------------------------------------------------------------
+
+
+class Partition:
+    """One agent's sample spaces as one partition of ``System.point_index``.
+
+    A standard assignment (Section 6) is inclusive and uniform, so its
+    samples partition the points: ``c`` lies in ``S_ic`` and in no other
+    sample.  Every part lies in one computation tree, so REQ1 holds by
+    construction.  Parts are numbered in order of their lowest bit; part
+    ``k`` holds its points as a mask (``masks[k]``), as a tuple in
+    point-index order (``points[k]``, the numbering of its space), as
+    those points' bit positions (``positions[k]``) and as the sample
+    ``samples[k]`` of each of its points, in the tree ``trees[k]``.
+    """
+
+    __slots__ = ("masks", "points", "positions", "samples", "trees", "_index", "_part_of")
+
+    def __init__(
+        self,
+        index: OutcomeIndex,
+        part_of: Sequence[int],
+        points: Sequence[Sequence[Point]],
+        positions: Sequence[Sequence[int]],
+        trees: Sequence[ComputationTree],
+    ) -> None:
+        self._index = index
+        #: bit position in ``System.point_index`` -> part number
+        self._part_of = part_of
+        self.points: Tuple[Tuple[Point, ...], ...] = tuple(map(tuple, points))
+        self.positions: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, positions))
+        self.masks: Tuple[int, ...] = tuple(map(mask_of_positions, self.positions))
+        self.samples: Tuple[PointSet, ...] = tuple(map(frozenset, self.points))
+        self.trees: Tuple[ComputationTree, ...] = tuple(trees)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def part_at(self, point: Point) -> int:
+        """The number of the part holding ``point`` (``S_ic`` of Section 6).
+
+        One position lookup.  A point outside the system raises
+        :class:`~repro.errors.TreeError`, as ``T(c)`` does.
+        """
+        try:
+            return self._part_of[self._index.position(point)]
+        except KeyError:
+            raise TreeError(f"point {point!r} lies in no tree of this system") from None
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +305,16 @@ class SampleSpaceAssignment:
     def sample_space(self, agent: int, point: Point) -> PointSet:
         """``S(i, c) = S_ic``; must satisfy REQ1 and REQ2."""
         raise NotImplementedError
+
+    def partition(self, agent: int) -> Optional[Partition]:
+        """The agent's samples as one :class:`Partition`, or None.
+
+        The standard assignments of Section 6 override this, and
+        :class:`ProbabilityAssignment` then answers every query from the
+        partition.  Any other assignment returns None and is asked point
+        by point through :meth:`sample_space`.
+        """
+        return None
 
     # -- paper's structural properties ---------------------------------
 
@@ -368,30 +465,49 @@ class SampleGroup(NamedTuple):
     sample: PointSet
     #: ``P_ic``, shared by every point of the group.
     space: FiniteProbabilitySpace
+    #: ``S_ic`` as a mask over ``System.point_index`` (``mask`` itself
+    #: for a standard assignment, whose groups are their own samples).
+    sample_mask: int
+    #: ``S_ic``'s bit positions in ``System.point_index``, ascending: bit
+    #: ``i`` of ``space``'s numbering stands for bit ``positions[i]``, so
+    #: ``compress_mask(target, sample_mask, positions)`` is ``S_ic(phi)``
+    #: in that numbering when ``target`` is the extension of ``phi``.
+    positions: Tuple[int, ...]
 
 
 class ProbabilityAssignment:
     """The probability assignment induced by a sample-space assignment.
 
-    ``P_ic`` is built by :func:`induced_point_space` and cached.  Because a
-    uniform assignment reuses the same sample at every member point, spaces
-    are cached by ``(agent, sample)`` rather than ``(agent, point)``.
+    The sample-space assignment's type picks one of two paths:
 
-    Single-point queries (:meth:`space`, :meth:`probability` and friends)
-    ask the sample-space assignment about that point only.  Whole-system
-    queries (:meth:`inner_probabilities`, :meth:`outer_probabilities`)
-    go through :meth:`sample_groups` and query each distinct ``S_ic`` once.
+    * A standard assignment (Section 6) hands over one
+      :class:`Partition` per agent.  Every query reads it: a point's
+      sample and space are one position lookup away, a part's space is
+      built (and REQ2-checked) on its first query and shared by all of
+      its points, and facts are evaluated once into masks
+      (:meth:`fact_mask`).
+    * Any other assignment is asked point by point.  Its spaces are
+      built by :func:`induced_point_space` and cached by ``(agent,
+      sample)``, since a uniform assignment reuses one sample at every
+      member point; single-point queries never group.
+
+    Whole-system queries (:meth:`inner_probabilities`,
+    :meth:`outer_probabilities`) go through :meth:`sample_groups` and
+    query each distinct ``S_ic`` once, on masks.
     """
 
     def __init__(self, ssa: SampleSpaceAssignment, name: Optional[str] = None) -> None:
         self.ssa = ssa
         self.psys = ssa.psys
         self.name = name or ssa.name
-        # (agent, sample) -> (space, the tree holding the sample)
+        # per-point path: (agent, sample) -> (space, the tree holding it)
         self._space_cache: Dict[
             Tuple[int, PointSet], Tuple[FiniteProbabilitySpace, ComputationTree]
         ] = {}
+        # partition path: partition -> its parts' spaces, built on demand
+        self._part_spaces: Dict[Partition, List[Optional[FiniteProbabilitySpace]]] = {}
         self._event_cache: Dict[Tuple[Fact, PointSet], PointSet] = {}
+        self._fact_masks: Dict[Fact, int] = {}
         self._groups: Dict[int, Tuple[SampleGroup, ...]] = {}
 
     # -- spaces ----------------------------------------------------------
@@ -402,7 +518,26 @@ class ProbabilityAssignment:
 
     def space(self, agent: int, point: Point) -> FiniteProbabilitySpace:
         """``P_ic = (S_ic, X_ic, mu_ic)``."""
-        return self._space_at(agent, point, self.ssa.sample_space(agent, point))[0]
+        partition = self.ssa.partition(agent)
+        if partition is None:
+            return self._space_at(agent, point, self.ssa.sample_space(agent, point))[0]
+        return self._part_space(partition, partition.part_at(point))
+
+    def _part_space(self, partition: Partition, part: int) -> FiniteProbabilitySpace:
+        """``P_ic`` at every point of one part, built on first use.
+
+        REQ1 holds by construction; the construction checks REQ2 once
+        per part, through the run space as :func:`check_req2` does.
+        """
+        spaces = self._part_spaces.get(partition)
+        if spaces is None:
+            spaces = [None] * len(partition)
+            self._part_spaces[partition] = spaces
+        space = spaces[part]
+        if space is None:
+            space = _space_over(self.psys, partition.trees[part], partition.points[part])
+            spaces[part] = space
+        return space
 
     def _space_at(
         self, agent: int, point: Point, sample: PointSet
@@ -428,56 +563,100 @@ class ProbabilityAssignment:
         """The points of the system grouped by the agent's sample space.
 
         One :class:`SampleGroup` per distinct ``S_ic``, in order of first
-        appearance in ``System.point_index``.  Built on first use from one
-        ``sample_space`` call per point and kept on the assignment.
-        REQ1 and REQ2 are checked at every point in point-index order, so
-        a defective assignment raises the same error as a per-point loop.
+        appearance in ``System.point_index``, built on first use and kept
+        on the assignment.  A standard assignment's groups are the parts
+        of its partition, read directly.  Any other assignment is asked
+        once per point, and REQ1 and REQ2 are checked at every point in
+        point-index order, so a defective assignment raises the same error
+        as a per-point loop.
         """
         groups = self._groups.get(agent)
         if groups is None:
-            sample_space = self.ssa.sample_space
-            # sample -> [mask, first point, (space, tree)]
-            found: Dict[PointSet, List] = {}
-            bit = 1
-            for point in self.psys.point_index.members:
-                sample = sample_space(agent, point)
-                entry = found.get(sample)
-                if entry is None:
-                    found[sample] = [bit, point, self._space_at(agent, point, sample)]
-                else:
-                    entry[0] |= bit
-                    # the membership test of a space-cache hit (_space_at)
-                    tree = entry[2][1]
-                    if not tree.contains_point(point):
-                        check_req1(self.psys, point, sample)  # raises
-                bit <<= 1
-            groups = tuple(
-                SampleGroup(mask, point, sample, cached[0])
-                for sample, (mask, point, cached) in found.items()
-            )
+            partition = self.ssa.partition(agent)
+            if partition is None:
+                groups = self._groups_point_by_point(agent)
+            else:
+                groups = tuple(
+                    SampleGroup(
+                        mask=partition.masks[part],
+                        point=partition.points[part][0],
+                        sample=partition.samples[part],
+                        space=self._part_space(partition, part),
+                        sample_mask=partition.masks[part],
+                        positions=partition.positions[part],
+                    )
+                    for part in range(len(partition))
+                )
             self._groups[agent] = groups
         return groups
 
+    def _groups_point_by_point(self, agent: int) -> Tuple[SampleGroup, ...]:
+        """:meth:`sample_groups` from one ``sample_space`` call per point."""
+        sample_space = self.ssa.sample_space
+        index = self.psys.point_index
+        # sample -> [mask, first point, (space, tree)]
+        found: Dict[PointSet, List] = {}
+        bit = 1
+        for point in index.members:
+            sample = sample_space(agent, point)
+            entry = found.get(sample)
+            if entry is None:
+                found[sample] = [bit, point, self._space_at(agent, point, sample)]
+            else:
+                entry[0] |= bit
+                # the membership test of a space-cache hit (_space_at)
+                tree = entry[2][1]
+                if not tree.contains_point(point):
+                    check_req1(self.psys, point, sample)  # raises
+            bit <<= 1
+        groups = []
+        for sample, (mask, point, cached) in found.items():
+            # REQ1 placed the sample in the system, so every member is indexed
+            positions = tuple(sorted(map(index.position, sample)))
+            groups.append(
+                SampleGroup(mask, point, sample, cached[0], mask_of_positions(positions), positions)
+            )
+        return tuple(groups)
+
     def inner_probabilities(
-        self, agent: int, target: PointSet
+        self, agent: int, target: int
     ) -> Iterator[Tuple[SampleGroup, Fraction]]:
         """``(group, (mu_ic)_*(S_ic & target))`` for every sample group.
 
-        The whole-system form of :meth:`inner_probability`, with the
-        fact given by its extension ``target``: one inner-measure query
-        per distinct ``S_ic`` instead of one per point.
+        The whole-system form of :meth:`inner_probability` (Section 5),
+        with the fact given by its extension ``target`` as a mask over
+        ``System.point_index``: one inner-measure query per distinct
+        ``S_ic`` instead of one per point, on the group's own numbering.
         """
         for group in self.sample_groups(agent):
-            yield group, group.space.inner_measure(group.sample & target)
+            local = compress_mask(target, group.sample_mask, group.positions)
+            yield group, group.space.inner_measure_mask(local)
 
     def outer_probabilities(
-        self, agent: int, target: PointSet
+        self, agent: int, target: int
     ) -> Iterator[Tuple[SampleGroup, Fraction]]:
-        """``(group, (mu_ic)^*(S_ic & target))`` for every sample group."""
+        """``(group, (mu_ic)^*(S_ic & target))`` for every sample group
+        (Section 5), ``target`` a mask over ``System.point_index``."""
         for group in self.sample_groups(agent):
-            yield group, group.space.outer_measure(group.sample & target)
+            local = compress_mask(target, group.sample_mask, group.positions)
+            yield group, group.space.outer_measure_mask(local)
 
     # -- probabilities at a point ----------------------------------------
+
+    def fact_mask(self, fact: Fact) -> int:
+        """The extension of ``fact`` as a mask over ``System.point_index``.
+
+        Section 2 identifies a fact with the set of points where it
+        holds.  The fact is evaluated once per assignment, one
+        ``holds_at`` call per point, and the mask is kept as long as the
+        assignment: model checking, the sweep thresholds and a standard
+        assignment's :meth:`satisfying_points` all read it.
+        """
+        mask = self._fact_masks.get(fact)
+        if mask is None:
+            mask = self.psys.point_index.mask_where(fact.holds_at)
+            self._fact_masks[fact] = mask
+        return mask
 
     def satisfying_points(self, agent: int, point: Point, fact: Fact) -> PointSet:
         """``S_ic(phi)``: the sample points where the fact holds (Section 5).
@@ -488,13 +667,26 @@ class ProbabilityAssignment:
         in the system size.  :class:`Fact` hashes and compares by identity,
         so keying by the fact object itself is exactly the old
         ``id(fact)``-keyed scheme without the id-recycling hazard (and
-        without the keep-alive workaround it required).
+        without the keep-alive workaround it required).  A standard
+        assignment decodes ``fact_mask & part`` once per (fact, part); any
+        other assignment restricts the fact to the sample point by point.
         """
-        sample = self.ssa.sample_space(agent, point)
+        partition = self.ssa.partition(agent)
+        if partition is None:
+            sample = self.ssa.sample_space(agent, point)
+        else:
+            part = partition.part_at(point)
+            sample = partition.samples[part]
         key = (fact, sample)
         cached = self._event_cache.get(key)
         if cached is None:
-            cached = fact.restricted_to(sample)
+            if partition is None:
+                cached = fact.restricted_to(sample)
+            else:
+                local = compress_mask(
+                    self.fact_mask(fact), partition.masks[part], partition.positions[part]
+                )
+                cached = frozenset(members_of_mask(partition.points[part], local))
             self._event_cache[key] = cached
         return cached
 
@@ -558,11 +750,19 @@ class ProbabilityAssignment:
         from ..probability.fractionutil import as_fraction
 
         threshold = as_fraction(alpha)
-        system = self.psys.system
         return all(
             self.inner_probability(agent, candidate, fact) >= threshold
-            for candidate in system.knowledge_set(agent, point)
+            for candidate in self.knowledge_set(agent, point)
         )
+
+    def knowledge_set(self, agent: int, point: Point) -> PointSet:
+        """``K_i(c)``, the points ``K_i^alpha`` and the betting games of
+        Section 4 quantify over.  A point outside the system raises
+        ``TreeError``, as :meth:`space` does, instead of quantifying over
+        nothing or over other points with ``c``'s local state."""
+        if point not in self.psys.point_index:
+            raise TreeError(f"point {point!r} lies in no tree of this system")
+        return self.psys.system.knowledge_set(agent, point)
 
     def knows_probability_interval(
         self, agent: int, point: Point, fact: Fact, alpha, beta
@@ -578,8 +778,7 @@ class ProbabilityAssignment:
 
         low = as_fraction(alpha)
         high = as_fraction(beta)
-        system = self.psys.system
-        for candidate in system.knowledge_set(agent, point):
+        for candidate in self.knowledge_set(agent, point):
             inner, outer = self.probability_interval(agent, candidate, fact)
             if inner < low or outer > high:
                 return False
@@ -591,8 +790,7 @@ class ProbabilityAssignment:
 
         low = ONE
         high = ZERO
-        system = self.psys.system
-        for candidate in system.knowledge_set(agent, point):
+        for candidate in self.knowledge_set(agent, point):
             inner, outer = self.probability_interval(agent, candidate, fact)
             low = min(low, inner)
             high = max(high, outer)

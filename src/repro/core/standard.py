@@ -19,67 +19,93 @@ conditionings of higher ones).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..errors import AssignmentError
-from .assignments import PointSet, ProbabilityAssignment, SampleSpaceAssignment
-from .model import Point
+from .assignments import Partition, PointSet, ProbabilityAssignment, SampleSpaceAssignment
+from .model import GlobalState, Point
 
 if TYPE_CHECKING:
     # Annotation-only: core sits below trees in the import DAG (RL002).
     from ..trees.probabilistic_system import ProbabilisticSystem
     from ..trees.tree import ComputationTree
 
+#: A part key: a function of a point's global state and time.
+PartKey = Callable[[GlobalState, int], Hashable]
+
 
 class _TreeIndexed(SampleSpaceAssignment):
-    """Shared machinery: per-tree indexes from a point's key to its points.
+    """Shared machinery: one partition of ``System.point_index`` per agent.
 
-    Each index (local state per agent, global state, time) is built on
-    first use and kept on the assignment, so an assignment pays only for
-    the index its ``sample_space`` reads.
+    Each subclass keys a point by a function of its global state and
+    time (:meth:`_part_key`); the parts are the points of one tree with
+    one key.  The partition is built on first use, in one pass over the
+    point index, and kept on the assignment; ``sample_space`` is then one
+    position lookup.
     """
 
     def __init__(self, psys: ProbabilisticSystem, name: Optional[str] = None) -> None:
         super().__init__(psys, name)
-        self._local_index: Dict[int, Dict[tuple, PointSet]] = {}
-        self._time_index: Optional[Dict[tuple, PointSet]] = None
-        self._state_index: Optional[Dict[tuple, PointSet]] = None
+        # agent -> its partition; also cache key -> partition, so the
+        # assignments that ignore the agent build one partition in all
+        self._partitions: Dict[Optional[int], Partition] = {}
 
-    def _build_index(self, key_of: Callable[[Point], Hashable]) -> Dict[tuple, PointSet]:
-        """``(adversary, key_of(point)) -> points of that tree with that key``."""
-        grouped: Dict[tuple, List[Point]] = {}
-        # plain lists suffice: tree.points enumerates each point once
-        for tree in self.psys.trees:
-            adversary = tree.adversary
-            for point in tree.points:
-                grouped.setdefault((adversary, key_of(point)), []).append(point)
-        return {key: frozenset(points) for key, points in grouped.items()}
+    def _part_key(self, agent: int) -> Tuple[Optional[int], PartKey]:
+        """``(cache key, key function)`` for the agent's partition.
 
-    def tree_points_with_local(self, tree: ComputationTree, agent: int, local) -> PointSet:
-        """``Tree_ic`` ingredients: points of the tree with a given local state."""
-        index = self._local_index.get(agent)
-        if index is None:
-            # read the run's state tuple directly instead of dispatching
-            # through point.local_state: this touches every point
-            index = self._build_index(
-                lambda point: point.run.states[point.time].local_states[agent]
-            )
-            self._local_index[agent] = index
-        return index.get((tree.adversary, local), frozenset())
+        Assignments that ignore the agent return the cache key None, so
+        one partition serves every agent.
+        """
+        raise NotImplementedError
 
-    def tree_points_at_time(self, tree: ComputationTree, time: int) -> PointSet:
-        """All time-``k`` points of the tree (``All_ic``)."""
-        if self._time_index is None:
-            self._time_index = self._build_index(lambda point: point.time)
-        return self._time_index.get((tree.adversary, time), frozenset())
+    def partition(self, agent: int) -> Partition:
+        """The agent's samples as one partition (Section 6's standard
+        assignments are inclusive and uniform)."""
+        partition = self._partitions.get(agent)
+        if partition is None:
+            cache_key, key_of = self._part_key(agent)
+            partition = self._partitions.get(cache_key)
+            if partition is None:
+                partition = self._build_partition(key_of)
+                self._partitions[cache_key] = partition
+            self._partitions[agent] = partition
+        return partition
 
-    def tree_points_with_state(self, tree: ComputationTree, state) -> PointSet:
-        """All points of the tree with a given global state (``Pref_ic``)."""
-        if self._state_index is None:
-            self._state_index = self._build_index(
-                lambda point: point.run.states[point.time]
-            )
-        return self._state_index.get((tree.adversary, state), frozenset())
+    def _build_partition(self, key_of: PartKey) -> Partition:
+        """One pass over the point index: ``(adversary, key)`` -> part."""
+        psys = self.psys
+        index = psys.point_index
+        part_numbers: Dict[tuple, int] = {}
+        part_of: List[int] = []
+        points: List[List[Point]] = []
+        positions: List[List[int]] = []
+        trees: List[ComputationTree] = []
+        run = None
+        for position, point in enumerate(index.members):
+            if point.run is not run:
+                # the index lists each run's points together, so the
+                # tree lookup happens once per run
+                run = point.run
+                states = run.states
+                tree = psys.tree_of(point)
+                adversary = tree.adversary
+            time = point.time
+            key = (adversary, key_of(states[time], time))
+            part = part_numbers.get(key)
+            if part is None:
+                part = len(points)
+                part_numbers[key] = part
+                points.append([])
+                positions.append([])
+                trees.append(tree)
+            part_of.append(part)
+            points[part].append(point)
+            positions[part].append(position)
+        return Partition(index, part_of, points, positions, trees)
+
+    def sample_space(self, agent: int, point: Point) -> PointSet:
+        partition = self.partition(agent)
+        return partition.samples[partition.part_at(point)]
 
 
 class PostAssignment(_TreeIndexed):
@@ -88,9 +114,8 @@ class PostAssignment(_TreeIndexed):
     def __init__(self, psys: ProbabilisticSystem) -> None:
         super().__init__(psys, name="post")
 
-    def sample_space(self, agent: int, point: Point) -> PointSet:
-        tree = self.psys.tree_of(point)
-        return self.tree_points_with_local(tree, agent, point.local_state(agent))
+    def _part_key(self, agent: int) -> Tuple[Optional[int], PartKey]:
+        return agent, lambda state, time: state.local_states[agent]
 
 
 class FutureAssignment(_TreeIndexed):
@@ -104,9 +129,8 @@ class FutureAssignment(_TreeIndexed):
     def __init__(self, psys: ProbabilisticSystem) -> None:
         super().__init__(psys, name="fut")
 
-    def sample_space(self, agent: int, point: Point) -> PointSet:
-        tree = self.psys.tree_of(point)
-        return self.tree_points_with_state(tree, point.global_state)
+    def _part_key(self, agent: int) -> Tuple[Optional[int], PartKey]:
+        return None, lambda state, time: state
 
 
 class OpponentAssignment(_TreeIndexed):
@@ -122,13 +146,12 @@ class OpponentAssignment(_TreeIndexed):
         super().__init__(psys, name=f"opp({opponent})")
         self.opponent = opponent
 
-    def sample_space(self, agent: int, point: Point) -> PointSet:
-        tree = self.psys.tree_of(point)
-        mine = self.tree_points_with_local(tree, agent, point.local_state(agent))
-        theirs = self.tree_points_with_local(
-            tree, self.opponent, point.local_state(self.opponent)
+    def _part_key(self, agent: int) -> Tuple[Optional[int], PartKey]:
+        opponent = self.opponent
+        return agent, lambda state, time: (
+            state.local_states[agent],
+            state.local_states[opponent],
         )
-        return mine & theirs
 
 
 class PriorAssignment(_TreeIndexed):
@@ -142,9 +165,8 @@ class PriorAssignment(_TreeIndexed):
     def __init__(self, psys: ProbabilisticSystem) -> None:
         super().__init__(psys, name="prior")
 
-    def sample_space(self, agent: int, point: Point) -> PointSet:
-        tree = self.psys.tree_of(point)
-        return self.tree_points_at_time(tree, point.time)
+    def _part_key(self, agent: int) -> Tuple[Optional[int], PartKey]:
+        return None, lambda state, time: time
 
 
 def standard_assignments(psys: ProbabilisticSystem) -> Dict[str, ProbabilityAssignment]:

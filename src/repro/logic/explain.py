@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.facts import Fact
 from ..core.model import Point, System
 from ..errors import LogicError
 from ..obs.provenance import (
@@ -201,10 +200,9 @@ class _Explainer:
     def _probability_evidence(self, agent: int, sub: Formula, point: Point) -> Dict:
         """The shared Section 5 evidence: sample space, cells, interval."""
         assignment = self.model.assignment
-        fact = Fact.from_points(self.model.extension(sub), name=str(sub))
         sample = assignment.sample_space(agent, point)
         space = assignment.space(agent, point)
-        event = assignment.satisfying_points(agent, point, fact)
+        event = sample & self.model.extension(sub)  # S_ic(phi)
         cells = []
         for cell in space.event_cells(event):
             cells.append(

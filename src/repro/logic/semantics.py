@@ -173,7 +173,7 @@ class Model:
                 fact = self.valuation[formula.name]
             except KeyError:
                 raise LogicError(f"no valuation for proposition {formula.name!r}") from None
-            return self._points_mask(fact.holds_at)
+            return self.assignment.fact_mask(fact)
         if isinstance(formula, TrueFormula):
             return full
         if isinstance(formula, FalseFormula):
@@ -196,19 +196,19 @@ class Model:
             return self._knowledge_mask(formula.agent, self.extension_mask(formula.sub))
         if isinstance(formula, PrAtLeast):
             return self._pr_at_least_mask(
-                formula.agent, formula.alpha, self.extension(formula.sub)
+                formula.agent, formula.alpha, self.extension_mask(formula.sub)
             )
         if isinstance(formula, PrAtMost):
             mask = 0
             outer = self.assignment.outer_probabilities
-            for group, probability in outer(formula.agent, self.extension(formula.sub)):
+            for group, probability in outer(formula.agent, self.extension_mask(formula.sub)):
                 if probability <= formula.beta:
                     mask |= group.mask
             return mask
         if isinstance(formula, Next):
             sub = self.extension_mask(formula.sub)
             position = self._index.position
-            return self._points_mask(
+            return self._index.mask_where(
                 lambda point: sub >> position(point.successor()) & 1
             )
         if isinstance(formula, Until):
@@ -233,16 +233,6 @@ class Model:
             )
         raise LogicError(f"unknown formula constructor {type(formula).__name__}")
 
-    def _points_mask(self, predicate) -> int:
-        """The mask of the points satisfying a point predicate."""
-        mask = 0
-        bit = 1
-        for point in self._index.members:
-            if predicate(point):
-                mask |= bit
-            bit <<= 1
-        return mask
-
     # ------------------------------------------------------------------
     # Knowledge helpers (mask kernels)
     # ------------------------------------------------------------------
@@ -266,9 +256,9 @@ class Model:
             result &= self._knowledge_mask(agent, target)
         return result
 
-    def _pr_at_least_mask(self, agent: int, alpha, target: PointSet) -> int:
+    def _pr_at_least_mask(self, agent: int, alpha, target: int) -> int:
         """Extension mask of ``Pr_i(phi) >= alpha`` where ``phi``'s
-        extension is ``target``.
+        extension mask is ``target``.
 
         ``mu_ic`` depends on ``S_ic`` alone (Section 5), so the inner
         measure is queried once per sample group of the assignment and
@@ -282,10 +272,7 @@ class Model:
 
     def _prob_knowledge_mask(self, agent: int, alpha, target: int) -> int:
         """Extension mask of ``K_i^alpha`` applied to an extension mask."""
-        satisfying = self._pr_at_least_mask(
-            agent, alpha, self._index.members_of(target)
-        )
-        return self._knowledge_mask(agent, satisfying)
+        return self._knowledge_mask(agent, self._pr_at_least_mask(agent, alpha, target))
 
     def _everyone_prob_mask(self, group: Iterable[int], alpha, target: int) -> int:
         result = self._full_mask

@@ -18,10 +18,15 @@ module provides the representation that makes that algebra cheap:
   and the ablation benchmark compare the ``"bitmask"`` engine against.
   Switching emits a ``backend_switch`` event through :mod:`repro.obs`,
   so traces show which kernel actually ran.
+* :func:`mask_of_positions`, :func:`compress_mask` and
+  :func:`members_of_mask` move events between a shared index and a
+  sub-universe's own compact numbering: a partition of
+  ``System.point_index`` keeps one numbering per part, so its spaces'
+  masks stay as wide as the part, not as the system.
 * :func:`kernel_totals` / :func:`reset_kernel_totals` snapshot the
   process-wide cache hit/miss/eviction and kernel-dispatch counters that
-  the observability layer (``repro.obs``, ``tools/tracereport``,
-  ``BENCH_4.json``) reports.
+  the observability layer (``repro.obs``, ``tools/tracereport`` and
+  ``perfbench``'s ``probability.kernel_queries``) reports.
 
 The bitmask layer accelerates *set algebra only*: every probability that
 flows through it stays an exact :class:`fractions.Fraction`.
@@ -31,7 +36,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..obs.recorder import get_recorder
 
@@ -39,9 +54,12 @@ __all__ = [
     "OutcomeIndex",
     "IntervalCache",
     "BACKENDS",
+    "compress_mask",
     "count_naive_query",
     "get_default_backend",
     "kernel_totals",
+    "mask_of_positions",
+    "members_of_mask",
     "merge_kernel_totals",
     "reset_kernel_totals",
     "use_backend",
@@ -145,6 +163,55 @@ def count_naive_query() -> None:
     _TOTALS.naive_queries += 1
 
 
+def mask_of_positions(positions: Sequence[int]) -> int:
+    """The mask with exactly the given bit positions set.
+
+    Built through one byte buffer, so the cost is linear in the highest
+    position; OR-ing ``1 << position`` per member would copy the growing
+    int once per member instead.
+    """
+    if not positions:
+        return 0
+    data = bytearray((max(positions) >> 3) + 1)
+    for position in positions:
+        data[position >> 3] |= 1 << (position & 7)
+    return int.from_bytes(data, "little")
+
+
+def compress_mask(mask: int, within: int, positions: Sequence[int]) -> int:
+    """The bits of ``mask`` inside ``within``, in ``within``'s own numbering.
+
+    ``positions`` lists the set bits of ``within`` in ascending order, and
+    bit ``i`` of the result is bit ``positions[i]`` of ``mask``.  This
+    translates an event over a shared index into the compact numbering
+    of a sub-universe whose members sit at ``positions`` of that index.
+    A full or empty overlap costs one ``&``; otherwise one byte view of
+    the overlap, then one lookup per position.
+    """
+    overlap = mask & within
+    if overlap == within:
+        return (1 << len(positions)) - 1
+    if not overlap:
+        return 0
+    data = overlap.to_bytes((overlap.bit_length() + 7) >> 3, "little")
+    limit = len(data) << 3
+    result = 0
+    bit = 1
+    for position in positions:
+        if position < limit and data[position >> 3] >> (position & 7) & 1:
+            result |= bit
+        bit <<= 1
+    return result
+
+
+def members_of_mask(members: Sequence[Hashable], mask: int) -> Iterator[Hashable]:
+    """The entries of ``members`` whose positions are set in ``mask``, in order."""
+    while mask:
+        low = mask & -mask
+        yield members[low.bit_length() - 1]
+        mask ^= low
+
+
 class OutcomeIndex:
     """A canonical ``outcome -> bit position`` assignment.
 
@@ -196,6 +263,13 @@ class OutcomeIndex:
 
     # -- events <-> masks ------------------------------------------------
 
+    def mask_where(self, predicate: Callable[[Hashable], object]) -> int:
+        """The mask of the members satisfying ``predicate``: one call per
+        member, one mask built at the end (:func:`mask_of_positions`)."""
+        return mask_of_positions(
+            [position for position, member in enumerate(self._members) if predicate(member)]
+        )
+
     def mask_of(self, members: Iterable[Hashable]) -> int:
         """The mask of an event; raises ``KeyError`` on unknown members."""
         positions = self._positions
@@ -232,11 +306,7 @@ class OutcomeIndex:
 
     def iter_members_of(self, mask: int) -> Iterator[Hashable]:
         """The members whose bits are set in ``mask``, in position order."""
-        members = self._members
-        while mask:
-            low = mask & -mask
-            yield members[low.bit_length() - 1]
-            mask ^= low
+        return members_of_mask(self._members, mask)
 
     def members_of(self, mask: int) -> FrozenSet[Hashable]:
         """The event (as a frozenset) encoded by ``mask``."""

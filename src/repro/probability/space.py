@@ -14,8 +14,11 @@ expectations of Appendix B.2 are first-class operations.
 The **bitmask** engine backs the set-algebra kernels (see
 :mod:`repro.probability.bitset`): it indexes outcomes to bit positions at
 construction, turning every atom/event test into integer bitwise
-operations with an LRU-cached ``mask -> (inner, outer)`` table.  The
-retained **naive** engine scans frozensets as the original
+operations with an LRU-cached ``mask -> (inner, outer)`` table.  An
+induced point space arrives already numbered (its points in
+``System.point_index`` order, atoms as masks over that numbering), so it
+keeps its masks and decodes atoms, outcomes and the index only on
+demand.  The retained **naive** engine scans frozensets as the original
 implementation did; it computes identical exact Fractions and stays,
 with the public ``*_naive`` kernels, as the oracle for the differential
 tests and the ablation benchmark (``benchmarks/bench_ablation_bitset.py``).
@@ -39,6 +42,7 @@ from .bitset import (
     OutcomeIndex,
     count_naive_query,
     get_default_backend,
+    members_of_mask,
 )
 from .fractionutil import ONE, ZERO, FractionLike, as_fraction
 
@@ -91,6 +95,7 @@ class FiniteProbabilitySpace:
         "_atoms",
         "_probabilities_dict",
         "_outcomes",
+        "_numbering",
         "_atom_of_dict",
         "_backend",
         "_index",
@@ -137,7 +142,7 @@ class FiniteProbabilitySpace:
     def _probabilities(self) -> Dict[Atom, Fraction]:
         """The ``atom -> Fraction`` measure table, materialised lazily.
 
-        Spaces built via :meth:`_from_atom_weights` carry the measure as
+        Spaces built via :meth:`_from_numbered_atoms` carry the measure as
         integer weights; the dict form is only built if something
         (``atom_probability``, an expectation, a naive kernel) asks.
         """
@@ -146,7 +151,7 @@ class FiniteProbabilitySpace:
             denominator = self._weight_denominator
             probabilities = {
                 atom: Fraction(weight, denominator)
-                for atom, weight in zip(self._atoms, self._atom_weights)
+                for atom, weight in zip(self.atoms, self._atom_weights)
             }
             self._probabilities_dict = probabilities
         return probabilities
@@ -155,39 +160,48 @@ class FiniteProbabilitySpace:
     def _probabilities(self, value: Dict[Atom, Fraction]) -> None:
         self._probabilities_dict = value
 
-    def _finalise(
-        self,
-        weights: Optional[Tuple[int, ...]] = None,
-        denominator: Optional[int] = None,
-        cache_maxsize: Optional[int] = None,
-    ) -> None:
-        """Build the per-outcome and (bitmask backend) per-mask indexes.
+    def _set_measure(
+        self, weights: Tuple[int, ...], denominator: int, cache_maxsize: Optional[int]
+    ) -> bool:
+        """Store the weight-form measure and pick the engine.
 
-        Every atom probability is rescaled to one common denominator so an
-        interval query sums machine ints and normalises back to a Fraction
-        once, instead of paying a gcd per atom add.  The rescaling is
-        exact: the common denominator is a multiple of every atom's
-        denominator by construction.  Callers that already hold the
-        measure in weight form pass ``weights``/``denominator`` directly.
+        Returns True on the bitmask backend, which gets its interval
+        cache here; the naive backend gets none.
         """
-        if weights is None:
-            probabilities = self._probabilities_dict
-            common = 1
-            for atom in self._atoms:
-                atom_denominator = probabilities[atom].denominator
-                common = common // _gcd(common, atom_denominator) * atom_denominator
-            weights = tuple(
-                probabilities[atom].numerator
-                * (common // probabilities[atom].denominator)
-                for atom in self._atoms
-            )
-            denominator = common
         self._atom_weights: Tuple[int, ...] = weights
         self._weight_denominator: int = denominator
         self._backend = get_default_backend()
         self._cache_maxsize: Optional[int] = cache_maxsize
         self._atom_of_dict: Optional[Dict[Outcome, Atom]] = None
         if self._backend == "bitmask":
+            self._interval_cache: Optional[IntervalCache] = IntervalCache(
+                cache_maxsize if cache_maxsize is not None else self.interval_cache_size
+            )
+            return True
+        self._interval_cache = None
+        return False
+
+    def _finalise(self, cache_maxsize: Optional[int] = None) -> None:
+        """Build the per-outcome and (bitmask backend) per-mask indexes.
+
+        Every atom probability is rescaled to one common denominator so an
+        interval query sums machine ints and normalises back to a Fraction
+        once, instead of paying a gcd per atom add.  The rescaling is
+        exact: the common denominator is a multiple of every atom's
+        denominator by construction.
+        """
+        probabilities = self._probabilities_dict
+        common = 1
+        for atom in self._atoms:
+            atom_denominator = probabilities[atom].denominator
+            common = common // _gcd(common, atom_denominator) * atom_denominator
+        weights = tuple(
+            probabilities[atom].numerator
+            * (common // probabilities[atom].denominator)
+            for atom in self._atoms
+        )
+        self._numbering: Optional[Tuple[Outcome, ...]] = None
+        if self._set_measure(weights, common, cache_maxsize):
             index = OutcomeIndex(
                 outcome for atom in self._atoms for outcome in atom
             )
@@ -202,13 +216,9 @@ class FiniteProbabilitySpace:
                 self._atom_masks = tuple(
                     index.mask_of(atom) for atom in self._atoms
                 )
-            self._interval_cache: Optional[IntervalCache] = IntervalCache(
-                cache_maxsize if cache_maxsize is not None else self.interval_cache_size
-            )
         else:
             self._index = None
             self._atom_masks = ()
-            self._interval_cache = None
 
     @property
     def _atom_of(self) -> Dict[Outcome, Atom]:
@@ -216,7 +226,7 @@ class FiniteProbabilitySpace:
         atom_of = self._atom_of_dict
         if atom_of is None:
             atom_of = {}
-            for atom in self._atoms:
+            for atom in self.atoms:
                 for outcome in atom:
                     atom_of[outcome] = atom
             self._atom_of_dict = atom_of
@@ -256,33 +266,43 @@ class FiniteProbabilitySpace:
         return self
 
     @classmethod
-    def _from_atom_weights(
+    def _from_numbered_atoms(
         cls,
-        atom_tuple: Tuple[Atom, ...],
+        numbering: Tuple[Outcome, ...],
+        atom_masks: Tuple[int, ...],
         weights: Tuple[int, ...],
         denominator: int,
         interval_cache_maxsize: Optional[int] = None,
     ) -> "FiniteProbabilitySpace":
-        """Internal constructor from integer atom weights.
+        """Internal constructor from atoms given as masks over a numbering.
 
-        The measure is exactly ``weights[i] / denominator`` per atom; the
-        Fraction dict is materialised lazily (see :attr:`_probabilities`).
-        Callers guarantee the atoms partition their union and the weights
-        are nonnegative ints summing to ``denominator > 0`` -- e.g.
-        conditioning a validated run measure on a measurable event, where
-        both facts hold by construction.
+        Bit ``i`` of every mask stands for ``numbering[i]``, so the masks
+        are as wide as the space, whatever index its outcomes come from.
+        Atom ``j`` is ``atom_masks[j]`` with measure exactly
+        ``weights[j] / denominator``.  Callers guarantee the masks
+        partition the numbering and the weights are nonnegative ints
+        summing to ``denominator > 0`` -- e.g. the induced point spaces of
+        Section 5, a run measure conditioned on the runs through a
+        sample, where both hold by construction.
+
+        :attr:`atoms`, :attr:`outcomes`, :attr:`outcome_index` and the
+        Fraction table are decoded from the numbering on first use.  On
+        the naive backend the atoms are decoded at once, for the
+        frozenset kernels, and no masks are kept.
         """
         self = cls.__new__(cls)
-        self._atoms = atom_tuple
-        self._outcomes = (
-            frozenset().union(*atom_tuple) if atom_tuple else frozenset()
-        )
+        self._numbering = numbering
+        self._outcomes = None
         self._probabilities_dict = None
-        self._finalise(
-            weights=tuple(weights),
-            denominator=denominator,
-            cache_maxsize=interval_cache_maxsize,
-        )
+        self._index = None
+        if self._set_measure(weights, denominator, interval_cache_maxsize):
+            self._atoms = None
+            self._atom_masks = atom_masks
+        else:
+            self._atoms = tuple(
+                frozenset(members_of_mask(numbering, mask)) for mask in atom_masks
+            )
+            self._atom_masks = ()
         return self
 
     # ------------------------------------------------------------------
@@ -341,12 +361,23 @@ class FiniteProbabilitySpace:
     @property
     def outcomes(self) -> Event:
         """The sample space ``S``."""
-        return self._outcomes
+        outcomes = self._outcomes
+        if outcomes is None:
+            outcomes = frozenset(self._numbering)
+            self._outcomes = outcomes
+        return outcomes
 
     @property
     def atoms(self) -> Tuple[Atom, ...]:
         """The atom partition of the sigma-algebra ``X``."""
-        return self._atoms
+        atoms = self._atoms
+        if atoms is None:
+            numbering = self._numbering
+            atoms = tuple(
+                frozenset(members_of_mask(numbering, mask)) for mask in self._atom_masks
+            )
+            self._atoms = atoms
+        return atoms
 
     @property
     def backend(self) -> str:
@@ -381,10 +412,18 @@ class FiniteProbabilitySpace:
 
     @property
     def outcome_index(self) -> OutcomeIndex:
-        """The ``outcome -> bit position`` index (bitmask backend only)."""
-        if self._index is None:
-            raise BackendError("this space was built on the naive backend")
-        return self._index
+        """The ``outcome -> bit position`` index (bitmask backend only).
+
+        A space built over a numbering indexes its outcomes in that order,
+        so masks from the index and the space's own masks agree.
+        """
+        index = self._index
+        if index is None:
+            if self._interval_cache is None:
+                raise BackendError("this space was built on the naive backend")
+            index = OutcomeIndex(self._numbering)
+            self._index = index
+        return index
 
     def atom_probability(self, atom: Atom) -> Fraction:
         """The measure of a single atom."""
@@ -402,15 +441,17 @@ class FiniteProbabilitySpace:
 
     def has_powerset_algebra(self) -> bool:
         """True iff every subset is measurable (all atoms are singletons)."""
-        return all(len(atom) == 1 for atom in self._atoms)
+        return all(len(atom) == 1 for atom in self.atoms)
 
     def __len__(self) -> int:
+        if self._numbering is not None:
+            return len(self._numbering)
         return len(self._outcomes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FiniteProbabilitySpace({len(self._outcomes)} outcomes, "
-            f"{len(self._atoms)} atoms)"
+            f"FiniteProbabilitySpace({len(self)} outcomes, "
+            f"{len(self._atom_weights)} atoms)"
         )
 
     # ------------------------------------------------------------------
@@ -447,16 +488,36 @@ class FiniteProbabilitySpace:
 
     def event_mask(self, event: Iterable[Outcome]) -> int:
         """The bitmask of ``event & S`` (bitmask backend only)."""
-        if self._index is None:
-            raise BackendError("this space was built on the naive backend")
-        return self._index.mask_of_known(event)
+        return self.outcome_index.mask_of_known(event)
+
+    def _decoded(self, mask: int) -> Event:
+        """The event a mask encodes, for the naive kernels.
+
+        A space built over a numbering decodes through it; any other
+        numbers its outcomes atom by atom, the order the bitmask
+        backend's index uses.
+        """
+        numbering = self._numbering
+        if numbering is None:
+            numbering = tuple(outcome for atom in self.atoms for outcome in atom)
+            self._numbering = numbering
+        return frozenset(members_of_mask(numbering, mask))
+
+    # Masks follow :attr:`outcome_index` on the bitmask backend.  On the
+    # naive backend the mask methods decode the mask in the same order
+    # and run the frozenset kernel, so callers that hold masks stay
+    # backend-agnostic.
 
     def is_measurable_mask(self, mask: int) -> bool:
         """Mask-level :meth:`is_measurable` (the mask is within ``S``)."""
+        if self._interval_cache is None:
+            return self.is_measurable_naive(self._decoded(mask))
         return self._interval_entry(mask)[2] == mask
 
     def measure_mask(self, mask: int) -> Fraction:
         """Mask-level :meth:`measure`; raises on a split atom."""
+        if self._interval_cache is None:
+            return self.measure_naive(self._decoded(mask))
         inner, _outer, contained = self._interval_entry(mask)
         if contained != mask:
             raise NotMeasurableError(
@@ -466,14 +527,20 @@ class FiniteProbabilitySpace:
 
     def inner_measure_mask(self, mask: int) -> Fraction:
         """Mask-level :meth:`inner_measure`."""
+        if self._interval_cache is None:
+            return self.inner_measure_naive(self._decoded(mask))
         return self._interval_entry(mask)[0]
 
     def outer_measure_mask(self, mask: int) -> Fraction:
         """Mask-level :meth:`outer_measure`."""
+        if self._interval_cache is None:
+            return self.outer_measure_naive(self._decoded(mask))
         return self._interval_entry(mask)[1]
 
     def measure_interval_mask(self, mask: int) -> Tuple[Fraction, Fraction]:
         """Mask-level :meth:`measure_interval`."""
+        if self._interval_cache is None:
+            return self.measure_interval_naive(self._decoded(mask))
         entry = self._interval_entry(mask)
         return entry[0], entry[1]
 
@@ -483,18 +550,18 @@ class FiniteProbabilitySpace:
 
     def is_measurable(self, event: Iterable[Outcome]) -> bool:
         """True iff ``event`` is a union of atoms (and a subset of ``S``)."""
-        if self._index is None:
+        if self._interval_cache is None:
             return self.is_measurable_naive(event)
-        mask = self._index.strict_mask(event)
+        mask = self.outcome_index.strict_mask(event)
         if mask is None:
             return False
         return self.is_measurable_mask(mask)
 
     def measure(self, event: Iterable[Outcome]) -> Fraction:
         """``mu(event)``; raises :class:`NotMeasurableError` if undefined."""
-        if self._index is None:
+        if self._interval_cache is None:
             return self.measure_naive(event)
-        mask = self._index.strict_mask(event)
+        mask = self.outcome_index.strict_mask(event)
         if mask is None:
             raise NotMeasurableError("event contains outcomes outside the sample space")
         return self.measure_mask(mask)
@@ -506,9 +573,9 @@ class FiniteProbabilitySpace:
         event.  Per Section 5, the inner measure is the best lower bound on
         the probability of a (possibly non-measurable) fact.
         """
-        if self._index is None:
+        if self._interval_cache is None:
             return self.inner_measure_naive(event)
-        return self._interval_entry(self._index.mask_of_known(event))[0]
+        return self._interval_entry(self.outcome_index.mask_of_known(event))[0]
 
     def outer_measure(self, event: Iterable[Outcome]) -> Fraction:
         """``mu^*(event) = inf { mu(T) : T supseteq event, T in X }``.
@@ -516,15 +583,15 @@ class FiniteProbabilitySpace:
         Equals ``1 - mu_*(complement)`` -- the duality the paper states in
         Section 5 -- and, atom-wise, the mass of atoms meeting the event.
         """
-        if self._index is None:
+        if self._interval_cache is None:
             return self.outer_measure_naive(event)
-        return self._interval_entry(self._index.mask_of_known(event))[1]
+        return self._interval_entry(self.outcome_index.mask_of_known(event))[1]
 
     def measure_interval(self, event: Iterable[Outcome]) -> Tuple[Fraction, Fraction]:
         """``(mu_*(event), mu^*(event))`` in one pass."""
-        if self._index is None:
+        if self._interval_cache is None:
             return self.measure_interval_naive(event)
-        entry = self._interval_entry(self._index.mask_of_known(event))
+        entry = self._interval_entry(self.outcome_index.mask_of_known(event))
         return entry[0], entry[1]
 
     # ------------------------------------------------------------------
@@ -545,10 +612,10 @@ class FiniteProbabilitySpace:
         serialised cells alone.  Cold path: used by ``Model.explain``,
         never by the model checker itself.
         """
-        event_set = frozenset(event) & self._outcomes
+        event_set = frozenset(event) & self.outcomes
         probabilities = self._probabilities
         cells = []
-        for atom in self._atoms:
+        for atom in self.atoms:
             overlap = atom & event_set
             cells.append(
                 CellMeasure(
@@ -568,9 +635,9 @@ class FiniteProbabilitySpace:
         This is the witness a ``Pr_i(phi) >= alpha`` derivation carries --
         an explicit event the agent could bet on.
         """
-        event_set = frozenset(event) & self._outcomes
+        event_set = frozenset(event) & self.outcomes
         witness: FrozenSet[Outcome] = frozenset()
-        for atom in self._atoms:
+        for atom in self.atoms:
             if atom and atom <= event_set:
                 witness |= atom
         return witness
@@ -587,7 +654,7 @@ class FiniteProbabilitySpace:
         """:meth:`is_measurable` via frozenset scans (ablation baseline)."""
         count_naive_query()
         event_set = frozenset(event)
-        if not event_set <= self._outcomes:
+        if not event_set <= self.outcomes:
             return False
         covered: set = set()
         for outcome in event_set:
@@ -601,7 +668,7 @@ class FiniteProbabilitySpace:
         """:meth:`measure` via frozenset scans (ablation baseline)."""
         count_naive_query()
         event_set = frozenset(event)
-        if not event_set <= self._outcomes:
+        if not event_set <= self.outcomes:
             raise NotMeasurableError("event contains outcomes outside the sample space")
         total = ZERO
         seen: set = set()
@@ -620,9 +687,9 @@ class FiniteProbabilitySpace:
     def inner_measure_naive(self, event: Iterable[Outcome]) -> Fraction:
         """:meth:`inner_measure` via frozenset scans (ablation baseline)."""
         count_naive_query()
-        event_set = frozenset(event) & self._outcomes
+        event_set = frozenset(event) & self.outcomes
         total = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             if atom <= event_set:
                 total += self._probabilities[atom]
         return total
@@ -630,9 +697,9 @@ class FiniteProbabilitySpace:
     def outer_measure_naive(self, event: Iterable[Outcome]) -> Fraction:
         """:meth:`outer_measure` via frozenset scans (ablation baseline)."""
         count_naive_query()
-        event_set = frozenset(event) & self._outcomes
+        event_set = frozenset(event) & self.outcomes
         total = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             if atom & event_set:
                 total += self._probabilities[atom]
         return total
@@ -640,10 +707,10 @@ class FiniteProbabilitySpace:
     def measure_interval_naive(self, event: Iterable[Outcome]) -> Tuple[Fraction, Fraction]:
         """:meth:`measure_interval` via frozenset scans (ablation baseline)."""
         count_naive_query()
-        event_set = frozenset(event) & self._outcomes
+        event_set = frozenset(event) & self.outcomes
         inner = ZERO
         outer = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             overlap = atom & event_set
             if overlap:
                 outer += self._probabilities[atom]
@@ -667,7 +734,7 @@ class FiniteProbabilitySpace:
         denominator = self.measure(event_set)  # raises if non-measurable
         if denominator == ZERO:
             raise ZeroMeasureConditioningError("conditioning event has measure zero")
-        new_atoms = restrict_partition(self._atoms, event_set)
+        new_atoms = restrict_partition(self.atoms, event_set)
         probabilities = {
             atom: self._probabilities[self._atom_of[next(iter(atom))]] / denominator
             for atom in new_atoms
@@ -695,7 +762,7 @@ class FiniteProbabilitySpace:
 
     def _value_classes(self, variable: RandomVariable) -> Dict[Fraction, set]:
         classes: Dict[Fraction, set] = {}
-        for outcome in self._outcomes:
+        for outcome in self.outcomes:
             value = as_fraction(variable(outcome))
             classes.setdefault(value, set()).add(outcome)
         return classes
@@ -708,7 +775,7 @@ class FiniteProbabilitySpace:
         :meth:`outer_expectation`.
         """
         total = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             values = {as_fraction(variable(outcome)) for outcome in atom}
             if len(values) != 1:
                 raise NotMeasurableError(
@@ -720,7 +787,7 @@ class FiniteProbabilitySpace:
 
     def is_measurable_variable(self, variable: RandomVariable) -> bool:
         """True iff the variable is constant on every atom."""
-        for atom in self._atoms:
+        for atom in self.atoms:
             values = {as_fraction(variable(outcome)) for outcome in atom}
             if len(values) != 1:
                 return False
@@ -779,7 +846,7 @@ class FiniteProbabilitySpace:
         safety check uses when winnings are non-measurable.
         """
         total = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             total += self._probabilities[atom] * min(
                 as_fraction(variable(outcome)) for outcome in atom
             )
@@ -789,7 +856,7 @@ class FiniteProbabilitySpace:
         """The tightest upper bound on ``E[X]``; dual of
         :meth:`lower_expectation`."""
         total = ZERO
-        for atom in self._atoms:
+        for atom in self.atoms:
             total += self._probabilities[atom] * max(
                 as_fraction(variable(outcome)) for outcome in atom
             )
@@ -814,8 +881,8 @@ class FiniteProbabilitySpace:
         """Independent product space over pairs of outcomes."""
         atoms = []
         probabilities = {}
-        for left in self._atoms:
-            for right in other._atoms:
+        for left in self.atoms:
+            for right in other.atoms:
                 atom = frozenset(
                     (left_outcome, right_outcome)
                     for left_outcome in left
@@ -836,7 +903,7 @@ class FiniteProbabilitySpace:
         """True iff this space extends ``other`` in the Appendix B.2 sense:
         same sample space, finer algebra, agreeing measure on the coarse
         algebra."""
-        if self._outcomes != other._outcomes:
+        if self.outcomes != other.outcomes:
             return False
         for atom in other.atoms:
             if not self.is_measurable(atom):

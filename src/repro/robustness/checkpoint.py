@@ -192,7 +192,9 @@ def _audit_append(
     derivation must come from the *parent's* deterministic replay, not
     from trusting whatever a (possibly remote, possibly faulty) worker
     claims -- that is what makes the bundle evidence.  The rebuild cost
-    is why ``audit`` defaults off; ``BENCH_10.json`` pins the overhead.
+    is why ``audit`` defaults off; ``perfbench``'s ``audited_sweep``
+    workload measures it (``obs.audited_sweep_s`` in a traced run, folded
+    by ``tools/tracereport``).
     """
     _name, builder, messengers, loss, _epsilon = task
     attack = builder(messengers, loss)

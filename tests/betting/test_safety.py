@@ -17,11 +17,14 @@ from repro.betting import (
     is_safe_analytic,
     opponent_states,
     refuting_strategy,
+    safety_certificate,
     targeted_strategy,
     worst_expected_winnings,
 )
 from repro.core import opponent_assignment, PostAssignment, ProbabilityAssignment
+from repro.errors import TreeError
 from repro.examples_lib import repeated_coin_system, three_agent_coin_system
+from repro.testing import parity_fact, random_psys
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +223,32 @@ class TestSafetyCertificate:
         assert min(inner for _, inner in certificate.candidates) == (
             certificate.min_inner
         )
+
+
+class TestPointOutsideTheSystem:
+    """Safety at a point of another system raises, as its Theorem 7
+    equivalent ``K_i^alpha`` does, instead of answering about no points
+    or about the points that share its local state."""
+
+    @pytest.mark.parametrize(
+        "inside,outside",
+        [
+            (dict(seed=1, depth=2, observability=("clock", "clock")),
+             dict(seed=2, depth=2, observability=("full", "full"))),
+            (dict(seed=1), dict(seed=2)),
+        ],
+    )
+    def test_safety_queries_raise(self, inside, outside):
+        against = opponent_assignment(random_psys(**inside), 1)
+        point = random_psys(**outside).system.points[-1]
+        fact = parity_fact()
+        with pytest.raises(TreeError):
+            against.knows_probability_at_least(0, point, fact, 1)
+        with pytest.raises(TreeError):
+            is_safe_analytic(against, 0, point, fact, 1)
+        with pytest.raises(TreeError):
+            is_safe(against, 0, point, BettingRule(fact, 1), [])
+        with pytest.raises(TreeError):
+            refuting_strategy(against, 0, 1, point, fact, 1)
+        with pytest.raises(TreeError):
+            safety_certificate(against, 0, 1, point, fact, 1)

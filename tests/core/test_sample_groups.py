@@ -10,6 +10,12 @@ witnesses, and byte-identical induced spaces, on random one- and
 two-tree systems, synchronous and asynchronous, under both measure
 backends, with uniform and non-uniform assignments.  The REQ1/REQ2
 regressions pin that grouping never hides a requirement violation.
+
+The standard assignments answer every query, per point too, from one
+partition of the point index, so their own per-point answers are no
+independent oracle.  Each gets a twin instead: a
+:class:`FunctionAssignment` that scans ``T(c)`` for the points sharing
+``c``'s Section 6 key and shares no code with ``core/standard.py``.
 """
 
 import random
@@ -32,7 +38,9 @@ from repro.core import (
     standard_assignments,
 )
 from repro.core.facts import Fact
+from repro.core.model import GlobalState, Point
 from repro.core.standard import PostAssignment
+from repro.examples_lib import repeated_coin_system
 from repro.logic import Model
 from repro.logic.common_knowledge import common_knowledge_points
 from repro.logic.syntax import (
@@ -43,8 +51,10 @@ from repro.logic.syntax import (
     Prop,
     knows_prob_at_least,
 )
-from repro.probability import BACKENDS, use_backend
+from repro.probability import BACKENDS, kernel_totals, use_backend
 from repro.testing import first_branch_fact, parity_fact, random_psys
+from repro.trees.probabilistic_system import ProbabilisticSystem
+from repro.trees.tree import ComputationTree
 
 
 #: Synchronous profiles (every agent reads the clock) and asynchronous
@@ -204,6 +214,38 @@ def time_cut_assignment(psys):
     return ProbabilityAssignment(FunctionAssignment(psys, sample, name="time-cut"))
 
 
+#: Section 6's keys, read point by point: two points of one tree share a
+#: standard sample exactly when their keys agree.
+TWIN_KEYS = {
+    "post": lambda agent: lambda point: point.local_state(agent),
+    "fut": lambda agent: lambda point: point.global_state,
+    "prior": lambda agent: lambda point: point.time,
+}
+
+
+def twin(psys, name):
+    """The independent twin of the standard assignment called ``name``."""
+    if name.startswith("opp("):
+        opponent = int(name[len("opp("):-1])
+
+        def key_for(agent):
+            return lambda point: (point.local_state(agent), point.local_state(opponent))
+    else:
+        key_for = TWIN_KEYS[name]
+
+    def sample(agent, point):
+        key = key_for(agent)
+        mine = key(point)
+        return frozenset(member for member in psys.tree_of(point).points if key(member) == mine)
+
+    return ProbabilityAssignment(FunctionAssignment(psys, sample, name=f"twin {name}"))
+
+
+def twins_of(psys):
+    names = ["post", "fut", "prior"] + [f"opp({agent})" for agent in psys.system.agents]
+    return {name: twin(psys, name) for name in names}
+
+
 def assignments_of(psys, seed):
     named = dict(standard_assignments(psys))
     for opponent in psys.system.agents:
@@ -239,29 +281,44 @@ def test_probability_masks_match_per_point_oracle(backend, params, alpha):
     with use_backend(backend):
         psys = build(*params)
         facts = {"parity": parity_fact(), "first": first_branch_fact()}
+        twins = twins_of(psys)
         for name, pa in assignments_of(psys, params[0]).items():
+            # a standard assignment is judged by its twin's per-point
+            # answers; the others by their own
+            oracle = twins.get(name, pa)
             model = Model(pa, facts)
+            twin_model = Model(oracle, facts)
             for prop in ("parity", "first"):
                 sub = Prop(prop)
                 target = model.extension(sub)
                 sub_mask = model.extension_mask(sub)
                 for agent in psys.system.agents:
-                    expected = oracle_pr_mask(pa, agent, target, alpha)
+                    expected = oracle_pr_mask(oracle, agent, target, alpha)
+                    assert oracle_pr_mask(pa, agent, target, alpha) == expected, name
                     assert model.extension_mask(PrAtLeast(agent, sub, alpha)) == expected, name
                     assert model.extension_mask(PrAtMost(agent, sub, alpha)) == (
-                        oracle_pr_at_most_mask(pa, agent, target, alpha)
+                        oracle_pr_at_most_mask(oracle, agent, target, alpha)
                     ), name
                     assert model.extension_mask(knows_prob_at_least(agent, alpha, sub)) == (
                         oracle_knows_mask(psys.system, agent, expected)
                     ), name
                 group = tuple(psys.system.agents)
                 assert model.extension_mask(EveryoneKnowsProb(group, alpha, sub)) == (
-                    oracle_everyone_prob_mask(pa, group, alpha, sub_mask)
+                    oracle_everyone_prob_mask(oracle, group, alpha, sub_mask)
                 ), name
-                common = oracle_common_prob_mask(pa, group, alpha, sub_mask)
+                common = oracle_common_prob_mask(oracle, group, alpha, sub_mask)
                 assert model.extension_mask(CommonKnowsProb(group, alpha, sub)) == common, name
                 points = common_knowledge_points(model, group, target, alpha)
                 assert points == psys.point_index.members_of(common), name
+                formulas = [EveryoneKnowsProb(group, alpha, sub), CommonKnowsProb(group, alpha, sub)]
+                for agent in psys.system.agents:
+                    formulas += [
+                        PrAtLeast(agent, sub, alpha),
+                        PrAtMost(agent, sub, alpha),
+                        knows_prob_at_least(agent, alpha, sub),
+                    ]
+                for formula in formulas:
+                    assert twin_model.extension_mask(formula) == model.extension_mask(formula), name
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -272,10 +329,28 @@ def test_induced_space_matches_all_atoms_projection(backend, params):
         psys = build(*params)
         rng = random.Random(params[0])
         samples = set()
-        for pa in assignments_of(psys, params[0]).values():
+        twins = twins_of(psys)
+        for name, pa in assignments_of(psys, params[0]).items():
             for agent in psys.system.agents:
-                for group in pa.sample_groups(agent):
+                groups = pa.sample_groups(agent)
+                for group in groups:
                     samples.add((group.point, group.sample))
+                    # the group's own space, partition-built or not
+                    atoms, weights, denominator = all_atoms_projection(
+                        psys, group.point, group.sample
+                    )
+                    assert group.space.atoms == atoms, name
+                    assert group.space.atom_weights == weights, name
+                    assert group.space.weight_denominator == denominator, name
+                if name in twins:
+                    theirs = twins[name].sample_groups(agent)
+                    assert [group[:3] + group[4:] for group in groups] == [
+                        group[:3] + group[4:] for group in theirs
+                    ], name
+                    for mine, other in zip(groups, theirs):
+                        assert mine.space.atoms == other.space.atoms, name
+                        assert mine.space.atom_weights == other.space.atom_weights, name
+                        assert mine.space.weight_denominator == other.space.weight_denominator
         for tree in psys.trees:
             points = tree.points
             anchor = points[rng.randrange(len(points))]
@@ -286,6 +361,22 @@ def test_induced_space_matches_all_atoms_projection(backend, params):
             assert space.atoms == atoms
             assert space.atom_weights == weights
             assert space.weight_denominator == denominator
+
+
+def test_induced_space_masks_fit_their_own_numbering():
+    """An induced space's atom masks are as wide as the space, not as
+    ``System.point_index``: the 10-toss coin's ``opp(1)`` spaces have
+    1,024 singleton atoms each on an 11,264-point index, and full-width
+    masks there cost peak memory for nothing."""
+    psys = repeated_coin_system(10).psys
+    pa = opponent_assignment(psys, 1)
+    groups = pa.sample_groups(0)
+    assert len(psys.point_index) == 11_264
+    assert [len(group.space.atoms) for group in groups] == [1024] * 11
+    for group in groups:
+        for space in (group.space, induced_point_space(psys, group.point, group.sample)):
+            assert all(mask.bit_length() <= len(space) for mask in space._atom_masks)
+            assert len(space._atom_masks) == len(space.atoms)
 
 
 def test_sample_groups_partition_the_points():
@@ -325,11 +416,11 @@ def test_thresholds_match_per_point_argmin(backend, builder, messengers, loss):
     with use_backend(backend):
         attack = builder(messengers, loss)
         post = standard_assignments(attack.psys)["post"]
-        prior = standard_assignments(attack.psys)["prior"]
-        expected = oracle_minimum(post, attack)
+        expected = oracle_minimum(twin(attack.psys, "post"), attack)
+        assert oracle_minimum(post, attack) == expected
         assert post_threshold_witness(attack) == expected
         assert post_threshold(attack) == expected[0]
-        assert prior_threshold(attack) == oracle_minimum(prior, attack)[0]
+        assert prior_threshold(attack) == oracle_minimum(twin(attack.psys, "prior"), attack)[0]
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +451,40 @@ def test_single_point_queries_ask_only_about_their_points():
     pa.knows_probability_interval(0, point, fact, Fraction(0), Fraction(1))
     assert set(calls) <= psys.system.knowledge_set(0, point)
     assert not pa._groups
+
+
+# ----------------------------------------------------------------------
+# Points outside the system
+# ----------------------------------------------------------------------
+
+
+def outside_points():
+    """Two points of another system: one whose local states ``inside``
+    never shows, one whose agent-0 local state it does."""
+    inside = random_psys(1, depth=2, observability=("clock", "clock"))
+    unseen = random_psys(2, depth=2, observability=("full", "full")).system.points[-1]
+    default = random_psys(1)
+    seen = random_psys(2).system.points[-1]
+    assert default.system.knowledge_set(0, seen)  # answers about other points
+    return [(inside, unseen), (default, seen)]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("kind", ["post", "twin post"])
+def test_knowledge_queries_outside_the_system_raise(case, kind):
+    """``K_i^alpha`` at a point outside the system raises, as ``space``
+    does, instead of answering about no points or about other ones."""
+    psys, point = outside_points()[case]
+    pa = standard_assignments(psys)["post"] if kind == "post" else twin(psys, "post")
+    fact = parity_fact()
+    with pytest.raises(errors.TreeError):
+        pa.space(0, point)
+    with pytest.raises(errors.TreeError):
+        pa.knows_probability_at_least(0, point, fact, 1)
+    with pytest.raises(errors.TreeError):
+        pa.knows_probability_interval(0, point, fact, 0, 1)
+    with pytest.raises(errors.TreeError):
+        pa.knowledge_interval(0, point, fact)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +531,66 @@ def test_req1_raised_through_model_extension(prewarm, sample_tree):
     model = Model(pa, {"p": parity_fact()})
     with pytest.raises(errors.Req1Error):
         model.extension(PrAtLeast(0, Prop("p"), Fraction(1, 2)))
+
+
+def zero_weight_run_psys():
+    """Two runs, the second of probability 0 (built unvalidated), and an
+    agent 0 who sees the branch: its samples on that run fail REQ2."""
+    def state(node):
+        return GlobalState(environment=node, local_states=(node, "idle"))
+
+    root, kept, dropped = state("root"), state("kept"), state("dropped")
+    kept_end, dropped_end = state("kept-end"), state("dropped-end")
+    tree = ComputationTree(
+        adversary="zero-weight",
+        root=root,
+        children={root: [kept, dropped], kept: [kept_end], dropped: [dropped_end]},
+        edge_probabilities={
+            (root, kept): Fraction(1),
+            (root, dropped): Fraction(0),
+            (kept, kept_end): Fraction(1),
+            (dropped, dropped_end): Fraction(1),
+        },
+        validate=False,
+    )
+    return ProbabilisticSystem([tree])
+
+
+def kernel_queries():
+    """Measure-kernel queries so far, on either backend."""
+    totals = kernel_totals()
+    return totals["cache_hits"] + totals["cache_misses"] + totals["naive_queries"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["post", "twin post"])
+def test_req2_checked_once_per_part(backend, kind):
+    """REQ2 costs one run-space query per part: grouping an agent's
+    points makes as many kernel queries as there are groups.  A part
+    whose runs have measure zero raises where the per-point loop does:
+    at its own points, and from the first whole-system query."""
+    def assignment(psys):
+        return standard_assignments(psys)["post"] if kind == "post" else twin(psys, "post")
+
+    with use_backend(backend):
+        psys = build(3, 2, ("blind", "parity"), 3)
+        pa = assignment(psys)
+        for tree in psys.trees:
+            psys.run_space(tree.adversary)
+        for agent in psys.system.agents:
+            before = kernel_queries()
+            groups = pa.sample_groups(agent)
+            assert kernel_queries() - before == len(groups) < len(psys.point_index)
+        psys = zero_weight_run_psys()
+        pa = assignment(psys)
+        kept_run, dropped_run = psys.system.runs
+        pa.space(0, Point(dropped_run, 0))  # shares the root's sample with kept_run
+        pa.space(0, Point(kept_run, 1))
+        with pytest.raises(errors.Req2Error):
+            pa.space(0, Point(dropped_run, 1))
+        model = Model(pa, {"p": Fact.always_true()})
+        with pytest.raises(errors.Req2Error):
+            model.extension(PrAtLeast(0, Prop("p"), Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("which", [0, 1, -1])

@@ -114,6 +114,22 @@ class TestAgreementAndRoundTrip:
 
 
 class TestProbabilityEvidence:
+    def test_explaining_evaluates_no_new_fact(self, coin, points):
+        """The evidence restricts the model's extension to the sample, so
+        repeated explains keep no new fact mask on the assignment."""
+        assignment = standard_assignments(coin.psys)["post"]
+        model = Model(assignment, {"heads": coin.heads})
+        formulas = (
+            knows_prob_at_least(0, Fraction(1, 2), HEADS),
+            PrAtMost(1, HEADS, Fraction(1, 2)),
+        )
+        model.explain(formulas[0], points[0])
+        kept = dict(assignment._fact_masks)
+        for point in points[:6]:
+            for formula in formulas:
+                model.explain(formula, point)
+        assert assignment._fact_masks == kept
+
     def test_cells_sum_exactly_to_reported_measures(self, models, points):
         formula = PrAtLeast(0, HEADS, Fraction(1, 2))
         for name in ASSIGNMENT_NAMES:

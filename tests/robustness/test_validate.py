@@ -85,8 +85,8 @@ class TestValidateSpace:
             assert validate_space(space).ok
 
     def test_weights_not_summing_to_one_are_reported(self):
-        space = FiniteProbabilitySpace._from_atom_weights(
-            (frozenset({0}), frozenset({1})), (1, 2), 2
+        space = FiniteProbabilitySpace._from_numbered_atoms(
+            (0, 1), (0b01, 0b10), (1, 2), 2
         )
         report = validate_space(space)
         assert not report.ok
@@ -96,8 +96,8 @@ class TestValidateSpace:
         assert codes.count("measure-sum") >= 2
 
     def test_negative_weight_is_reported(self):
-        space = FiniteProbabilitySpace._from_atom_weights(
-            (frozenset({0}), frozenset({1})), (3, -1), 2
+        space = FiniteProbabilitySpace._from_numbered_atoms(
+            (0, 1), (0b01, 0b10), (3, -1), 2
         )
         report = validate_space(space)
         assert any(v.code == "measure-negative" for v in report.violations)
@@ -113,8 +113,8 @@ class TestValidateSpace:
         assert any(v.code == "partition" for v in report.violations)
 
     def test_raise_if_failed_carries_all_violations(self):
-        space = FiniteProbabilitySpace._from_atom_weights(
-            (frozenset({0}), frozenset({1})), (1, 2), 2
+        space = FiniteProbabilitySpace._from_numbered_atoms(
+            (0, 1), (0b01, 0b10), (1, 2), 2
         )
         report = validate_space(space)
         with pytest.raises(ValidationError) as excinfo:
