@@ -1,8 +1,7 @@
 # Convenience targets for the reproduction.
 
 PYTHON ?= python3
-# Trace file consumed by `make trace-report` / `make trace-top`
-# (see docs/observability.md).
+# Trace file consumed by `make trace-report` (see docs/observability.md).
 TRACE ?= trace.jsonl
 # One run of the benchmark of record (see perfbench/README.md):
 #   make perfbench W=knowledge_check SEED=1
@@ -11,7 +10,7 @@ SEED ?= 1
 PERFBENCH_SECONDS ?= 20
 PERFBENCH_TRACE ?= 0
 
-.PHONY: install test test-chaos bench perfbench examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-top trace-diff audit-verify audit-chaos clean
+.PHONY: install test test-chaos bench perfbench examples quicktest lint lint-json flow-lint flow-json flow-report trace-report trace-diff audit-verify audit-chaos clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -65,14 +64,9 @@ perfbench:
 trace-report:
 	PYTHONPATH=src $(PYTHON) -m tools.tracereport $(TRACE)
 
-# Live top-style sweep monitor over a repro-trace/1 JSONL being written
-# by another process.  Pass --once/--json via TOP_ARGS for CI use.
-trace-top:
-	PYTHONPATH=src $(PYTHON) -m tools.reprotop $(TOP_ARGS) $(TRACE)
-
 # Diff two traces / derivations / audit bundles: counter deltas,
 # hit-rate shift, timing ratios, first diverging record or derivation
-# node.  Usage: make trace-diff A=run1.jsonl B=run2.jsonl
+# node and a pointer to it.  Usage: make trace-diff A=run1.jsonl B=run2.jsonl
 trace-diff:
 	PYTHONPATH=src $(PYTHON) -m tools.tracediff $(A) $(B)
 

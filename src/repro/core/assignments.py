@@ -76,6 +76,19 @@ def check_req1(psys: ProbabilisticSystem, point: Point, sample: Iterable[Point])
     return tree
 
 
+def knowledge_set_of(psys: ProbabilisticSystem, agent: int, point: Point) -> PointSet:
+    """``K_i(c)``, the points ``K_i^alpha``, the betting games of Section 4
+    and the cut intervals of Section 7 quantify over.
+
+    A point outside the system raises :class:`~repro.errors.TreeError`,
+    as ``T(c)`` does, instead of quantifying over nothing or over other
+    points with ``c``'s local state.
+    """
+    if point not in psys.point_index:
+        raise TreeError(f"point {point!r} lies in no tree of this system")
+    return psys.system.knowledge_set(agent, point)
+
+
 def check_req2(
     psys: ProbabilisticSystem, point: Point, sample: Iterable[Point]
 ) -> Fraction:
@@ -756,13 +769,9 @@ class ProbabilityAssignment:
         )
 
     def knowledge_set(self, agent: int, point: Point) -> PointSet:
-        """``K_i(c)``, the points ``K_i^alpha`` and the betting games of
-        Section 4 quantify over.  A point outside the system raises
-        ``TreeError``, as :meth:`space` does, instead of quantifying over
-        nothing or over other points with ``c``'s local state."""
-        if point not in self.psys.point_index:
-            raise TreeError(f"point {point!r} lies in no tree of this system")
-        return self.psys.system.knowledge_set(agent, point)
+        """``K_i(c)`` (see :func:`knowledge_set_of`); a point outside the
+        system raises ``TreeError``, as :meth:`space` does."""
+        return knowledge_set_of(self.psys, agent, point)
 
     def knows_probability_interval(
         self, agent: int, point: Point, fact: Fact, alpha, beta

@@ -30,7 +30,12 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Opt
 
 from ..errors import AssignmentError
 from ..probability.fractionutil import ONE, ZERO
-from .assignments import PointSet, SampleSpaceAssignment, induced_point_space
+from .assignments import (
+    PointSet,
+    SampleSpaceAssignment,
+    induced_point_space,
+    knowledge_set_of,
+)
 from .facts import Fact
 from .model import GlobalState, Point, Run
 
@@ -172,10 +177,9 @@ def interval_over_banded_cuts(
     ``pts`` semantics (width >= the region's time span); the interval is
     monotone (non-shrinking) in the width.
     """
-    system = psys.system
     low = ONE
     high = ZERO
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in knowledge_set_of(psys, agent, point):
         region = region_of.sample_space(agent, candidate)
         if not region:
             continue
@@ -222,10 +226,9 @@ def interval_over_cuts(
     across all those cut spaces.
     """
     enumerate_cuts = CUT_CLASSES[cut_class]
-    system = psys.system
     low = ONE
     high = ZERO
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in knowledge_set_of(psys, agent, point):
         region = region_of.sample_space(agent, candidate)
         if not region:
             continue
@@ -252,11 +255,10 @@ def pts_interval(
     which is precisely how ``P_post`` evaluates the fact.  This closed form
     is what makes the 10-coin example (with ``11^1024`` cuts) computable.
     """
-    system = psys.system
     low = ONE
     high = ZERO
     interval_cache: Dict[Region, Tuple[Fraction, Fraction]] = {}
-    for candidate in system.knowledge_set(agent, point):
+    for candidate in knowledge_set_of(psys, agent, point):
         region = region_of.sample_space(agent, candidate)
         if not region:
             continue

@@ -151,10 +151,11 @@ def merge_worker_delta(
 
     Counters land twice: once under their plain name (so parent totals
     equal the exact sum of every shipped delta) and once under
-    ``worker.<pid>.<name>`` (per-worker attribution, which is what the
-    ``reprotop`` throughput table reads).  Kernel totals merge into this
-    process's :func:`~repro.probability.bitset.kernel_totals` *and*
-    into ``worker.<pid>.kernel.<key>`` counters; gauges are recorded
+    ``worker.<pid>.<name>`` (per-worker attribution).  Kernel totals
+    merge into this process's
+    :func:`~repro.probability.bitset.kernel_totals` *and* into
+    ``worker.<pid>.kernel.<key>`` counters, which ``tracereport`` sums
+    into a pool sweep's cache hit rate; gauges are recorded
     under the worker prefix only (a worker's last value must not
     overwrite the parent's).  Span timings stay inside the emitted
     ``worker_obs_delta`` event -- they are timing, not content.  Must be

@@ -214,7 +214,6 @@ def robust_guarantee_sweep(
     strict: bool = False,
     task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
     sleep=None,
-    progress_every: Optional[int] = None,
     audit: bool = False,
 ) -> List[SweepRow]:
     """The guarantee sweep of Section 8 on the fault-tolerant engine.
@@ -233,10 +232,6 @@ def robust_guarantee_sweep(
     engine; a caller's :func:`~repro.probability.use_backend` block
     reaches only in-process (``max_workers=1``) tasks.  Rows are
     backend-independent, so checkpoints resume across engines.
-    ``progress_every`` emits a ``sweep_progress`` event every that many
-    completed rows (see :func:`repro.robustness.engine.run_tasks`);
-    pair it with a :class:`~repro.obs.trace.TraceRecorder` and tail the
-    file with ``tools/reprotop`` for a live sweep monitor.
 
     ``audit=True`` (opt-in, default off) additionally chains every
     completed row into a ``repro-audit/1`` Merkle bundle at
@@ -287,6 +282,5 @@ def robust_guarantee_sweep(
         timeout=timeout,
         completed=completed,
         on_result=on_result,
-        progress_every=progress_every,
         **keywords,
     )

@@ -51,11 +51,6 @@ from ..obs.clock import monotonic
 from ..obs.recorder import NULL_RECORDER, Recorder, get_recorder
 from ..obs.snapshot import ObsDeltaCapture, merge_worker_delta
 
-try:
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _resource = None
-
 __all__ = [
     "POOL_INFRASTRUCTURE_ERRORS",
     "RetryPolicy",
@@ -260,18 +255,6 @@ def _short_repr(value, limit: int = 200) -> str:
     return text
 
 
-def _maxrss_kb() -> Optional[int]:
-    """Peak resident set size of this process, or ``None`` off-POSIX.
-
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; the value is
-    reported raw as a gauge (timing-class data, never content), so the
-    platform difference only affects how a human reads a dashboard.
-    """
-    if _resource is None:
-        return None
-    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
-
-
 class _EngineState:
     """Book-keeping shared by the pool and serial execution paths."""
 
@@ -283,7 +266,6 @@ class _EngineState:
         timeout: Optional[float],
         on_result: Optional[Callable[[int, object], None]],
         sleep: Callable[[float], None],
-        progress_every: Optional[int] = None,
     ) -> None:
         self.function = function
         self.tasks = tasks
@@ -291,12 +273,9 @@ class _EngineState:
         self.timeout = timeout
         self.on_result = on_result
         self._sleep = sleep
-        self.progress_every = progress_every
         self.results: Dict[int, object] = {}
         self.attempt_log: Dict[int, List[TaskAttempt]] = {}
         self._next_attempt: Dict[int, int] = {}
-        self.retries = 0
-        self._started = monotonic()
         # Captured once per run: every attempt/retry/recovery observation
         # of this engine invocation reports to the same recorder.
         self.recorder: Recorder = get_recorder()
@@ -322,32 +301,6 @@ class _EngineState:
         if seconds > 0:
             self._sleep(seconds)
 
-    def emit_progress(self, force: bool = False) -> None:
-        """One ``sweep_progress`` event, on the configured cadence.
-
-        ``done``/``total``/``retries`` are deterministic content (the
-        completion order the engine reports in is the deterministic
-        harvest order); ``elapsed_seconds`` and the ``maxrss_kb`` gauge
-        are timing, which ``tools/tracediff`` strips accordingly.
-        """
-        if not self.progress_every:
-            return
-        done = len(self.results)
-        total = len(self.tasks)
-        if not force and done % self.progress_every != 0:
-            return
-        maxrss = _maxrss_kb()
-        if maxrss is not None:
-            self.recorder.gauge("engine.maxrss_kb", maxrss)
-        self.recorder.event(
-            "sweep_progress",
-            done=done,
-            total=total,
-            retries=self.retries,
-            elapsed_seconds=round(monotonic() - self._started, 9),
-            maxrss_kb=maxrss,
-        )
-
     def record_success(self, index: int, attempt: int, value) -> None:
         self.attempt_log.setdefault(index, []).append(
             TaskAttempt(attempt=attempt, outcome="ok")
@@ -360,7 +313,6 @@ class _EngineState:
         recorder.event("task_attempt", index=index, attempt=attempt, outcome="ok")
         if self.on_result is not None:
             self.on_result(index, value)
-        self.emit_progress(force=not self.has_incomplete())
 
     def record_failure(
         self,
@@ -412,7 +364,6 @@ class _EngineState:
                 raise TaskTimeoutError(message, **details) from cause
             raise RetryExhaustedError(message, **details) from cause
         recorder.counter("engine.retries")
-        self.retries += 1
         self._next_attempt[index] = attempt + 1
         return backoff
 
@@ -647,7 +598,6 @@ def run_tasks(
     completed: Optional[Mapping[int, _Result]] = None,
     on_result: Optional[Callable[[int, _Result], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
-    progress_every: Optional[int] = None,
 ) -> List[_Result]:
     """Run ``function`` over ``tasks`` fault-tolerantly, in task order.
 
@@ -675,13 +625,6 @@ def run_tasks(
     sleep:
         Injectable sleeper for the backoff delays (tests pass a stub, so
         chaos suites never wait on real clocks).
-    progress_every:
-        Emit a ``sweep_progress`` event (done/total, retry count, exact
-        elapsed seconds from :mod:`repro.obs.clock`, and a ``maxrss_kb``
-        gauge) after every ``progress_every`` completed tasks, plus once
-        at the start and once at the end.  ``None`` (the default)
-        disables progress telemetry; ``tools/reprotop`` tails these
-        events from a live trace.
 
     Returns the results in the order of ``tasks`` -- identical to
     ``[function(task) for task in tasks]`` whenever that serial run would
@@ -690,8 +633,6 @@ def run_tasks(
     task_list = list(tasks)
     if max_workers is not None and max_workers < 1:
         raise ValueError("run_tasks needs at least one worker")
-    if progress_every is not None and progress_every < 1:
-        raise ValueError("progress_every must be a positive cadence (or None)")
     state = _EngineState(
         function,
         task_list,
@@ -699,7 +640,6 @@ def run_tasks(
         timeout,
         on_result,
         sleep,
-        progress_every=progress_every,
     )
     if completed:
         for index, value in completed.items():
@@ -712,9 +652,6 @@ def run_tasks(
     with state.recorder.span(
         "run_tasks", tasks=len(task_list), pending=len(state.incomplete_indices())
     ):
-        # Opening event so a resumed sweep's monitor knows immediately
-        # how much the checkpoint already covered.
-        state.emit_progress(force=True)
         if max_workers != 1 and len(state.incomplete_indices()) > 1:
             _run_pool(state, max_workers)
         _run_serial(state)

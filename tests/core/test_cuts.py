@@ -14,13 +14,15 @@ from repro.core import (
     enumerate_partial_cuts,
     enumerate_point_cuts,
     enumerate_state_cuts,
+    interval_over_banded_cuts,
     interval_over_cuts,
     points_by_run,
     pts_interval,
     verify_proposition10,
 )
-from repro.errors import AssignmentError
+from repro.errors import AssignmentError, TreeError
 from repro.examples_lib import biased_async_system, repeated_coin_system
+from repro.testing import parity_fact, random_psys
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +156,19 @@ class TestProposition10:
         assert verify_proposition10(
             example.psys, post, 0, example.most_recent_heads, enumeration_limit=200
         )
+
+
+class TestPointOutsideTheSystem:
+    def test_cut_intervals_raise(self):
+        # A point of another system has no K_i(c) here: the intervals
+        # used to come back inverted, (1, 0), from an empty quantifier.
+        psys = random_psys(1, depth=2, observability=("clock", "clock"))
+        point = random_psys(2, depth=2, observability=("full", "full")).system.points[-1]
+        region_of = PostAssignment(psys)
+        fact = parity_fact()
+        with pytest.raises(TreeError):
+            pts_interval(psys, region_of, 0, point, fact)
+        with pytest.raises(TreeError):
+            interval_over_cuts(psys, region_of, 0, point, fact)
+        with pytest.raises(TreeError):
+            interval_over_banded_cuts(psys, region_of, 0, point, fact, 1)

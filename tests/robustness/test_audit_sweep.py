@@ -16,8 +16,9 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from repro.attack.sweep import guarantee_sweep, sweep_tasks
-from repro.errors import RetryExhaustedError
+from repro.errors import CheckpointError, RetryExhaustedError
 from repro.obs import read_audit_bundle, verify_bundle
+from repro.obs.jsonl import JsonlFormat
 from repro.robustness import (
     FaultPlan,
     RetryPolicy,
@@ -28,7 +29,6 @@ from repro.robustness import (
 from repro.robustness.checkpoint import row_to_record
 from repro.robustness.faults import FaultInjectingTask, InjectedFault
 
-from tools.reprotop import checkpoint_status
 from tools.verifyaudit import verify_audit
 from tools.verifyaudit.cli import main as verifyaudit_main
 
@@ -202,7 +202,8 @@ class TestChaosAuditedSweep:
         )
         assert rows == serial
         assert SweepCheckpoint(path).load(tasks) == dict(enumerate(serial))
-        assert checkpoint_status(str(path)) == len(tasks)
+        # No mid-file garbage, one record per task.
+        assert len(JsonlFormat("checkpoint", CheckpointError).read(path)) == len(tasks)
         assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
         rows = robust_guarantee_sweep(
             MESSENGERS,

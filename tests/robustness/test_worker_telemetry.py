@@ -166,29 +166,6 @@ class TestExactAccounting:
 
 
 class TestProgressEvents:
-    def test_cadence_and_final_forced_emit(self):
-        log = _EventLog()
-        tasks = sweep_tasks(MESSENGERS, LOSSES)
-        with use_recorder(log):
-            run_tasks(
-                sweep_row_of,
-                tasks,
-                max_workers=1,
-                progress_every=2,
-                sleep=lambda _seconds: None,
-            )
-        progress = [fields for kind, fields in log.events if kind == "sweep_progress"]
-        assert [fields["done"] for fields in progress] == [0, 2, 4, 6]
-        for fields in progress:
-            assert fields["total"] == len(tasks)
-            assert fields["retries"] == 0
-            assert fields["elapsed_seconds"] >= 0.0
-        assert progress[-1]["done"] == len(tasks)
-
-    def test_progress_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_tasks(sweep_row_of, sweep_tasks(MESSENGERS, LOSSES), progress_every=0)
-
     def test_no_events_without_opt_in(self):
         metrics = MetricsRecorder()
         with use_recorder(metrics):

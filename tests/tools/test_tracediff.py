@@ -172,7 +172,9 @@ class TestCli:
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
         b = make_chaos_trace(tmp_path / "b.jsonl", seed=8)
         assert cli_main([str(a), str(b)]) == 0
-        assert "DIVERGED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "DIVERGED" in out
+        assert "pointer: record[" in out
 
     def test_divergence_exit_one_with_flag(self, tmp_path, capsys):
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
@@ -241,7 +243,8 @@ class TestRender:
 
 
 class TestWorkerTelemetryNormalisation:
-    def _pool_trace(self, path):
+    @staticmethod
+    def _pool_trace(path):
         from repro.obs import MetricsRecorder, MultiRecorder
 
         reset_kernel_totals()
@@ -252,25 +255,50 @@ class TestWorkerTelemetryNormalisation:
                 sweep_row_of,
                 sweep_tasks([1, 2], [Fraction(1, 2)]),
                 max_workers=2,
-                progress_every=1,
                 sleep=lambda _seconds: None,
             )
         recorder.close()
         return metrics, rows
 
-    def test_two_pool_runs_diverge_nowhere(self, tmp_path):
-        # Worker pids, rusage gauges, and elapsed stamps all differ
-        # between these runs; none of that is content.
-        metrics_a, rows_a = self._pool_trace(tmp_path / "a.jsonl")
-        metrics_b, rows_b = self._pool_trace(tmp_path / "b.jsonl")
-        if metrics_a.counters.get("engine.pool_fallbacks") or metrics_b.counters.get(
-            "engine.pool_fallbacks"
-        ):
+    @pytest.fixture(scope="class")
+    def pool_runs(self, tmp_path_factory):
+        """Two independent instrumented pool sweeps: (a, b) paths and runs."""
+        directory = tmp_path_factory.mktemp("pool")
+        paths = (directory / "a.jsonl", directory / "b.jsonl")
+        runs = [self._pool_trace(path) for path in paths]
+        if any(metrics.counters.get("engine.pool_fallbacks") for metrics, _rows in runs):
             pytest.skip("process pools unavailable")
+        return [str(path) for path in paths], runs
+
+    def test_two_pool_runs_diverge_nowhere(self, pool_runs):
+        # Worker pids and span timings differ between these runs; none
+        # of that is content.
+        (a, b), ((_metrics_a, rows_a), (_metrics_b, rows_b)) = pool_runs
         assert rows_a == rows_b
-        summary = diff_artifacts(str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl"))
+        summary = diff_artifacts(a, b)
         assert summary["diverged"] is False, summary["first_divergence"]
         assert summary["counter_deltas"] == {}
+
+    def test_pool_traces_report_the_shipped_hit_rate(self, pool_runs):
+        # A pool sweep's workers emit no cache_stats event the parent
+        # sees; the hit rate comes from the kernel counters they ship.
+        from repro.obs import read_trace
+
+        from tools.tracereport import summarize
+
+        (a, b), ((metrics_a, _rows), _run_b) = pool_runs
+        shipped = {"cache_hits": 0, "cache_misses": 0}
+        for name, value in metrics_a.counters.items():
+            head, _, key = name.rpartition(".kernel.")
+            if head.startswith("worker.") and key in shipped:
+                shipped[key] += value
+        assert shipped["cache_hits"] and shipped["cache_misses"]
+        cache = summarize(read_trace(a))["cache"]
+        assert cache["cache_hits"] == shipped["cache_hits"]
+        assert cache["cache_misses"] == shipped["cache_misses"]
+        rate = Fraction(shipped["cache_hits"], sum(shipped.values()))
+        assert cache["hit_rate"] == rate
+        assert diff_artifacts(a, b)["hit_rate"] == {"a": rate, "b": rate, "shift": 0}
 
 
 class TestExplainV2AndAuditDiff:
@@ -296,9 +324,8 @@ class TestExplainV2AndAuditDiff:
             },
         )
         assert cli_main([str(document), str(document)]) == 2
-        assert cli_main(["--bisect", str(document), str(document)]) == 2
         err = capsys.readouterr().err
-        assert err.count("unrecognised artifact schema 'repro-explain/2'") == 2
+        assert err.count("unrecognised artifact schema 'repro-explain/2'") == 1
 
     def _audited_sweep(self, tmp_path, name):
         from repro.robustness import default_audit_path, robust_guarantee_sweep
@@ -341,33 +368,61 @@ class TestExplainV2AndAuditDiff:
         assert divergence["position"] == 1
         assert divergence["field"] == "row"
 
+    def test_audit_pointers_name_where_bundles_part(self, tmp_path):
+        a = self._audited_sweep(tmp_path, "a")
+        records = [json.loads(line) for line in a.read_text().splitlines()]
+        leaves = [record for record in records if record.get("type") == "leaf"]
+        node = next(record for record in records if record.get("type") == "node")
+
+        def diff_against(name, edited):
+            b = tmp_path / f"{name}.audit"
+            b.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in edited))
+            return diff_artifacts(str(a), str(b))
+
+        header = dict(records[0], explain_schema="repro-explain/9")
+        assert diff_against("header", [header] + records[1:])["pointer"] == "header"
+        orphan = dict(node, ref="f" * len(node["ref"]))
+        summary = diff_against("orphan", records[:1] + [orphan] + records[1:])
+        assert summary["pointer"] == f"nodes[{orphan['ref']}]"
+        prefix = [record for record in records if record is not leaves[-1]]
+        summary = diff_against("prefix", prefix)
+        assert summary["pointer"] == f"leaf[{len(leaves) - 1}]"
+        # leaf 0 rebound to the last leaf's derivation: the leaf field,
+        # then the first node where the two derivations part
+        assert leaves[0]["root_ref"] != leaves[-1]["root_ref"]
+        rebound = dict(leaves[0], root_ref=leaves[-1]["root_ref"])
+        summary = diff_against(
+            "rebound", [rebound if r is leaves[0] else r for r in records]
+        )
+        node_divergence = summary["derivation_divergence"]
+        assert summary["pointer"] == (
+            f"leaf[0].root_ref -> {node_divergence['path']}.{node_divergence['field']}"
+        )
+
 
 class TestBisect:
-    def test_trace_bisect_lands_on_the_divergent_record(self, tmp_path):
-        from tools.tracediff import bisect_artifacts, render_bisect
+    """The diff's ``pointer`` lands on where two artifacts part."""
 
+    def test_trace_bisect_lands_on_the_divergent_record(self, tmp_path):
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
         b = make_chaos_trace(tmp_path / "b.jsonl", seed=8)
-        summary = bisect_artifacts(str(a), str(b))
+        summary = diff_artifacts(str(a), str(b))
         assert summary["kind"] == "trace"
         assert summary["diverged"] is True
-        assert summary["pointer"].startswith("record[")
-        # O(log n) probes, not a linear scan
-        assert summary["probes"] <= 16
-        assert "pointer" in render_bisect(summary)
+        index = summary["first_divergence"]["index"]
+        assert summary["pointer"] == f"record[{index}]"
+        assert f"pointer: record[{index}]" in render_diff(summary)
 
     def test_trace_bisect_self_is_clean(self, tmp_path):
-        from tools.tracediff import bisect_artifacts
-
         a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
         b = make_chaos_trace(tmp_path / "b.jsonl", seed=7)
-        summary = bisect_artifacts(str(a), str(b))
+        summary = diff_artifacts(str(a), str(b))
         assert summary["diverged"] is False
         assert summary["pointer"] is None
+        assert "pointer" not in render_diff(summary)
 
     def test_explain_bisect_descends_to_the_field(self, tmp_path):
         from repro.attack import build_ca1
-        from tools.tracediff import bisect_artifacts
 
         d1 = row_provenance_derivation(build_ca1(1, Fraction(1, 4)))
         d2 = row_provenance_derivation(build_ca2(3, Fraction(1, 2)))
@@ -375,13 +430,12 @@ class TestBisect:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_derivation(d1, a)
         write_derivation(d2, b)
-        summary = bisect_artifacts(str(a), str(b))
+        summary = diff_artifacts(str(a), str(b))
         assert summary["diverged"] is True
-        assert "formula" in summary["pointer"]
+        # a top-level field parted: the pointer is its bare name
+        assert summary["pointer"] == "formula"
 
     def test_audit_bisect_recomputes_content_chains(self, tmp_path):
-        from tools.tracediff import bisect_artifacts
-
         maker = TestExplainV2AndAuditDiff()
         a = maker._audited_sweep(tmp_path, "a")
         b = maker._audited_sweep(tmp_path, "b")
@@ -393,17 +447,9 @@ class TestBisect:
                 record["row"]["post_threshold"] = "1/977"
             edited.append(json.dumps(record, sort_keys=True))
         b.write_text("\n".join(edited) + "\n")
-        summary = bisect_artifacts(str(a), str(b))
+        summary = diff_artifacts(str(a), str(b))
         assert summary["diverged"] is True
-        assert summary["pointer"].startswith("leaf[1]")
-
-    def test_cli_bisect_exit_codes(self, tmp_path, capsys):
-        a = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
-        b = make_chaos_trace(tmp_path / "b.jsonl", seed=8)
-        assert cli_main(["--bisect", "--fail-on-divergence", str(a), str(b)]) == 1
-        assert "pointer" in capsys.readouterr().out
-        c = make_chaos_trace(tmp_path / "c.jsonl", seed=7)
-        assert cli_main(["--bisect", str(a), str(c)]) == 0
+        assert summary["pointer"] == "leaf[1].row"
 
 
 def _explained_derivations():
@@ -466,12 +512,12 @@ def _node_mutations(derivation):
         yield dataclasses.replace(derivation, root=root)
 
 
-class TestBisectMatchesDiff:
-    def test_explain_bisect_and_diff_agree_on_the_first_divergence(self, tmp_path):
-        # Differential: on repro-explain/1 pairs, --bisect reports the
-        # plain diff's first divergence, and both agree with a
-        # fingerprint-first descent of the two trees' audit node tables.
-        from tools.tracediff import bisect_artifacts
+class TestPointerDifferential:
+    def test_explain_pointer_matches_node_table_descent(self, tmp_path):
+        # Differential: on repro-explain/1 pairs, the diff's pointer
+        # spells its first divergence, and the node-level ones agree
+        # with a fingerprint-first descent of the two trees' audit node
+        # tables.
         from tools.tracediff.diff import dag_divergence
 
         derivations = _explained_derivations()
@@ -486,18 +532,16 @@ class TestBisectMatchesDiff:
             write_derivation(first, a)
             write_derivation(second, b)
             diff = diff_artifacts(str(a), str(b))
-            bisect = bisect_artifacts(str(a), str(b))
-            assert bisect["diverged"] == diff["diverged"]
             divergence = diff["first_divergence"]
-            assert bisect["first_divergence"] == divergence
+            assert diff["diverged"] == (divergence is not None)
             if divergence is None:
-                assert bisect["pointer"] is None
+                assert diff["pointer"] is None
                 continue
             if not divergence["path"].startswith("root"):
-                assert bisect["pointer"] == divergence["field"]
+                assert diff["pointer"] == divergence["field"]
                 continue
             node_level += 1
-            assert bisect["pointer"] == f"{divergence['path']}.{divergence['field']}"
+            assert diff["pointer"] == f"{divergence['path']}.{divergence['field']}"
             nodes_a, ref_a = _node_table(tmp_path / f"{number}a.audit", first)
             nodes_b, ref_b = _node_table(tmp_path / f"{number}b.audit", second)
             merkle = dag_divergence(nodes_a, nodes_b, ref_a, ref_b)

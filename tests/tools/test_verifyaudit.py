@@ -5,10 +5,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.attack import build_ca2  # noqa: E402
 from repro.robustness import default_audit_path, robust_guarantee_sweep  # noqa: E402
 
 from tools.verifyaudit import (  # noqa: E402
@@ -142,6 +145,8 @@ class TestHelpers:
         assert first == select_leaves(leaves, 3)
         assert len(first) == 3
         assert [leaf["index"] for leaf in first] == [0, 3, 6]
+        with pytest.raises(ValueError):
+            select_leaves(leaves, 0)
 
 
 class TestCli:
@@ -172,6 +177,31 @@ class TestCli:
         path.write_text('{"type": "header", "schema": "repro-trace/1"}\n')
         assert cli_main([str(path)]) == 2
         assert "verifyaudit:" in capsys.readouterr().err
+
+    def test_custom_builder_bundle_needs_skip_replay(self, tmp_path, capsys):
+        # Replay knows only the default builders; its defect names the
+        # one flag that skips it, and --sample 0 is a usage error, not
+        # "replay every leaf".
+        checkpoint = tmp_path / "custom.jsonl"
+        robust_guarantee_sweep(
+            [1],
+            LOSSES,
+            builders={"CUSTOM": build_ca2},
+            max_workers=1,
+            checkpoint_path=checkpoint,
+            audit=True,
+        )
+        audit_path = str(default_audit_path(checkpoint))
+        report = verify_audit(audit_path)
+        assert report["replay_defects"]
+        for defect in report["replay_defects"]:
+            assert "--skip-replay" in defect
+            assert "--sample" not in defect
+        with pytest.raises(SystemExit) as usage:
+            cli_main(["--sample", "0", audit_path])
+        assert usage.value.code == 2
+        assert "--sample must be at least 1" in capsys.readouterr().err
+        assert cli_main(["--skip-replay", audit_path]) == 0
 
     def test_json_report_round_trips(self, tmp_path, capsys):
         _checkpoint, audit_path = make_audited_sweep(tmp_path)

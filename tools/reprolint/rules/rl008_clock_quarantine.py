@@ -60,12 +60,12 @@ and auditable in one place.  time.sleep is exempt everywhere: the sweep
 engine's deterministic backoff sleeps but never *reads* time, which
 affects scheduling, not results.
 
-The quarantine applies to tools/ verbatim: tools/reprotop's refresh
-loop is the worked example -- it measures tail staleness through
-repro.obs.clock.monotonic and touches the raw time module only for
-time.sleep between refreshes.  A raw time.time() anywhere under tools/
-still fails this rule; a monitor that cannot keep its own clock reads
-quarantined has no business auditing anyone else's."""
+The quarantine applies to tools/ verbatim: a tool that keeps time --
+a refresh loop, say -- measures it through repro.obs.clock.monotonic
+and touches the raw time module only for time.sleep between
+refreshes.  A raw time.time() anywhere under tools/ still fails this
+rule; a tool that cannot keep its own clock reads quarantined has no
+business auditing anyone else's."""
 
     def check(self, module: Module) -> Iterator[Violation]:
         if module.subpackage == CLOCK_SUBPACKAGE:

@@ -13,21 +13,21 @@ bundles (auto-detected) -- and reports:
 * **first divergence** -- the first position where the two normalised
   record streams disagree, and, when the diverging records carry
   ``repro-explain/1`` derivations, the first diverging *derivation node*
-  by tree path (aligned by derivation fingerprint).
+  by tree path (aligned by derivation fingerprint);
+* **pointer** -- that first divergence as one string small enough to
+  paste into a regression report (``record[12]``, ``root.children[1].holds``,
+  ``leaf[3].root_ref -> root.children[1].detail``).
 
 Worker-shipped counters are content with their pids masked (the
 telemetry layer ships deterministic per-attempt deltas, only their pid
 labels vary).  Two runs with the same seeds and fault plan must produce
 zero divergence; two chaos runs with different fault plans diverge, and
-the first diverging record localises where.  ``--bisect`` skips the
-aggregate summaries and binary-searches straight to the first diverging
-record (rolling hash chains over normalised records, the bundle's own
-Merkle chain for ``repro-audit/1``) or derivation node, printing a
-minimal reproduction pointer.  Usage::
+the first diverging record localises where.  Counters, span totals and
+hit rates are :func:`tools.tracereport.report.summarize`'s fold of each
+trace.  Usage::
 
     PYTHONPATH=src python -m tools.tracediff A.jsonl B.jsonl
     PYTHONPATH=src python -m tools.tracediff --json A B
-    PYTHONPATH=src python -m tools.tracediff --bisect A.audit B.audit
     make trace-diff A=a.jsonl B=b.jsonl
 
 Exit status: 0 on success (divergence or not), 1 with
@@ -35,7 +35,6 @@ Exit status: 0 on success (divergence or not), 1 with
 unreadable or fails schema validation -- the only condition CI fails on.
 """
 
-from .bisect import bisect_artifacts, render_bisect
 from .diff import (
     diff_artifacts,
     diff_audit,
@@ -46,12 +45,10 @@ from .diff import (
 )
 
 __all__ = [
-    "bisect_artifacts",
     "diff_artifacts",
     "diff_audit",
     "diff_derivations",
     "diff_traces",
     "load_artifact",
-    "render_bisect",
     "render_diff",
 ]

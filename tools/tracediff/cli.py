@@ -10,7 +10,6 @@ from typing import List, Optional
 from repro.errors import AuditError, ProvenanceError, TraceError
 from repro.reporting import json_ready
 
-from .bisect import bisect_artifacts, render_bisect
 from .diff import diff_artifacts, render_diff
 
 
@@ -22,22 +21,13 @@ def build_parser() -> argparse.ArgumentParser:
             "repro-explain/1 derivation, or repro-audit/1 bundle; "
             "auto-detected): counter deltas, cache hit-rate shift, "
             "per-span timing ratios, and the first diverging record or "
-            "derivation node.  Timing drift is informational; only "
-            "content divergence counts as divergence."
+            "derivation node with a one-line pointer to it.  Timing "
+            "drift is informational; only content divergence counts as "
+            "divergence."
         ),
     )
     parser.add_argument("a", help="baseline artifact (A)")
     parser.add_argument("b", help="candidate artifact (B)")
-    parser.add_argument(
-        "--bisect",
-        action="store_true",
-        help=(
-            "binary-search to the first diverging record or derivation "
-            "node (hash chains for record streams and audit bundles, "
-            "Merkle fingerprints for a bundle's derivation nodes) and "
-            "print a minimal reproduction pointer instead of the full diff"
-        ),
-    )
     parser.add_argument(
         "--json",
         action="store_true",
@@ -54,10 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.bisect:
-            summary = bisect_artifacts(args.a, args.b)
-        else:
-            summary = diff_artifacts(args.a, args.b)
+        summary = diff_artifacts(args.a, args.b)
     except (AuditError, TraceError, ProvenanceError) as error:
         print(f"tracediff: {error}", file=sys.stderr)
         return 2
@@ -67,8 +54,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.json:
             print(json.dumps(json_ready(summary), indent=2))
-        elif args.bisect:
-            print(render_bisect(summary))
         else:
             print(render_diff(summary))
     except BrokenPipeError:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ProvenanceError, TraceError
@@ -25,6 +24,8 @@ from repro.obs.provenance import (
     derivation_from_json,
 )
 from repro.obs.trace import TRACE_SCHEMA, read_trace
+
+from tools.tracereport.report import summarize
 
 __all__ = [
     "diff_artifacts",
@@ -47,14 +48,6 @@ VOLATILE_KEYS = frozenset({"seq", "ts", "span", "parent", "seconds", "pid"})
 #: order and each shipped delta is the task's own deterministic work, so
 #: masking the pid restores content comparability.
 _WORKER_PID = re.compile(r"^worker\.\d+\.")
-
-#: ``sweep_progress`` fields that are wall-clock/rusage readings, not
-#: content.
-_PROGRESS_TIMING_FIELDS = frozenset({"elapsed_seconds", "maxrss_kb"})
-
-#: Gauges whose values are machine measurements, not content: keep the
-#: record (stream alignment is content) but blank the reading.
-_TIMING_GAUGES = frozenset({"engine.maxrss_kb"})
 
 
 def _mask_worker(name: str) -> str:
@@ -124,76 +117,36 @@ def normalize_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     runs must agree on byte for byte.  Cross-process telemetry records
     get the same treatment at finer grain: worker pids are masked out of
     counter/gauge names and ``worker_obs_delta`` fields (the OS assigns
-    them), ``sweep_progress`` drops its wall-clock/rusage fields, and
-    shipped span timings reduce to their counts.
+    them), and shipped span timings reduce to their counts.
     """
     normalized = {
         key: value for key, value in record.items() if key not in VOLATILE_KEYS
     }
     if normalized.get("type") in ("counter", "gauge") and "name" in normalized:
         normalized["name"] = _mask_worker(str(normalized["name"]))
-        if normalized["type"] == "gauge" and normalized["name"] in _TIMING_GAUGES:
-            normalized["value"] = None
-    elif normalized.get("type") == "event":
+    elif normalized.get("type") == "event" and normalized.get("kind") == "worker_obs_delta":
         fields = normalized.get("fields")
         if isinstance(fields, Mapping):
-            kind = normalized.get("kind")
-            if kind == "worker_obs_delta":
-                fields = {k: v for k, v in fields.items() if k != "worker"}
-                spans = fields.get("spans")
-                if isinstance(spans, Mapping):
-                    fields["spans"] = {
-                        name: (
-                            entry.get("count") if isinstance(entry, Mapping) else entry
-                        )
-                        for name, entry in spans.items()
-                    }
-                normalized["fields"] = fields
-            elif kind == "sweep_progress":
-                normalized["fields"] = {
-                    k: v for k, v in fields.items() if k not in _PROGRESS_TIMING_FIELDS
+            fields = {k: v for k, v in fields.items() if k != "worker"}
+            spans = fields.get("spans")
+            if isinstance(spans, Mapping):
+                fields["spans"] = {
+                    name: (
+                        entry.get("count") if isinstance(entry, Mapping) else entry
+                    )
+                    for name, entry in spans.items()
                 }
+            normalized["fields"] = fields
     return normalized
 
 
-def _fold_counters(records: Sequence[Mapping[str, Any]]) -> Dict[str, int]:
+def _masked_counters(counters: Mapping[str, int]) -> Dict[str, int]:
+    """Folded counter totals with worker pids masked (and so merged)."""
     totals: Dict[str, int] = {}
-    for record in records:
-        if record.get("type") == "counter":
-            name = _mask_worker(str(record.get("name")))
-            totals[name] = totals.get(name, 0) + int(record.get("value", 0))
+    for name, value in counters.items():
+        masked = _mask_worker(name)
+        totals[masked] = totals.get(masked, 0) + value
     return totals
-
-
-def _span_totals(records: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    totals: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        if record.get("type") == "span-end":
-            name = str(record.get("name"))
-            entry = totals.setdefault(name, {"count": 0, "seconds": 0.0})
-            entry["count"] += 1
-            entry["seconds"] += float(record.get("seconds", 0.0))
-    return totals
-
-
-def _last_cache_stats(
-    records: Sequence[Mapping[str, Any]],
-) -> Optional[Mapping[str, Any]]:
-    last = None
-    for record in records:
-        if record.get("type") == "event" and record.get("kind") == "cache_stats":
-            last = record.get("fields")
-    return last if isinstance(last, Mapping) else None
-
-
-def _hit_rate(stats: Optional[Mapping[str, Any]]) -> Optional[Fraction]:
-    if stats is None:
-        return None
-    hits = int(stats.get("cache_hits", 0))
-    misses = int(stats.get("cache_misses", 0))
-    if hits + misses == 0:
-        return None
-    return Fraction(hits, hits + misses)
 
 
 def _record_summary(record: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -525,13 +478,16 @@ def diff_traces(
 
     Reports folded counter deltas, per-span timing ratios (informational
     only), the exact cache hit-rate shift, and the first position where
-    the normalised streams disagree.  When the first diverging records
-    both embed a derivation (``row_provenance`` / ``derivation``
-    events), the diff recurses into the trees and also reports the first
-    diverging derivation node.
+    the normalised streams disagree.  The counters, span totals and hit
+    rate are :func:`tools.tracereport.report.summarize`'s fold.  When
+    the first diverging records both embed a derivation
+    (``row_provenance`` / ``derivation`` events), the diff recurses into
+    the trees and also reports the first diverging derivation node.
     """
-    counters_a = _fold_counters(records_a)
-    counters_b = _fold_counters(records_b)
+    summary_a = summarize(records_a)
+    summary_b = summarize(records_b)
+    counters_a = _masked_counters(summary_a["counters"])
+    counters_b = _masked_counters(summary_b["counters"])
     counter_deltas = {
         name: {
             "a": counters_a.get(name, 0),
@@ -542,27 +498,28 @@ def diff_traces(
         if counters_a.get(name, 0) != counters_b.get(name, 0)
     }
 
-    spans_a = _span_totals(records_a)
-    spans_b = _span_totals(records_b)
+    spans_a = summary_a["spans"]
+    spans_b = summary_b["spans"]
+    absent = {"count": 0, "total_seconds": 0.0}
     timing_ratios = {}
     for name in sorted(set(spans_a) | set(spans_b)):
-        entry_a = spans_a.get(name, {"count": 0, "seconds": 0.0})
-        entry_b = spans_b.get(name, {"count": 0, "seconds": 0.0})
+        entry_a = spans_a.get(name, absent)
+        entry_b = spans_b.get(name, absent)
         ratio = (
-            round(entry_b["seconds"] / entry_a["seconds"], 4)
-            if entry_a["seconds"] > 0.0
+            round(entry_b["total_seconds"] / entry_a["total_seconds"], 4)
+            if entry_a["total_seconds"] > 0.0
             else None
         )
         timing_ratios[name] = {
             "count_a": entry_a["count"],
             "count_b": entry_b["count"],
-            "seconds_a": round(entry_a["seconds"], 6),
-            "seconds_b": round(entry_b["seconds"], 6),
+            "seconds_a": round(entry_a["total_seconds"], 6),
+            "seconds_b": round(entry_b["total_seconds"], 6),
             "ratio": ratio,
         }
 
-    rate_a = _hit_rate(_last_cache_stats(records_a))
-    rate_b = _hit_rate(_last_cache_stats(records_b))
+    rate_a = summary_a.get("cache", {}).get("hit_rate")
+    rate_b = summary_b.get("cache", {}).get("hit_rate")
     hit_rate = {
         "a": rate_a,
         "b": rate_b,
@@ -618,11 +575,47 @@ def diff_traces(
 # ----------------------------------------------------------------------
 
 
+def _pointer(summary: Mapping[str, Any]) -> Optional[str]:
+    """The first divergence as one pasteable string, ``None`` when equal.
+
+    ``record[i]`` for traces; the field name of a top-level derivation
+    field, else ``path.field``, for derivations; for audit bundles
+    ``header``, ``nodes[ref]`` (only the node tables differ), ``leaf[i]``
+    (one bundle is a prefix of the other) or ``leaf[i].field``, followed
+    by `` -> path.field`` when the two leaves bind different derivation
+    roots.
+    """
+    divergence = summary["first_divergence"]
+    if divergence is None:
+        return None
+    kind = summary["kind"]
+    if kind == "trace":
+        return f"record[{divergence['index']}]"
+    if kind == "explain":
+        if divergence["path"] == divergence["field"]:
+            return divergence["field"]
+        return f"{divergence['path']}.{divergence['field']}"
+    field = divergence["field"]
+    if field == "header":
+        return "header"
+    if field == "nodes":
+        return f"nodes[{divergence['refs'][0]}]"
+    if field == "leaves":
+        return f"leaf[{divergence['position']}]"
+    pointer = f"leaf[{divergence['position']}].{field}"
+    node = summary["derivation_divergence"]
+    if node is not None:
+        pointer += f" -> {node['path']}.{node['field']}"
+    return pointer
+
+
 def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
     """Load, kind-check, and diff two artifact files.
 
     The two files must be the same kind of artifact; mixing (say) a
     trace with an audit bundle raises :class:`~repro.errors.TraceError`.
+    The summary carries ``pointer`` (see :func:`_pointer`): where the
+    two artifacts first part, ``None`` when their content is identical.
     """
     kind_a, payload_a = load_artifact(path_a)
     kind_b, payload_b = load_artifact(path_b)
@@ -637,6 +630,7 @@ def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = diff_derivations(payload_a, payload_b)
     else:
         summary = diff_audit(payload_a, payload_b)
+    summary["pointer"] = _pointer(summary)
     summary["a"] = path_a
     summary["b"] = path_b
     return summary
@@ -657,6 +651,8 @@ def render_diff(summary: Mapping[str, Any]) -> str:
     lines.append(f"tracediff [{kind}]: {verdict}")
     lines.append(f"  A: {summary.get('a', '?')}")
     lines.append(f"  B: {summary.get('b', '?')}")
+    if summary.get("pointer") is not None:
+        lines.append(f"pointer: {summary['pointer']}")
     if kind == "trace":
         lines.append(
             f"records: {summary['records_a']} vs {summary['records_b']}"

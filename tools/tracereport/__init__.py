@@ -9,8 +9,9 @@ summaries operators actually ask of a sweep:
 * **Top spans** -- count / total / mean / max seconds per span name,
   sorted by total time, so the expensive stage is the first row.
 * **Counters** -- every monotonic counter, summed over the trace.
-* **Cache hit rate** -- from the last ``cache_stats`` event, as an exact
-  ``hits/(hits+misses)`` :class:`fractions.Fraction`.
+* **Cache hit rate** -- from the last ``cache_stats`` event (or, in a
+  pool sweep's trace, the summed ``worker.<pid>.kernel.*`` counters), as
+  an exact ``hits/(hits+misses)`` :class:`fractions.Fraction`.
 * **gfp fixpoints** -- how many greatest-fixed-point computations ran
   and how many iterations they took (``gfp`` events).
 * **Retry histogram** -- attempts-per-task and outcome counts from the

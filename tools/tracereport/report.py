@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -12,12 +13,35 @@ from repro.reporting import render_table
 #: than (only) a row in the generic counter listing.
 _GFP_EVENT_KIND = "gfp"
 
+#: Measure-kernel totals a pool worker shipped
+#: (``worker.<pid>.kernel.cache_hits``); the group is the
+#: ``kernel_totals()`` key a ``cache_stats`` event would carry.
+_SHIPPED_KERNEL = re.compile(r"^worker\.[^.]+\.kernel\.(.+)$")
+
+
+def _shipped_kernel_totals(counters: Dict[str, int]) -> Dict[str, int]:
+    """Sum the kernel counters every pool worker shipped, per key.
+
+    Pool workers emit no ``cache_stats`` event the parent sees; their
+    kernel deltas arrive as per-attempt counters, which sum exactly.
+    """
+    totals: Dict[str, int] = {}
+    for name, value in counters.items():
+        match = _SHIPPED_KERNEL.match(name)
+        if match is not None:
+            key = match.group(1)
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
 
 def summarize(records: Sequence[Dict]) -> Dict:
     """Fold trace records into one JSON-ready summary dict.
 
     ``records`` is the output of :func:`repro.obs.read_trace`: the
-    header plus counter/gauge/event/span records in stream order.
+    header plus counter/gauge/event/span records in stream order.  The
+    ``cache`` section reads the last ``cache_stats`` event (serial
+    sweeps); a trace without one (a pool sweep) sums the kernel
+    counters its workers shipped instead.
     """
     counters: Dict[str, int] = {}
     spans: Dict[str, Dict[str, float]] = {}
@@ -90,6 +114,8 @@ def summarize(records: Sequence[Dict]) -> Dict:
             "outcomes": dict(sorted(outcome_counts.items())),
         },
     }
+    if last_cache_stats is None:
+        last_cache_stats = _shipped_kernel_totals(counters) or None
     if last_cache_stats is not None:
         hits = int(last_cache_stats.get("cache_hits", 0))
         misses = int(last_cache_stats.get("cache_misses", 0))

@@ -62,7 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.sample is not None and args.sample < 1:
+        parser.error(
+            f"--sample must be at least 1, not {args.sample} "
+            "(--skip-replay skips the replay)"
+        )
     try:
         report = verify_audit(
             args.bundle,

@@ -155,9 +155,12 @@ def select_leaves(leaves: List[Dict], sample: Optional[int]) -> List[Dict]:
     ``sample=N`` picks N evenly spaced leaves in chain order --
     deterministic (no randomness is available or wanted in a verifier:
     two auditors running the same command must check the same leaves).
-    ``None`` or ``N >= len`` selects everything.
+    ``None`` or ``N >= len`` selects everything; ``N < 1`` raises
+    :class:`ValueError` (skipping the replay is ``replay=False``).
     """
-    if sample is None or sample >= len(leaves) or sample <= 0:
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, not {sample}")
+    if sample is None or sample >= len(leaves):
         return list(leaves)
     step = len(leaves) / sample
     chosen = sorted({int(position * step) for position in range(sample)})
@@ -181,8 +184,8 @@ def _replay_leaves(bundle: AuditBundle, selected: List[Dict]) -> List[str]:
             defects.append(
                 f"leaf {index}: unknown protocol {protocol!r}; replay "
                 "knows only the default builders "
-                f"{sorted(DEFAULT_BUILDERS)} (use --sample 0/--skip-replay "
-                "for bundles from custom sweeps)"
+                f"{sorted(DEFAULT_BUILDERS)} (use --skip-replay for "
+                "bundles from custom sweeps)"
             )
             continue
         key = _identity(task)
@@ -232,6 +235,7 @@ def verify_audit(
     are defects in the report (exit 1).
     """
     bundle = read_audit_bundle(bundle_path)
+    selected = select_leaves(bundle.leaves, sample) if replay else []
     hash_defects = verify_bundle(bundle)
     if checkpoint_path is None:
         checkpoint_path = default_checkpoint_path(bundle_path)
@@ -240,7 +244,6 @@ def verify_audit(
         records, structural = load_checkpoint_records(checkpoint_path)
         checkpoint_defects.extend(structural)
         checkpoint_defects.extend(_cross_check_checkpoint(bundle, records))
-    selected = select_leaves(bundle.leaves, sample) if replay else []
     replay_defects = _replay_leaves(bundle, selected) if replay else []
     defects = hash_defects + checkpoint_defects + replay_defects
     return {
