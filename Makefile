@@ -81,10 +81,11 @@ audit-verify:
 audit-chaos:
 	$(PYTHON) benchmarks/audit_chaos_sweep.py --artifact-dir audit-artifacts
 
+# Every example script, end to end, from a fresh checkout (no install).
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 artifacts:

@@ -27,6 +27,7 @@ from ..core.model import Point
 from ..core.standard import standard_assignments
 from ..logic.semantics import Model
 from ..logic.syntax import PrAtLeast, Prop
+from ..obs.provenance import Derivation
 from ..obs.recorder import get_recorder
 from ..probability.bitset import get_default_backend, kernel_totals
 from ..probability.fractionutil import FractionLike, ONE, as_fraction
@@ -56,6 +57,34 @@ def _minimum_inner(
     return best
 
 
+def _post_witness(
+    attack: AttackSystem,
+) -> Tuple[ProbabilityAssignment, Tuple[Fraction, int, Point]]:
+    """``attack``'s ``P_post`` assignment with its :func:`_minimum_inner`
+    witness ``(threshold, agent, point)``.
+
+    The one place a sweep row builds ``post``: the threshold, its
+    witness and the witness's derivation (:func:`_witness_derivation`)
+    all read this one assignment, so its partitions, fact mask and
+    sample spaces are built once per system.
+    """
+    post = standard_assignments(attack.psys)["post"]
+    return post, _minimum_inner(post, attack)
+
+
+def _witness_derivation(
+    attack: AttackSystem,
+    post: ProbabilityAssignment,
+    witness: Tuple[Fraction, int, Point],
+) -> Derivation:
+    """The derivation of ``Pr_i(coord) >= threshold`` at the witness point
+    under ``post`` -- the Section 5 inner-measure computation (sample
+    space, cells, witness event) behind the threshold."""
+    threshold, agent, point = witness
+    model = Model(post, {"coord": attack.coordinated})
+    return model.explain(PrAtLeast(agent, Prop("coord"), threshold), point)
+
+
 def post_threshold(attack: AttackSystem) -> Fraction:
     """The supremum of ``eps`` with ``C^eps phi_CA`` at all points (P_post).
 
@@ -69,7 +98,7 @@ def post_threshold(attack: AttackSystem) -> Fraction:
     and conversely ``C^eps`` implies ``E^eps``.  So the threshold is the
     pointwise minimum.
     """
-    return _minimum_inner(standard_assignments(attack.psys)["post"], attack)[0]
+    return post_threshold_witness(attack)[0]
 
 
 def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
@@ -82,23 +111,20 @@ def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
     order, so the witness is stable across runs and processes (what the
     per-row provenance events and ``tools/tracediff`` rely on).
     """
-    return _minimum_inner(standard_assignments(attack.psys)["post"], attack)
+    return _post_witness(attack)[1]
 
 
-def row_provenance_derivation(attack: AttackSystem):
+def row_provenance_derivation(attack: AttackSystem) -> Derivation:
     """The ``repro-explain/1`` derivation behind one sweep row's threshold.
 
     Explains ``Pr_i(coord) >= threshold`` at the row's witness point
     under ``P_post`` -- the exact Section 5 inner-measure computation
     (sample space, cells, witness event) that produced the row's
     ``post_threshold``.  This is what the ``provenance=True`` sweep mode
-    attaches to each ``row_provenance`` event.
+    attaches to each ``row_provenance`` event and what every
+    ``repro-audit/1`` leaf binds.
     """
-    post = standard_assignments(attack.psys)["post"]
-    threshold, agent, point = _minimum_inner(post, attack)
-    model = Model(post, {"coord": attack.coordinated})
-    formula = PrAtLeast(agent, Prop("coord"), threshold)
-    return model.explain(formula, point)
+    return _witness_derivation(attack, *_post_witness(attack))
 
 
 def prior_threshold(attack: AttackSystem) -> Fraction:
@@ -188,24 +214,39 @@ def sweep_tasks(
     ]
 
 
-def sweep_row_from_attack(task: SweepTask, attack: AttackSystem) -> SweepRow:
-    """Compute one :class:`SweepRow` from an already-built attack system.
+def measure_sweep_row(
+    task: SweepTask, attack: AttackSystem, derive: bool
+) -> Tuple[SweepRow, Optional[Derivation]]:
+    """The row of ``task`` from its built ``attack`` system and, when
+    ``derive``, the row's threshold derivation.
 
-    Split out of :func:`sweep_row_of` so callers that inspect the system
-    between building and measuring it -- the ``strict=True`` validation
-    path of :func:`repro.robustness.checkpoint.robust_guarantee_sweep` --
-    reuse exactly the same row computation.
+    Deterministic. A pure function of the task and its system; the
+    derivation equals :func:`row_provenance_derivation`'s.
+
+    Both come from one ``post`` assignment and one witness scan.  The
+    row's ``cache_stats`` event (the kernel totals after the row) is
+    emitted between the two, so every sweep row reports the same event
+    whatever else it derives.  Callers build the system and open the
+    ``sweep_row`` span around the build and this call; callers that
+    inspect the system in between -- the ``strict=True`` validation of
+    :func:`repro.robustness.checkpoint.robust_guarantee_sweep` -- reuse
+    exactly the same row computation.
     """
-    name, _builder, messengers, loss, threshold = task
-    post = post_threshold(attack)
-    return SweepRow(
+    name, _builder, messengers, loss, epsilon = task
+    post, witness = _post_witness(attack)
+    threshold = witness[0]
+    row = SweepRow(
         protocol=name,
         messengers=messengers,
         loss=loss,
         run_level=run_level_probability(attack),
-        post_threshold=post,
-        achieves_99_post=post >= threshold,
+        post_threshold=threshold,
+        achieves_99_post=threshold >= epsilon,
     )
+    get_recorder().event("cache_stats", **kernel_totals())
+    if not derive:
+        return row, None
+    return row, _witness_derivation(attack, post, witness)
 
 
 def sweep_row_of(task: SweepTask, provenance: bool = False) -> SweepRow:
@@ -223,19 +264,19 @@ def sweep_row_of(task: SweepTask, provenance: bool = False) -> SweepRow:
     With ``provenance=True`` (opt-in, default off) the row additionally
     emits a ``row_provenance`` event carrying the full
     ``repro-explain/1`` derivation of the row's ``post_threshold`` at
-    its witness point (:func:`row_provenance_derivation`).  The event is
-    observe-only: the returned row is byte-identical either way.
+    its witness point (:func:`row_provenance_derivation`, here read off
+    the row's own ``post`` assignment).  The event is observe-only: the
+    returned row is byte-identical either way.
     """
     name, builder, messengers, loss, _threshold = task
     recorder = get_recorder()
     with recorder.span(
         "sweep_row", protocol=name, messengers=messengers, loss=loss
     ):
-        attack = builder(messengers, loss)
-        row = sweep_row_from_attack(task, attack)
-        recorder.event("cache_stats", **kernel_totals())
-        if provenance:
-            derivation = row_provenance_derivation(attack)
+        row, derivation = measure_sweep_row(
+            task, builder(messengers, loss), provenance
+        )
+        if derivation is not None:
             recorder.event(
                 "row_provenance",
                 protocol=name,
@@ -291,8 +332,7 @@ def crossover_messengers(
 def threshold_is_exact(attack: AttackSystem, samples: int = 3) -> bool:
     """Cross-check :func:`post_threshold` against the gfp-based
     :func:`~repro.attack.analysis.achieves` on both sides of the value."""
-    post = standard_assignments(attack.psys)["post"]
-    threshold = post_threshold(attack)
+    post, (threshold, _agent, _point) = _post_witness(attack)
     if not achieves(attack, post, threshold):
         return False
     if threshold < ONE:

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..attack.sweep import (
     Builder,
     SweepRow,
     SweepTask,
+    measure_sweep_row,
     row_provenance_derivation,
-    sweep_row_from_attack,
     sweep_row_of,
     sweep_tasks,
     task_fingerprint,
@@ -41,6 +41,8 @@ from ..attack.sweep import (
 from ..errors import CheckpointError
 from ..obs.audit import AuditBundleWriter
 from ..obs.jsonl import DurableAppender, JsonlFormat
+from ..obs.provenance import Derivation
+from ..obs.recorder import get_recorder
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
 from .engine import RetryPolicy, run_tasks
@@ -157,6 +159,25 @@ class SweepCheckpoint:
         return completed
 
 
+def _checked_row(
+    task: SweepTask, strict: bool, derive: bool
+) -> Tuple[SweepRow, Optional[Derivation]]:
+    """One build of ``task``'s system, validated first when ``strict``:
+    its row and, when ``derive``, its threshold derivation.
+
+    The same ``sweep_row`` span and ``cache_stats`` event as
+    :func:`~repro.attack.sweep.sweep_row_of`.
+    """
+    name, builder, messengers, loss, _epsilon = task
+    with get_recorder().span(
+        "sweep_row", protocol=name, messengers=messengers, loss=loss
+    ):
+        attack = builder(messengers, loss)
+        if strict:
+            validate_system(attack.psys).raise_if_failed()
+        return measure_sweep_row(task, attack, derive)
+
+
 def strict_sweep_row_of(task: SweepTask) -> SweepRow:
     """:func:`~repro.attack.sweep.sweep_row_of` with invariant validation.
 
@@ -164,12 +185,28 @@ def strict_sweep_row_of(task: SweepTask) -> SweepRow:
     :func:`repro.robustness.validate.validate_system` on it (raising
     :class:`~repro.errors.ValidationError` with every violation if the
     Section 3-5 invariants fail), then computes the row from the
-    already-built system.  Module-level so it ships to worker processes.
+    already-built system, in the same ``sweep_row`` span as an
+    unvalidated row.  Module-level so it ships to worker processes.
     """
-    _name, builder, messengers, loss, _epsilon = task
-    attack = builder(messengers, loss)
-    validate_system(attack.psys).raise_if_failed()
-    return sweep_row_from_attack(task, attack)
+    return _checked_row(task, strict=True, derive=False)[0]
+
+
+def _audited_sweep_row_of(task: SweepTask) -> Tuple[SweepRow, Derivation]:
+    """:func:`~repro.attack.sweep.sweep_row_of`'s row together with the
+    derivation its audit leaf binds, from one build and one ``post``
+    assignment.
+
+    Deterministic. Both halves are pure functions of the task tuple,
+    which is why the serial audited sweep may bind the derivation this
+    call returns instead of rebuilding the system in the parent.
+    """
+    return _checked_row(task, strict=False, derive=True)
+
+
+def _strict_audited_sweep_row_of(task: SweepTask) -> Tuple[SweepRow, Derivation]:
+    """:func:`_audited_sweep_row_of` with :func:`strict_sweep_row_of`'s
+    invariant validation before the system is measured."""
+    return _checked_row(task, strict=True, derive=True)
 
 
 def default_audit_path(checkpoint_path) -> str:
@@ -179,26 +216,39 @@ def default_audit_path(checkpoint_path) -> str:
 
 
 def _audit_append(
-    writer: AuditBundleWriter, index: int, task: SweepTask, row: SweepRow
+    writer: AuditBundleWriter,
+    index: int,
+    task: SweepTask,
+    row: SweepRow,
+    derivation: Optional[Derivation] = None,
 ) -> None:
     """Chain one completed row into the sweep's audit bundle.
 
-    Rebuilds the task's attack system in the parent process and
-    re-derives its ``post_threshold`` at the witness point
+    Appends the Merkle leaf over (task fingerprint, exact row payload,
+    derivation root fingerprint, index).  The derivation is the
+    ``post_threshold`` re-derivation at the witness point
     (:func:`repro.attack.sweep.row_provenance_derivation` -- the
-    Section 5 inner-measure evidence behind the Section 8 row), then
-    appends the Merkle leaf over (task fingerprint, exact row payload,
-    derivation root fingerprint, index).  Rebuilding is deliberate: the
+    Section 5 inner-measure evidence behind the Section 8 row).
+
+    A serial audited sweep computes each row in this process with
+    :func:`_audited_sweep_row_of` and passes the ``derivation`` that came
+    out of the same build as the row.  Rebuilding it here would run the
+    same deterministic function on the same task in the same process,
+    so it could not disagree with the row.  Every other row arrives
+    with ``derivation=None`` and is rebuilt here: pool rows, rows from a
+    caller's ``task_function`` and backfilled checkpoint rows.  Their
     derivation must come from the *parent's* deterministic replay, not
     from trusting whatever a (possibly remote, possibly faulty) worker
-    claims -- that is what makes the bundle evidence.  The rebuild cost
-    is why ``audit`` defaults off; ``perfbench``'s ``audited_sweep``
-    workload measures it (``obs.audited_sweep_s`` in a traced run, folded
-    by ``tools/tracereport``).
+    or hook claims -- that is what makes the bundle evidence.  Either
+    way ``tools/verifyaudit``'s replay tier rebuilds the system once
+    more, independently.  The audit cost is why ``audit`` defaults off;
+    ``perfbench``'s ``audited_sweep`` workload measures it
+    (``obs.audited_sweep_s`` in a traced run, folded by
+    ``tools/tracereport``).
     """
-    _name, builder, messengers, loss, _epsilon = task
-    attack = builder(messengers, loss)
-    derivation = row_provenance_derivation(attack)
+    if derivation is None:
+        _name, builder, messengers, loss, _epsilon = task
+        derivation = row_provenance_derivation(builder(messengers, loss))
     writer.append(index, task_fingerprint(task), json_ready(row), derivation)
 
 
@@ -237,10 +287,14 @@ def robust_guarantee_sweep(
     completed row into a ``repro-audit/1`` Merkle bundle at
     :func:`default_audit_path` (``<checkpoint>.audit``, the name by which
     ``tools/verifyaudit`` finds the checkpoint): each leaf binds the
-    task fingerprint, the exact row payload, and the row's
-    parent-recomputed threshold-derivation root, so
+    task fingerprint, the exact row payload, and the root of the row's
+    threshold derivation computed in this process, so
     ``tools/verifyaudit`` can certify the sweep -- including one that
-    was chaos-killed and resumed -- without recomputing it.  Resuming
+    was chaos-killed and resumed -- without recomputing it.  A row this
+    process computes itself (``max_workers=1`` and no
+    ``task_function``) comes with its derivation from one build of its
+    system (:func:`_audited_sweep_row_of`); every other row's derivation
+    is rebuilt here after the row arrives (:func:`_audit_append`).  Resuming
     continues the existing chain and *backfills* leaves for checkpoint
     rows whose audit records were lost to a torn tail, so bundle and
     checkpoint always end the run covering the same rows.  Auditing
@@ -253,8 +307,16 @@ def robust_guarantee_sweep(
             "audit=True requires checkpoint_path: the audit bundle is "
             "verified against the checkpoint it shadows"
         )
+    # A serial audited sweep's own rows carry their derivation, so the
+    # row and its leaf come from one build of the system.
+    one_build = audit and task_function is None and max_workers == 1
     if task_function is None:
-        task_function = strict_sweep_row_of if strict else sweep_row_of
+        if one_build:
+            task_function = (
+                _strict_audited_sweep_row_of if strict else _audited_sweep_row_of
+            )
+        else:
+            task_function = strict_sweep_row_of if strict else sweep_row_of
     checkpoint = SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
     keywords = {}
     if sleep is not None:
@@ -270,11 +332,14 @@ def robust_guarantee_sweep(
             _audit_append(writer, index, tasks[index], completed[index])
     on_result = None
     if checkpoint is not None:
-        def on_result(index: int, row: SweepRow) -> None:
+        def on_result(index: int, result) -> None:
+            row, derivation = result if one_build else (result, None)
             checkpoint.append(index, tasks[index], row)
             if writer is not None:
-                _audit_append(writer, index, tasks[index], row)
-    return run_tasks(
+                _audit_append(writer, index, tasks[index], row, derivation)
+    if one_build:
+        completed = {index: (row, None) for index, row in completed.items()}
+    results = run_tasks(
         task_function,
         tasks,
         max_workers=max_workers,
@@ -284,3 +349,4 @@ def robust_guarantee_sweep(
         on_result=on_result,
         **keywords,
     )
+    return [row for row, _derivation in results] if one_build else results

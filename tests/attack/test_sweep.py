@@ -186,3 +186,38 @@ class TestRowProvenance:
         with use_recorder(recorder):
             guarantee_sweep([1], [Fraction(1, 2)])
         assert recorder.of_kind("row_provenance") == []
+
+
+class TestOnePostAssignment:
+    """A row, its provenance derivation and ``threshold_is_exact`` read one
+    ``post`` assignment: one partition of the point index per agent."""
+
+    TASK = ("CA1", build_ca1, 2, Fraction(1, 2), Fraction(99, 100))
+
+    @pytest.fixture
+    def partition_builds(self, monkeypatch):
+        from repro.core.standard import _TreeIndexed
+
+        calls = []
+        original = _TreeIndexed._build_partition
+
+        def counting(assignment, key_of):
+            calls.append(key_of)
+            return original(assignment, key_of)
+
+        monkeypatch.setattr(_TreeIndexed, "_build_partition", counting)
+        return calls
+
+    def test_plain_row(self, partition_builds):
+        sweep_row_of(self.TASK)
+        assert len(partition_builds) == 2
+
+    def test_provenance_row(self, partition_builds):
+        sweep_row_of(self.TASK, provenance=True)
+        assert len(partition_builds) == 2
+
+    def test_threshold_is_exact(self, partition_builds):
+        attack = build_ca1(2, Fraction(1, 2))
+        del partition_builds[:]
+        assert threshold_is_exact(attack)
+        assert len(partition_builds) == 2

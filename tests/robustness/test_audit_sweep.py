@@ -1,11 +1,14 @@
 """Audited sweeps: chained rows survive chaos, resume, and tamper."""
 
+import dataclasses
+import errno
 import hashlib
 import importlib.util
 import json
 import os
 import shutil
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +18,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.attack.sweep import guarantee_sweep, sweep_tasks
-from repro.errors import CheckpointError, RetryExhaustedError
-from repro.obs import read_audit_bundle, verify_bundle
+from repro.attack import build_ca1, build_ca1_adaptive, build_ca2
+from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
+from repro.core.model import GlobalState
+from repro.errors import CheckpointError, RetryExhaustedError, ValidationError
+from repro.obs import MetricsRecorder, read_audit_bundle, use_recorder, verify_bundle
+from repro.obs.audit import AuditBundleWriter
 from repro.obs.jsonl import JsonlFormat
+from repro.probability import use_backend
 from repro.robustness import (
     FaultPlan,
     RetryPolicy,
@@ -28,6 +35,8 @@ from repro.robustness import (
 )
 from repro.robustness.checkpoint import row_to_record
 from repro.robustness.faults import FaultInjectingTask, InjectedFault
+from repro.trees.probabilistic_system import ProbabilisticSystem
+from repro.trees.tree import ComputationTree
 
 from tools.verifyaudit import verify_audit
 from tools.verifyaudit.cli import main as verifyaudit_main
@@ -86,6 +95,63 @@ def _dies_on_task_2(task, context):
 _dies_on_task_2.wants_context = True
 
 
+#: Builder calls made in this process, per protocol.  A pool worker
+#: counts in its own copy, which never comes back to the parent.
+_BUILDS = Counter()
+
+
+def _counted_ca1(messengers, loss):
+    _BUILDS["CA1"] += 1
+    return build_ca1(messengers, loss)
+
+
+def _counted_ca2(messengers, loss):
+    _BUILDS["CA2"] += 1
+    return build_ca2(messengers, loss)
+
+
+def _counted_ca1_adaptive(messengers, loss):
+    _BUILDS["CA1-adaptive"] += 1
+    return build_ca1_adaptive(messengers, loss)
+
+
+#: The default builders under their default names, so verifyaudit's
+#: replay still finds them; module-level, so a pool can pickle them.
+COUNTED_BUILDERS = {
+    "CA1": _counted_ca1,
+    "CA2": _counted_ca2,
+    "CA1-adaptive": _counted_ca1_adaptive,
+}
+
+
+def _shared_state_ca2(messengers, loss):
+    """A CA2 system whose psys breaks Section 4's technical assumption:
+    two branches of its one tree converge on one global state."""
+    root, left, right, shared = (
+        GlobalState(environment=name, local_states=("idle", "idle"))
+        for name in ("root", "left", "right", "shared")
+    )
+    tree = ComputationTree(
+        adversary="shared-child",
+        root=root,
+        children={root: [left, right], left: [shared], right: [shared]},
+        edge_probabilities={
+            (root, left): Fraction(1, 2),
+            (root, right): Fraction(1, 2),
+            (left, shared): Fraction(1),
+            (right, shared): Fraction(1),
+        },
+        validate=False,
+    )
+    return dataclasses.replace(
+        build_ca2(messengers, loss), psys=ProbabilisticSystem([tree])
+    )
+
+
+def _artifact_bytes(path):
+    return [Path(path).read_bytes(), Path(default_audit_path(path)).read_bytes()]
+
+
 class TestAuditedSweep:
     def test_audit_never_changes_the_rows(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -130,6 +196,174 @@ class TestAuditedSweep:
             "594404d1800a6c0f8030640f1d912c57a39d848973c8c3fcde62a9457786c90f",
             "ed5c84edfd1f975d87172aa6a15ef2c880a595d925d674260b85270d04eb8b5c",
         ]
+
+
+class TestOneBuildPerSerialRow:
+    """A serial audited sweep builds each row's system once: the row and
+    the derivation its leaf binds come from that one build.  The rebuild
+    path (pool rows, a caller's task_function) is the oracle."""
+
+    MANY = (range(1, 4), [Fraction(1, 2), Fraction(36, 97)])
+
+    @pytest.fixture
+    def builds(self):
+        _BUILDS.clear()
+        yield _BUILDS
+        _BUILDS.clear()
+
+    def _per_protocol(self, count):
+        rows = len(MESSENGERS) * len(LOSSES)
+        return {name: count * rows for name in COUNTED_BUILDERS}
+
+    @pytest.mark.parametrize(
+        "task_function, builds_per_row",
+        [(None, 1), (sweep_row_of, 2)],
+        ids=["own-rows", "task-function"],
+    )
+    def test_serial_audited_sweep_builds_per_row(
+        self, tmp_path, builds, task_function, builds_per_row
+    ):
+        # A caller's task_function, even the default one, takes the
+        # parent-side rebuild.
+        path = tmp_path / "sweep.jsonl"
+        rows = robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            builders=COUNTED_BUILDERS,
+            max_workers=1,
+            checkpoint_path=path,
+            task_function=task_function,
+            audit=True,
+        )
+        assert rows == _serial_rows()
+        assert builds == self._per_protocol(builds_per_row)
+        assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
+
+    def test_pool_rows_keep_the_parent_rebuild(self, tmp_path, builds):
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            rows = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                builders=COUNTED_BUILDERS,
+                max_workers=2,
+                policy=FAST,
+                checkpoint_path=tmp_path / "pool.jsonl",
+                sleep=_no_sleep,
+                audit=True,
+            )
+        if metrics.counters.get("engine.pool_fallbacks"):
+            pytest.skip("process pools unavailable; the rows ran in this process")
+        assert rows == _serial_rows()
+        # The workers built the rows; this process rebuilt each once.
+        assert builds == self._per_protocol(1)
+
+    def test_one_build_writes_the_rebuild_paths_bytes(self, tmp_path):
+        one = tmp_path / "one.jsonl"
+        rebuilt = tmp_path / "rebuilt.jsonl"
+        rows = robust_guarantee_sweep(
+            *self.MANY, max_workers=1, checkpoint_path=one, audit=True
+        )
+        assert rows == guarantee_sweep(*self.MANY)
+        assert (
+            robust_guarantee_sweep(
+                *self.MANY,
+                max_workers=1,
+                checkpoint_path=rebuilt,
+                task_function=sweep_row_of,
+                audit=True,
+            )
+            == rows
+        )
+        assert _artifact_bytes(one) == _artifact_bytes(rebuilt)
+
+    def test_serial_audited_rows_match_under_the_naive_backend(self, tmp_path):
+        with use_backend("naive"):
+            rows = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                max_workers=1,
+                checkpoint_path=tmp_path / "naive.jsonl",
+                audit=True,
+            )
+            assert rows == guarantee_sweep(MESSENGERS, LOSSES)
+        assert rows == _serial_rows()
+
+    def test_strict_audited_rows_and_bytes_equal_the_plain_run(self, tmp_path):
+        plain = tmp_path / "plain.jsonl"
+        strict = tmp_path / "strict.jsonl"
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=plain, audit=True
+        )
+        assert (
+            robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                max_workers=1,
+                checkpoint_path=strict,
+                strict=True,
+                audit=True,
+            )
+            == rows
+        )
+        assert _artifact_bytes(strict) == _artifact_bytes(plain)
+
+    def test_strict_audited_sweep_rejects_an_invalid_system(self, tmp_path):
+        builders = {"CA2": build_ca2, "BROKEN": _shared_state_ca2}
+        once = RetryPolicy(max_attempts=1)
+        with pytest.raises(RetryExhaustedError) as plain:
+            robust_guarantee_sweep(
+                [1], LOSSES, builders=builders, max_workers=1, policy=once, strict=True
+            )
+        path = tmp_path / "strict.jsonl"
+        with pytest.raises(RetryExhaustedError) as audited:
+            robust_guarantee_sweep(
+                [1],
+                LOSSES,
+                builders=builders,
+                max_workers=1,
+                policy=once,
+                checkpoint_path=path,
+                strict=True,
+                audit=True,
+            )
+        assert str(audited.value) == str(plain.value)
+        assert isinstance(audited.value.__cause__, ValidationError)
+        assert audited.value.task_index == 1
+        # The valid row is chained; the invalid task has no leaf.
+        assert read_audit_bundle(default_audit_path(path)).leaf_indexes() == {0}
+
+    def test_failed_audit_append_resumes_to_a_clean_bundle(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "sweep.jsonl"
+        original = AuditBundleWriter.append
+        appends = []
+
+        def disk_full_on_the_third_leaf(writer, *arguments):
+            appends.append(arguments[0])
+            if len(appends) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return original(writer, *arguments)
+
+        monkeypatch.setattr(AuditBundleWriter, "append", disk_full_on_the_third_leaf)
+        with pytest.raises(OSError) as full:
+            robust_guarantee_sweep(
+                MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
+            )
+        assert full.value.errno == errno.ENOSPC
+        monkeypatch.setattr(AuditBundleWriter, "append", original)
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        # The third row reached the checkpoint; its leaf did not.
+        assert set(SweepCheckpoint(path).load(tasks)) == {0, 1, 2}
+        assert read_audit_bundle(default_audit_path(path)).leaf_indexes() == {0, 1}
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
+        )
+        assert rows == _serial_rows()
+        bundle = read_audit_bundle(default_audit_path(path))
+        assert bundle.leaf_indexes() == frozenset(range(len(tasks)))
+        assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
 
 
 def _audit_chaos_script():

@@ -27,7 +27,7 @@ import pytest
 from repro.attack.sweep import sweep_row_of, sweep_tasks
 from repro.obs import MetricsRecorder, MultiRecorder, Recorder, use_recorder
 from repro.probability import kernel_totals, reset_kernel_totals
-from repro.robustness import RetryPolicy, run_tasks
+from repro.robustness import RetryPolicy, robust_guarantee_sweep, run_tasks
 from repro.testing import FaultInjectingTask, FaultPlan
 
 MESSENGERS = [1, 2]
@@ -165,14 +165,41 @@ class TestExactAccounting:
             assert metrics.counters[name] == total, name
 
 
-class TestProgressEvents:
-    def test_no_events_without_opt_in(self):
+def _plain_serial_sweep(tmp_path):
+    run_tasks(
+        sweep_row_of,
+        sweep_tasks(MESSENGERS, LOSSES),
+        max_workers=1,
+        sleep=lambda _seconds: None,
+    )
+
+
+def _audited_serial_sweep(tmp_path):
+    robust_guarantee_sweep(
+        MESSENGERS,
+        LOSSES,
+        max_workers=1,
+        checkpoint_path=tmp_path / "sweep.jsonl",
+        audit=True,
+    )
+
+
+class TestEventVocabulary:
+    @pytest.mark.parametrize(
+        "sweep", [_plain_serial_sweep, _audited_serial_sweep], ids=["plain", "audited"]
+    )
+    def test_serial_sweep_events(self, sweep, tmp_path):
+        # Every row opens one sweep_row span and reports its kernel
+        # totals in one cache_stats event, whichever path computed it;
+        # the engine adds one task_attempt.  Nothing else is emitted.
         metrics = MetricsRecorder()
         with use_recorder(metrics):
-            run_tasks(
-                sweep_row_of,
-                sweep_tasks(MESSENGERS, LOSSES),
-                max_workers=1,
-                sleep=lambda _seconds: None,
-            )
-        assert "event:sweep_progress" not in metrics.counters
+            sweep(tmp_path)
+        events = {
+            name: count
+            for name, count in metrics.counters.items()
+            if name.startswith("event:")
+        }
+        assert events == {"event:cache_stats": 6, "event:task_attempt": 6}
+        spans = {path: stats.count for path, stats in metrics.spans.items()}
+        assert spans == {"run_tasks": 1, "run_tasks/sweep_row": 6}

@@ -38,7 +38,7 @@ def copy_tree(tmp_path: Path) -> Path:
 
 #: The sweep's engine call; the payload mutations below replace its
 #: first argument.
-PAYLOAD_CALL = "    return run_tasks(\n        task_function,"
+PAYLOAD_CALL = "    results = run_tasks(\n        task_function,"
 
 
 def mutate_payload(
@@ -53,7 +53,7 @@ def mutate_payload(
     checkpoint.write_text(
         source.replace(
             PAYLOAD_CALL,
-            prelude + f"    return run_tasks(\n        {payload},{comment}",
+            prelude + f"    results = run_tasks(\n        {payload},{comment}",
             1,
         )
     )

@@ -50,6 +50,30 @@ def tamper_first_leaf(audit_path):
     audit_path.write_text("\n".join(out) + "\n")
 
 
+def rechain_with_tampered_row(audit_path, index):
+    """Rewrite leaf ``index``'s threshold and recompute every leaf hash
+    and chain link after it: a self-consistent forged chain."""
+    from repro.obs.audit import chain_hash, leaf_hash
+
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    prev = None
+    for record in records:
+        if record.get("type") != "leaf":
+            continue
+        if record["index"] == index:
+            record["row"]["post_threshold"] = "1/977"
+        if prev is not None:
+            record["prev"] = prev
+        record["leaf_hash"] = leaf_hash(
+            record["index"], record["task"], record["row"], record["root_ref"]
+        )
+        record["chain"] = chain_hash(record["prev"], record["leaf_hash"])
+        prev = record["chain"]
+    audit_path.write_text(
+        "\n".join(json.dumps(record, sort_keys=True) for record in records) + "\n"
+    )
+
+
 def make_first_node_cyclic(audit_path):
     """Point the first node record's children at its own ref."""
     lines = audit_path.read_text().splitlines()
@@ -114,13 +138,54 @@ class TestVerifyAudit:
         assert report["checkpoint"] == str(moved)
         assert report["verdict"] == "clean"
 
-    def test_missing_checkpoint_skips_tier_2(self, tmp_path):
+    def test_missing_checkpoint_is_a_checkpoint_defect(self, tmp_path):
+        # Every audited sweep writes its bundle next to its checkpoint,
+        # so a bundle without one has lost it: the checkpoint tier says
+        # so instead of being skipped.
         checkpoint, audit_path = make_audited_sweep(tmp_path)
         checkpoint.unlink()
         report = verify_audit(str(audit_path))
         assert report["checkpoint"] is None
-        assert report["checkpoint_defects"] == []
-        assert report["verdict"] == "clean"
+        assert len(report["checkpoint_defects"]) == 1
+        defect = report["checkpoint_defects"][0]
+        assert str(checkpoint) in defect
+        assert "--checkpoint" in defect
+        assert report["hash_defects"] == []
+        assert report["replay_defects"] == []
+        assert report["verdict"] == "divergent"
+
+    def test_bundle_not_named_after_a_checkpoint_needs_one(self, tmp_path):
+        checkpoint, audit_path = make_audited_sweep(tmp_path)
+        renamed = tmp_path / "bundle.jsonl"
+        audit_path.rename(renamed)
+        report = verify_audit(str(renamed), replay=False)
+        assert report["checkpoint"] is None
+        assert len(report["checkpoint_defects"]) == 1
+        assert "--checkpoint" in report["checkpoint_defects"][0]
+        assert report["verdict"] == "divergent"
+        explicit = verify_audit(
+            str(renamed), checkpoint_path=str(checkpoint), replay=False
+        )
+        assert explicit["verdict"] == "clean"
+
+    @pytest.mark.parametrize(
+        "tiers", [{"replay": False}, {"sample": 1}], ids=["skip-replay", "sample-1"]
+    )
+    def test_stale_chain_tamper_without_its_checkpoint_is_divergent(
+        self, tmp_path, tiers
+    ):
+        # The rewritten leaf passes the hash tier, and the sampled replay
+        # checks leaf 0 only: the checkpoint tier is the one that catches
+        # it, so deleting the checkpoint must not certify the bundle.
+        checkpoint, audit_path = make_audited_sweep(tmp_path)
+        rechain_with_tampered_row(audit_path, index=1)
+        assert verify_audit(str(audit_path), **tiers)["verdict"] == "divergent"
+        checkpoint.unlink()
+        report = verify_audit(str(audit_path), **tiers)
+        assert report["hash_defects"] == []
+        assert report["replay_defects"] == []
+        assert report["checkpoint_defects"]
+        assert report["verdict"] == "divergent"
 
     def test_render_report_carries_the_verdict(self, tmp_path):
         _checkpoint, audit_path = make_audited_sweep(tmp_path)
@@ -166,6 +231,16 @@ class TestCli:
         make_first_node_cyclic(audit_path)
         assert cli_main([str(audit_path)]) == 1
         assert "DIVERGENT" in capsys.readouterr().out
+
+    def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
+        checkpoint, audit_path = make_audited_sweep(tmp_path)
+        rechain_with_tampered_row(audit_path, index=1)
+        checkpoint.unlink()
+        assert cli_main(["--sample", "1", str(audit_path)]) == 1
+        out = capsys.readouterr().out
+        assert "DEFECT [checkpoint]" in out
+        assert "--checkpoint" in out
+        assert "DIVERGENT" in out
 
     def test_unreadable_bundle_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such.audit"

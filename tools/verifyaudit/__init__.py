@@ -4,8 +4,8 @@ A ``repro-audit/1`` bundle (:mod:`repro.obs.audit`) chains every row of
 a Section 8 guarantee sweep -- task fingerprint, exact row payload, and
 the Merkle fingerprint of the row's ``post_threshold`` derivation --
 into a single running root hash.  This tool is the verifier's side of
-that bargain: given the bundle (and, normally, the checkpoint it was
-written alongside), it
+that bargain: given the bundle and the checkpoint it was written
+alongside (a missing checkpoint is itself a defect), it
 
 1. recomputes the hash chain and every derivation-node fingerprint
    (a flipped bit anywhere in any row payload or derivation node breaks

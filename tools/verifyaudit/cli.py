@@ -29,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         help=(
-            "sweep checkpoint to cross-check (default: strip the "
-            "bundle's .audit suffix, if that file exists)"
+            "sweep checkpoint to cross-check (default: the bundle's "
+            "path without its .audit suffix; if no checkpoint is found "
+            "there, that is a checkpoint defect)"
         ),
     )
     parser.add_argument(

@@ -72,7 +72,8 @@ _CHECKPOINT_LOG = JsonlFormat("checkpoint", CheckpointError)
 def default_checkpoint_path(bundle_path: str) -> Optional[str]:
     """The checkpoint a bundle shadows, by the ``<checkpoint>.audit``
     naming convention -- ``None`` when the name does not follow it or
-    the file does not exist (a serial, checkpoint-less audit)."""
+    the file does not exist (a lost or moved checkpoint, which
+    :func:`verify_audit` reports as a checkpoint defect)."""
     if not bundle_path.endswith(".audit"):
         return None
     candidate = bundle_path[: -len(".audit")]
@@ -221,6 +222,24 @@ def _replay_leaves(bundle: AuditBundle, selected: List[Dict]) -> List[str]:
     return defects
 
 
+def _missing_checkpoint(bundle_path: str) -> str:
+    """The defect for a bundle whose checkpoint cannot be found.
+
+    Every audited sweep writes its bundle next to its checkpoint, so a
+    bundle without one has lost the file the checkpoint tier compares it
+    with -- and that tier is the one that catches a leaf whose row and
+    hashes were rewritten together.
+    """
+    if bundle_path.endswith(".audit"):
+        where = f"no checkpoint at {bundle_path[: -len('.audit')]}"
+    else:
+        where = "no checkpoint path follows from a bundle name without .audit"
+    return (
+        f"{where}; the checkpoint tier cannot run -- pass the sweep's "
+        "checkpoint with --checkpoint"
+    )
+
+
 def verify_audit(
     bundle_path: str,
     checkpoint_path: Optional[str] = None,
@@ -232,7 +251,10 @@ def verify_audit(
     Raises :class:`~repro.errors.AuditError` (schema tier -- exit 2 in
     the CLI) when the bundle itself does not parse; all *content*
     disagreements, including checkpoint mismatches and failed replays,
-    are defects in the report (exit 1).
+    are defects in the report (exit 1).  So is a missing checkpoint:
+    with no ``checkpoint_path`` and no file at the ``<checkpoint>.audit``
+    convention's path, the checkpoint tier cannot run, and the report
+    says so instead of certifying the bundle without it.
     """
     bundle = read_audit_bundle(bundle_path)
     selected = select_leaves(bundle.leaves, sample) if replay else []
@@ -240,7 +262,9 @@ def verify_audit(
     if checkpoint_path is None:
         checkpoint_path = default_checkpoint_path(bundle_path)
     checkpoint_defects: List[str] = []
-    if checkpoint_path is not None:
+    if checkpoint_path is None:
+        checkpoint_defects.append(_missing_checkpoint(os.fspath(bundle_path)))
+    else:
         records, structural = load_checkpoint_records(checkpoint_path)
         checkpoint_defects.extend(structural)
         checkpoint_defects.extend(_cross_check_checkpoint(bundle, records))
