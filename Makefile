@@ -33,13 +33,13 @@ test-chaos:
 #                         taint, pool pickle-safety, effect contracts)
 lint:
 	$(PYTHON) -m tools.reprolint src/repro tools
-	$(PYTHON) -m tools.reproflow src/repro
+	$(PYTHON) -m tools.reproflow --report-stale-suppressions src/repro
 
 lint-json:
 	$(PYTHON) -m tools.reprolint --json src/repro tools
 
 flow-lint:
-	$(PYTHON) -m tools.reproflow src/repro
+	$(PYTHON) -m tools.reproflow --report-stale-suppressions src/repro
 
 flow-json:
 	$(PYTHON) -m tools.reproflow --json src/repro

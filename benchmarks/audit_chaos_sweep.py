@@ -3,14 +3,16 @@
 The acceptance scenario behind the ``verify-audit`` CI job, end to end:
 
 1. Run :func:`repro.robustness.robust_guarantee_sweep` with ``audit=True``
-   under a task function that dies mid-sweep (every attempt on one task
-   faults), leaving a partial checkpoint and a partial audit bundle.
+   under a fault plan that dies mid-sweep (every attempt on one task
+   raises), leaving a partial checkpoint and a partial audit bundle.
    Then cut the checkpoint's last record in half, as a kill in the
    middle of its write would have left it.
 2. Resume by calling :func:`repro.robustness.robust_guarantee_sweep`
-   again (``audit=True`` again): the engine skips checkpointed rows,
-   re-runs the torn one, backfills any audit leaves the kill swallowed,
-   and continues the Merkle chain.
+   again (``audit=True`` again, no faults): the engine skips the rows
+   that have both a checkpoint record and an audit leaf, re-runs the
+   rest and continues the Merkle chain.  The row whose record was torn
+   re-runs too; it already had a leaf, so it chains a second one, equal
+   in content to the first.
 3. Assert the merged rows equal the serial sweep's, then run the full
    ``tools/verifyaudit`` tier stack over the bundle -- hash chain,
    checkpoint cross-check, and derivation replay -- and demand exit 0.
@@ -38,28 +40,23 @@ sys.path.insert(0, str(ROOT))
 from repro.attack.sweep import guarantee_sweep  # noqa: E402
 from repro.errors import RetryExhaustedError  # noqa: E402
 from repro.robustness import (  # noqa: E402
+    Fault,
+    FaultPlan,
     RetryPolicy,
     default_audit_path,
     robust_guarantee_sweep,
 )
-from repro.robustness.faults import InjectedFault  # noqa: E402
 
 from tools.verifyaudit import render_report, verify_audit  # noqa: E402
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
 KILL_INDEX = 2
-
-
-def _dies_mid_sweep(task, context):
-    from repro.attack.sweep import sweep_row_of
-
-    if context.index == KILL_INDEX:
-        raise InjectedFault(f"scheduled chaos death on task {KILL_INDEX}")
-    return sweep_row_of(task)
-
-
-_dies_mid_sweep.wants_context = True
+ATTEMPTS = 2
+#: Every attempt on task KILL_INDEX raises, so the sweep dies there.
+DIES_MID_SWEEP = FaultPlan(
+    {(KILL_INDEX, attempt): Fault("raise") for attempt in range(ATTEMPTS)}
+)
 
 
 def main(argv=None) -> int:
@@ -86,10 +83,9 @@ def main(argv=None) -> int:
             MESSENGERS,
             LOSSES,
             max_workers=1,
-            policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+            policy=RetryPolicy(max_attempts=ATTEMPTS, base_delay=0.0, jitter=0.0),
             checkpoint_path=checkpoint,
-            task_function=_dies_mid_sweep,
-            sleep=lambda _seconds: None,
+            faults=DIES_MID_SWEEP,
             audit=True,
         )
     except RetryExhaustedError as error:
@@ -102,7 +98,7 @@ def main(argv=None) -> int:
     checkpoint.write_bytes(data[: last + (len(data) - last) // 2])
     print("  checkpoint's last record cut in half (a kill mid-write)")
 
-    print("phase 2: resume (healthy task function, chain continues)")
+    print("phase 2: resume (no faults, chain continues)")
     rows = robust_guarantee_sweep(
         MESSENGERS, LOSSES, max_workers=1, checkpoint_path=checkpoint, audit=True
     )

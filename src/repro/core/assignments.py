@@ -242,7 +242,6 @@ def _space_over(
         tuple(atom_of_run[position] for position in order),
         weights,
         sum(weights),
-        interval_cache_maxsize=psys.interval_cache_maxsize,
     )
 
 

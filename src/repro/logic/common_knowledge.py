@@ -16,7 +16,7 @@ parameter optionally so one implementation covers both.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..core.facts import Fact
 from ..core.model import Point
@@ -33,22 +33,29 @@ from .syntax import (
 )
 
 
+def _everyone(model: Model, group: Sequence[int], alpha) -> Callable[[int], int]:
+    """``E_G`` (or ``E_G^alpha``) as an operator on extension masks."""
+    if alpha is None:
+        return lambda target: model._everyone_mask(group, target)
+    return lambda target: model._everyone_prob_mask(group, alpha, target)
+
+
 def everyone_knows_points(
     model: Model, group: Sequence[int], target: PointSet, alpha=None
 ) -> PointSet:
     """``E_G`` (or ``E_G^alpha`` when ``alpha`` is given) on an extension."""
-    if alpha is None:
-        return model._everyone_extension(group, target)
-    return model._everyone_prob_extension(group, alpha, target)
+    index = model.psys.point_index
+    everyone = _everyone(model, group, alpha)
+    return index.members_of(everyone(index.mask_of_known(target)))
 
 
 def common_knowledge_points(
     model: Model, group: Sequence[int], target: PointSet, alpha=None
 ) -> PointSet:
     """``C_G`` (or ``C_G^alpha``) of an extension, as a point set."""
-    return model._gfp(
-        target, lambda current: everyone_knows_points(model, group, current, alpha)
-    )
+    index = model.psys.point_index
+    everyone = _everyone(model, group, alpha)
+    return index.members_of(model._gfp_mask(index.mask_of_known(target), everyone))
 
 
 def iterated_everyone_knows(

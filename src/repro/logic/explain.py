@@ -407,9 +407,8 @@ def explain(model: Model, formula: Formula, point: Point) -> Derivation:
     :class:`~repro.errors.LogicError` if the point is not a point of the
     system.
     """
+    model._check_point(point)
     explainer = _Explainer(model)
-    if point not in explainer.index:
-        raise LogicError(f"{point!r} is not a point of this system")
     return Derivation(
         assignment=model.assignment.name,
         formula=str(formula),

@@ -103,11 +103,17 @@ class Model:
         return mask
 
     def holds(self, formula: Formula, point: Point) -> bool:
-        """``(P, c) |= formula``."""
-        index = self._index
-        if point not in index:
-            return False
-        return bool(self.extension_mask(formula) >> index.position(point) & 1)
+        """``(P, c) |= formula``.
+
+        Raises :class:`~repro.errors.LogicError` if ``point`` is not a
+        point of the system, as :meth:`explain` does.
+        """
+        self._check_point(point)
+        return bool(self.extension_mask(formula) >> self._index.position(point) & 1)
+
+    def _check_point(self, point: Point) -> None:
+        if point not in self._index:
+            raise LogicError(f"{point!r} is not a point of this system")
 
     def valid(self, formula: Formula) -> bool:
         """True iff the formula holds at every point of the system."""
@@ -301,7 +307,6 @@ class Model:
             if snapshot:
                 recorder.event(
                     "gfp_iteration",
-                    representation="mask",
                     iteration=iterations,
                     current_size=current.bit_count(),
                     updated_size=updated.bit_count(),
@@ -312,67 +317,8 @@ class Model:
                 recorder.counter("model.gfp_iterations", iterations)
                 recorder.event(
                     "gfp",
-                    representation="mask",
                     iterations=iterations,
                     fixpoint_size=current.bit_count(),
-                )
-                return current
-            current = updated
-
-    # ------------------------------------------------------------------
-    # Knowledge helpers (point-set boundary, used by common_knowledge)
-    # ------------------------------------------------------------------
-
-    def _knowledge_extension(self, agent: int, target: PointSet) -> PointSet:
-        mask = self._knowledge_mask(agent, self._index.mask_of_known(target))
-        return self._index.members_of(mask)
-
-    def _everyone_extension(self, group: Iterable[int], target: PointSet) -> PointSet:
-        mask = self._everyone_mask(group, self._index.mask_of_known(target))
-        return self._index.members_of(mask)
-
-    def _prob_knowledge_extension(self, agent: int, alpha, target: PointSet) -> PointSet:
-        """Extension of ``K_i^alpha`` applied to an extension (not a formula)."""
-        mask = self._prob_knowledge_mask(agent, alpha, self._index.mask_of_known(target))
-        return self._index.members_of(mask)
-
-    def _everyone_prob_extension(
-        self, group: Iterable[int], alpha, target: PointSet
-    ) -> PointSet:
-        mask = self._everyone_prob_mask(group, alpha, self._index.mask_of_known(target))
-        return self._index.members_of(mask)
-
-    def _gfp(self, sub_extension: PointSet, everyone) -> PointSet:
-        """Greatest fixed point on point sets (see :meth:`_gfp_mask`).
-
-        Kept on the frozenset representation because callers (the
-        common-knowledge checkers) pass point-set-level ``everyone``
-        operators.
-        """
-        recorder = get_recorder()
-        snapshot = recorder is not NULL_RECORDER
-        current = self._all_points()
-        iterations = 0
-        while True:
-            iterations += 1
-            updated = everyone(sub_extension & current)
-            if snapshot:
-                recorder.event(
-                    "gfp_iteration",
-                    representation="points",
-                    iteration=iterations,
-                    current_size=len(current),
-                    updated_size=len(updated),
-                    updated_mask=self._index.mask_of_known(updated),
-                )
-            if updated == current:
-                recorder.counter("model.gfp_fixpoints")
-                recorder.counter("model.gfp_iterations", iterations)
-                recorder.event(
-                    "gfp",
-                    representation="points",
-                    iterations=iterations,
-                    fixpoint_size=len(current),
                 )
                 return current
             current = updated

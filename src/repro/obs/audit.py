@@ -446,9 +446,9 @@ class AuditBundleWriter:
     def leaf_indexes(self) -> FrozenSet[int]:
         """The task indexes this bundle already has leaves for.
 
-        What the resuming sweep consults to backfill: a checkpoint row
-        whose audit leaf was torn away must be re-chained before new
-        rows arrive.
+        What a resuming audited sweep consults: a checkpoint row whose
+        audit leaf was torn away is not done, so it re-runs and chains
+        a leaf from its own build.
         """
         return frozenset(self._indexes)
 

@@ -103,26 +103,23 @@ class FiniteProbabilitySpace:
         "_atom_weights",
         "_weight_denominator",
         "_interval_cache",
-        "_cache_maxsize",
     )
 
-    #: Default bound on the per-space LRU cache of ``event mask ->
+    #: Bound on the per-space LRU cache of ``event mask ->
     #: (inner, outer, contained)`` entries (bitmask backend).
-    #: Overridable per space via ``interval_cache_maxsize``.
     interval_cache_size = 4096
 
     def __init__(
         self,
         atoms: Iterable[Atom],
         atom_probabilities: Mapping[Atom, FractionLike],
-        interval_cache_maxsize: Optional[int] = None,
     ) -> None:
         atom_tuple = tuple(frozenset(atom) for atom in atoms)
         outcomes = frozenset().union(*atom_tuple) if atom_tuple else frozenset()
         self._atoms: Tuple[Atom, ...] = check_partition(outcomes, atom_tuple)
         self._outcomes: Event = outcomes
         self._check_measure(atom_probabilities)
-        self._finalise(cache_maxsize=interval_cache_maxsize)
+        self._finalise()
 
     def _check_measure(self, atom_probabilities: Mapping[Atom, FractionLike]) -> None:
         probabilities: Dict[Atom, Fraction] = {}
@@ -160,9 +157,7 @@ class FiniteProbabilitySpace:
     def _probabilities(self, value: Dict[Atom, Fraction]) -> None:
         self._probabilities_dict = value
 
-    def _set_measure(
-        self, weights: Tuple[int, ...], denominator: int, cache_maxsize: Optional[int]
-    ) -> bool:
+    def _set_measure(self, weights: Tuple[int, ...], denominator: int) -> bool:
         """Store the weight-form measure and pick the engine.
 
         Returns True on the bitmask backend, which gets its interval
@@ -171,17 +166,16 @@ class FiniteProbabilitySpace:
         self._atom_weights: Tuple[int, ...] = weights
         self._weight_denominator: int = denominator
         self._backend = get_default_backend()
-        self._cache_maxsize: Optional[int] = cache_maxsize
         self._atom_of_dict: Optional[Dict[Outcome, Atom]] = None
         if self._backend == "bitmask":
             self._interval_cache: Optional[IntervalCache] = IntervalCache(
-                cache_maxsize if cache_maxsize is not None else self.interval_cache_size
+                self.interval_cache_size
             )
             return True
         self._interval_cache = None
         return False
 
-    def _finalise(self, cache_maxsize: Optional[int] = None) -> None:
+    def _finalise(self) -> None:
         """Build the per-outcome and (bitmask backend) per-mask indexes.
 
         Every atom probability is rescaled to one common denominator so an
@@ -201,7 +195,7 @@ class FiniteProbabilitySpace:
             for atom in self._atoms
         )
         self._numbering: Optional[Tuple[Outcome, ...]] = None
-        if self._set_measure(weights, common, cache_maxsize):
+        if self._set_measure(weights, common):
             index = OutcomeIndex(
                 outcome for atom in self._atoms for outcome in atom
             )
@@ -238,7 +232,6 @@ class FiniteProbabilitySpace:
         atom_tuple: Tuple[Atom, ...],
         atom_probabilities: Mapping[Atom, FractionLike],
         validate_measure: bool = True,
-        interval_cache_maxsize: Optional[int] = None,
     ) -> "FiniteProbabilitySpace":
         """Internal fast constructor for atoms already known to partition.
 
@@ -262,7 +255,7 @@ class FiniteProbabilitySpace:
             self._check_measure(atom_probabilities)
         else:
             self._probabilities = dict(atom_probabilities)
-        self._finalise(cache_maxsize=interval_cache_maxsize)
+        self._finalise()
         return self
 
     @classmethod
@@ -272,7 +265,6 @@ class FiniteProbabilitySpace:
         atom_masks: Tuple[int, ...],
         weights: Tuple[int, ...],
         denominator: int,
-        interval_cache_maxsize: Optional[int] = None,
     ) -> "FiniteProbabilitySpace":
         """Internal constructor from atoms given as masks over a numbering.
 
@@ -295,7 +287,7 @@ class FiniteProbabilitySpace:
         self._outcomes = None
         self._probabilities_dict = None
         self._index = None
-        if self._set_measure(weights, denominator, interval_cache_maxsize):
+        if self._set_measure(weights, denominator):
             self._atoms = None
             self._atom_masks = atom_masks
         else:
@@ -311,9 +303,7 @@ class FiniteProbabilitySpace:
 
     @classmethod
     def from_point_masses(
-        cls,
-        masses: Mapping[Outcome, FractionLike],
-        interval_cache_maxsize: Optional[int] = None,
+        cls, masses: Mapping[Outcome, FractionLike]
     ) -> "FiniteProbabilitySpace":
         """Space whose sigma-algebra is the full powerset (singleton atoms).
 
@@ -326,11 +316,7 @@ class FiniteProbabilitySpace:
             atom = frozenset((outcome,))
             atoms.append(atom)
             probabilities[atom] = mass
-        return cls._from_checked_partition(
-            tuple(atoms),
-            probabilities,
-            interval_cache_maxsize=interval_cache_maxsize,
-        )
+        return cls._from_checked_partition(tuple(atoms), probabilities)
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Outcome]) -> "FiniteProbabilitySpace":
@@ -399,16 +385,6 @@ class FiniteProbabilitySpace:
     def weight_denominator(self) -> int:
         """The common denominator the atom weights are expressed over."""
         return self._weight_denominator
-
-    @property
-    def interval_cache_maxsize(self) -> Optional[int]:
-        """The per-space interval-cache bound override, if one was given.
-
-        ``None`` means the class default :attr:`interval_cache_size`
-        applies.  Derived spaces (:meth:`condition`, :meth:`product`,
-        :meth:`coarsen`) inherit the override.
-        """
-        return self._cache_maxsize
 
     @property
     def outcome_index(self) -> OutcomeIndex:
@@ -740,10 +716,7 @@ class FiniteProbabilitySpace:
             for atom in new_atoms
         }
         return FiniteProbabilitySpace._from_checked_partition(
-            new_atoms,
-            probabilities,
-            validate_measure=False,
-            interval_cache_maxsize=self._cache_maxsize,
+            new_atoms, probabilities, validate_measure=False
         )
 
     def conditional_probability(
@@ -873,9 +846,7 @@ class FiniteProbabilitySpace:
         """
         blocks = tuple(frozenset(block) for block in partition)
         probabilities = {block: self.measure(block) for block in blocks}
-        return FiniteProbabilitySpace(
-            blocks, probabilities, interval_cache_maxsize=self._cache_maxsize
-        )
+        return FiniteProbabilitySpace(blocks, probabilities)
 
     def product(self, other: "FiniteProbabilitySpace") -> "FiniteProbabilitySpace":
         """Independent product space over pairs of outcomes."""
@@ -893,10 +864,7 @@ class FiniteProbabilitySpace:
                     self._probabilities[left] * other._probabilities[right]
                 )
         return FiniteProbabilitySpace._from_checked_partition(
-            tuple(atoms),
-            probabilities,
-            validate_measure=False,
-            interval_cache_maxsize=self._cache_maxsize,
+            tuple(atoms), probabilities, validate_measure=False
         )
 
     def extends(self, other: "FiniteProbabilitySpace") -> bool:

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..attack.sweep import (
     Builder,
     SweepRow,
     SweepTask,
     measure_sweep_row,
-    row_provenance_derivation,
     sweep_row_of,
     sweep_tasks,
     task_fingerprint,
@@ -46,6 +45,7 @@ from ..obs.recorder import get_recorder
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
 from .engine import RetryPolicy, run_tasks
+from .faults import FaultInjectingTask, FaultPlan
 from .validate import validate_system
 
 __all__ = [
@@ -196,9 +196,9 @@ def _audited_sweep_row_of(task: SweepTask) -> Tuple[SweepRow, Derivation]:
     derivation its audit leaf binds, from one build and one ``post``
     assignment.
 
-    Deterministic. Both halves are pure functions of the task tuple,
-    which is why the serial audited sweep may bind the derivation this
-    call returns instead of rebuilding the system in the parent.
+    Deterministic. Both halves are pure functions of the task tuple.
+    Module-level so it ships to worker processes: the audited sweep
+    chains the pair from whichever process computed it.
     """
     return _checked_row(task, strict=False, derive=True)
 
@@ -215,43 +215,6 @@ def default_audit_path(checkpoint_path) -> str:
     return os.fspath(checkpoint_path) + ".audit"
 
 
-def _audit_append(
-    writer: AuditBundleWriter,
-    index: int,
-    task: SweepTask,
-    row: SweepRow,
-    derivation: Optional[Derivation] = None,
-) -> None:
-    """Chain one completed row into the sweep's audit bundle.
-
-    Appends the Merkle leaf over (task fingerprint, exact row payload,
-    derivation root fingerprint, index).  The derivation is the
-    ``post_threshold`` re-derivation at the witness point
-    (:func:`repro.attack.sweep.row_provenance_derivation` -- the
-    Section 5 inner-measure evidence behind the Section 8 row).
-
-    A serial audited sweep computes each row in this process with
-    :func:`_audited_sweep_row_of` and passes the ``derivation`` that came
-    out of the same build as the row.  Rebuilding it here would run the
-    same deterministic function on the same task in the same process,
-    so it could not disagree with the row.  Every other row arrives
-    with ``derivation=None`` and is rebuilt here: pool rows, rows from a
-    caller's ``task_function`` and backfilled checkpoint rows.  Their
-    derivation must come from the *parent's* deterministic replay, not
-    from trusting whatever a (possibly remote, possibly faulty) worker
-    or hook claims -- that is what makes the bundle evidence.  Either
-    way ``tools/verifyaudit``'s replay tier rebuilds the system once
-    more, independently.  The audit cost is why ``audit`` defaults off;
-    ``perfbench``'s ``audited_sweep`` workload measures it
-    (``obs.audited_sweep_s`` in a traced run, folded by
-    ``tools/tracereport``).
-    """
-    if derivation is None:
-        _name, builder, messengers, loss, _epsilon = task
-        derivation = row_provenance_derivation(builder(messengers, loss))
-    writer.append(index, task_fingerprint(task), json_ready(row), derivation)
-
-
 def robust_guarantee_sweep(
     messenger_counts: Sequence[int],
     losses: Sequence[FractionLike],
@@ -262,8 +225,7 @@ def robust_guarantee_sweep(
     timeout: Optional[float] = None,
     checkpoint_path=None,
     strict: bool = False,
-    task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
-    sleep=None,
+    faults: Optional[FaultPlan] = None,
     audit: bool = False,
 ) -> List[SweepRow]:
     """The guarantee sweep of Section 8 on the fault-tolerant engine.
@@ -276,9 +238,10 @@ def robust_guarantee_sweep(
     completed rows are loaded and skipped, so resuming a killed sweep is
     calling this again with the same arguments; ``strict=True`` validates
     every built system against the paper's structural invariants before
-    measuring it.  ``task_function`` overrides the per-task callable
-    (the chaos tests inject faults through it); ``sleep`` overrides the
-    backoff sleeper.  Pool workers compute on the default ``bitmask``
+    measuring it.  ``faults`` wraps the sweep's own per-task payload in
+    a :class:`~repro.robustness.faults.FaultInjectingTask`, so the chaos
+    tests fire their scheduled raises, kills and delays on the path a
+    healthy sweep runs.  Pool workers compute on the default ``bitmask``
     engine; a caller's :func:`~repro.probability.use_backend` block
     reaches only in-process (``max_workers=1``) tasks.  Rows are
     backend-independent, so checkpoints resume across engines.
@@ -288,18 +251,18 @@ def robust_guarantee_sweep(
     :func:`default_audit_path` (``<checkpoint>.audit``, the name by which
     ``tools/verifyaudit`` finds the checkpoint): each leaf binds the
     task fingerprint, the exact row payload, and the root of the row's
-    threshold derivation computed in this process, so
-    ``tools/verifyaudit`` can certify the sweep -- including one that
-    was chaos-killed and resumed -- without recomputing it.  A row this
-    process computes itself (``max_workers=1`` and no
-    ``task_function``) comes with its derivation from one build of its
-    system (:func:`_audited_sweep_row_of`); every other row's derivation
-    is rebuilt here after the row arrives (:func:`_audit_append`).  Resuming
-    continues the existing chain and *backfills* leaves for checkpoint
-    rows whose audit records were lost to a torn tail, so bundle and
-    checkpoint always end the run covering the same rows.  Auditing
-    requires a ``checkpoint_path`` (the bundle cross-checks it) and
-    never changes the returned rows.
+    threshold derivation.  Whichever process computes a row -- a pool
+    worker, the in-process fallback, or this process under
+    ``max_workers=1`` -- derives it from the same build of the system
+    (:func:`_audited_sweep_row_of`), and this process chains the pair
+    that comes back.  No row is re-derived here: the evidence is
+    ``tools/verifyaudit``'s replay tier, which rebuilds each replayed
+    leaf's system from its task fingerprint and checks the row against
+    the derivation.  Resuming continues the existing chain; a
+    checkpoint row without a leaf (a kill between the two appends) is
+    not done, so it re-runs and appends a second checkpoint record equal
+    to its first.  Auditing requires a ``checkpoint_path`` (the bundle
+    cross-checks it) and never changes the returned rows.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
     if audit and checkpoint_path is None:
@@ -307,38 +270,31 @@ def robust_guarantee_sweep(
             "audit=True requires checkpoint_path: the audit bundle is "
             "verified against the checkpoint it shadows"
         )
-    # A serial audited sweep's own rows carry their derivation, so the
-    # row and its leaf come from one build of the system.
-    one_build = audit and task_function is None and max_workers == 1
-    if task_function is None:
-        if one_build:
-            task_function = (
-                _strict_audited_sweep_row_of if strict else _audited_sweep_row_of
-            )
-        else:
-            task_function = strict_sweep_row_of if strict else sweep_row_of
+    if audit:
+        task_function = (
+            _strict_audited_sweep_row_of if strict else _audited_sweep_row_of
+        )
+    else:
+        task_function = strict_sweep_row_of if strict else sweep_row_of
+    if faults is not None:
+        task_function = FaultInjectingTask(inner=task_function, plan=faults)
     checkpoint = SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
-    keywords = {}
-    if sleep is not None:
-        keywords["sleep"] = sleep
     completed = checkpoint.load(tasks) if checkpoint is not None else {}
-    writer = None
     if audit:
         writer = AuditBundleWriter(default_audit_path(checkpoint_path))
-        # Backfill: a kill can land between the checkpoint append and
-        # the audit append, leaving a row the resumed engine will not
-        # re-run (the checkpoint has it) but the chain never saw.
-        for index in sorted(set(completed) - set(writer.leaf_indexes())):
-            _audit_append(writer, index, tasks[index], completed[index])
+        chained = writer.leaf_indexes()
+        completed = {
+            index: (row, None) for index, row in completed.items() if index in chained
+        }
     on_result = None
     if checkpoint is not None:
         def on_result(index: int, result) -> None:
-            row, derivation = result if one_build else (result, None)
+            row, derivation = result if audit else (result, None)
             checkpoint.append(index, tasks[index], row)
-            if writer is not None:
-                _audit_append(writer, index, tasks[index], row, derivation)
-    if one_build:
-        completed = {index: (row, None) for index, row in completed.items()}
+            if audit:
+                writer.append(
+                    index, task_fingerprint(tasks[index]), json_ready(row), derivation
+                )
     results = run_tasks(
         task_function,
         tasks,
@@ -347,6 +303,5 @@ def robust_guarantee_sweep(
         timeout=timeout,
         completed=completed,
         on_result=on_result,
-        **keywords,
     )
-    return [row for row, _derivation in results] if one_build else results
+    return [row for row, _derivation in results] if audit else results

@@ -265,14 +265,12 @@ class _EngineState:
         policy: RetryPolicy,
         timeout: Optional[float],
         on_result: Optional[Callable[[int, object], None]],
-        sleep: Callable[[float], None],
     ) -> None:
         self.function = function
         self.tasks = tasks
         self.policy = policy
         self.timeout = timeout
         self.on_result = on_result
-        self._sleep = sleep
         self.results: Dict[int, object] = {}
         self.attempt_log: Dict[int, List[TaskAttempt]] = {}
         self._next_attempt: Dict[int, int] = {}
@@ -299,7 +297,7 @@ class _EngineState:
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
-            self._sleep(seconds)
+            time.sleep(seconds)
 
     def record_success(self, index: int, attempt: int, value) -> None:
         self.attempt_log.setdefault(index, []).append(
@@ -597,7 +595,6 @@ def run_tasks(
     timeout: Optional[float] = None,
     completed: Optional[Mapping[int, _Result]] = None,
     on_result: Optional[Callable[[int, _Result], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> List[_Result]:
     """Run ``function`` over ``tasks`` fault-tolerantly, in task order.
 
@@ -612,7 +609,9 @@ def run_tasks(
     max_workers:
         ``1`` forces in-process execution; ``None`` lets the pool choose.
     policy:
-        The :class:`RetryPolicy`; defaults to three attempts.
+        The :class:`RetryPolicy`; defaults to three attempts.  Backoff
+        delays are slept with :func:`time.sleep`, and each attempt's
+        delay is logged as :attr:`TaskAttempt.backoff`.
     timeout:
         Per-task timeout in seconds (``None`` disables).
     completed:
@@ -622,9 +621,6 @@ def run_tasks(
     on_result:
         Callback invoked in the parent process as each task completes --
         the streaming hook checkpoints attach to.
-    sleep:
-        Injectable sleeper for the backoff delays (tests pass a stub, so
-        chaos suites never wait on real clocks).
 
     Returns the results in the order of ``tasks`` -- identical to
     ``[function(task) for task in tasks]`` whenever that serial run would
@@ -639,7 +635,6 @@ def run_tasks(
         policy or RetryPolicy(),
         timeout,
         on_result,
-        sleep,
     )
     if completed:
         for index, value in completed.items():

@@ -11,7 +11,7 @@ point lies in -- which the technical assumption makes well-defined.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Tuple
 
 from ..errors import TechnicalAssumptionError, TreeError
 from ..core.model import GlobalState, Point, Run, System
@@ -29,12 +29,7 @@ class ProbabilisticSystem:
     states).
     """
 
-    def __init__(
-        self,
-        trees: Iterable[ComputationTree],
-        interval_cache_maxsize: Optional[int] = None,
-    ) -> None:
-        self._interval_cache_maxsize = interval_cache_maxsize
+    def __init__(self, trees: Iterable[ComputationTree]) -> None:
         self._trees: Dict[Hashable, ComputationTree] = {}
         node_owner: Dict[GlobalState, Hashable] = {}
         for tree in trees:
@@ -64,19 +59,6 @@ class ProbabilisticSystem:
     def adversaries(self) -> Tuple[Hashable, ...]:
         """The type-1 adversaries, one per tree."""
         return tuple(self._trees)
-
-    @property
-    def interval_cache_maxsize(self) -> Optional[int]:
-        """Interval-cache bound applied to every space this system builds.
-
-        ``None`` means the
-        :attr:`~repro.probability.space.FiniteProbabilitySpace.interval_cache_size`
-        class default.  Flows into the per-adversary run spaces and (via
-        :func:`repro.core.assignments.induced_point_space`) the induced
-        sample spaces, so one constructor argument tunes cache pressure
-        for a whole 100k-point analysis.
-        """
-        return self._interval_cache_maxsize
 
     @property
     def trees(self) -> Tuple[ComputationTree, ...]:
@@ -128,9 +110,7 @@ class ProbabilisticSystem:
     def run_space(self, adversary: Hashable) -> FiniteProbabilitySpace:
         """``(R_A, X_A, mu_A)`` for the given adversary (cached)."""
         if adversary not in self._run_spaces:
-            self._run_spaces[adversary] = self.tree(adversary).run_space(
-                interval_cache_maxsize=self._interval_cache_maxsize
-            )
+            self._run_spaces[adversary] = self.tree(adversary).run_space()
         return self._run_spaces[adversary]
 
     def run_probability(self, run: Run) -> Fraction:

@@ -317,23 +317,16 @@ class ComputationTree:
     # ------------------------------------------------------------------
 
     def run_space(
-        self,
-        generators: Optional[Iterable[Iterable[Run]]] = None,
-        interval_cache_maxsize: Optional[int] = None,
+        self, generators: Optional[Iterable[Iterable[Run]]] = None
     ) -> FiniteProbabilitySpace:
         """The probability space ``(R_A, X_A, mu_A)``.
 
         With finite runs every subset is measurable (the paper notes this for
         [FZ88a]); pass ``generators`` to restrict the sigma-algebra -- used
         by the footnote-5 demonstration of non-measurability.
-        ``interval_cache_maxsize`` overrides the space's interval-cache
-        bound (:class:`ProbabilisticSystem` forwards its own setting).
         """
         if generators is None:
-            return FiniteProbabilitySpace.from_point_masses(
-                self._run_probability,
-                interval_cache_maxsize=interval_cache_maxsize,
-            )
+            return FiniteProbabilitySpace.from_point_masses(self._run_probability)
         from ..probability.algebra import atoms_from_generators
 
         atoms = atoms_from_generators(self._runs, generators)
@@ -341,9 +334,7 @@ class ComputationTree:
             atom: sum((self._run_probability[run] for run in atom), ZERO)
             for atom in atoms
         }
-        return FiniteProbabilitySpace(
-            atoms, probabilities, interval_cache_maxsize=interval_cache_maxsize
-        )
+        return FiniteProbabilitySpace(atoms, probabilities)
 
     # ------------------------------------------------------------------
     # Relabeling (Theorem 8 needs to quantify over labelings)

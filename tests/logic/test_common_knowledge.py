@@ -9,6 +9,8 @@ from repro.core import standard_assignments
 from repro.logic import (
     CommonKnows,
     CommonKnowsProb,
+    EveryoneKnows,
+    EveryoneKnowsProb,
     Model,
     Prop,
     common_knowledge_points,
@@ -86,6 +88,25 @@ class TestSetLevelOperators:
         chain = iterated_everyone_knows(ca1_model, GROUP, target, 4, alpha=EPS)
         for earlier, later in zip(chain, chain[1:]):
             assert later <= earlier
+
+    @pytest.mark.parametrize("alpha", [None, EPS], ids=["plain", "eps"])
+    def test_set_level_operators_equal_the_formula_extensions(
+        self, ca1_model, ca2_model, alpha
+    ):
+        coord = Prop("coord")
+        if alpha is None:
+            everyone, common = EveryoneKnows(GROUP, coord), CommonKnows(GROUP, coord)
+        else:
+            everyone = EveryoneKnowsProb(GROUP, alpha, coord)
+            common = CommonKnowsProb(GROUP, alpha, coord)
+        for model in (ca1_model, ca2_model):
+            target = model.extension(coord)
+            assert everyone_knows_points(
+                model, GROUP, target, alpha
+            ) == model.extension(everyone)
+            assert common_knowledge_points(
+                model, GROUP, target, alpha
+            ) == model.extension(common)
 
     def test_common_below_iterated_chain(self, ca1_model):
         # C^alpha implies (E^alpha)^k for every k (the converse fails).

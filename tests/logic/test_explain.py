@@ -21,6 +21,7 @@ from repro.logic import (
     PrAtLeast,
     PrAtMost,
     Prop,
+    TrueFormula,
     audit_derivation,
     explain,
     knows_prob_at_least,
@@ -111,6 +112,16 @@ class TestAgreementAndRoundTrip:
         foreign = Point(points[0].run, 99)  # beyond the horizon
         with pytest.raises(LogicError, match="not a point"):
             models["post"].explain(HEADS, foreign)
+
+    def test_holds_at_an_unknown_point_raises(self, models, points):
+        # holds answered False there for every formula, True and its
+        # negation alike, while explain raised.
+        from repro.core.model import Point
+
+        foreign = Point(points[0].run, 99)
+        for formula in (HEADS, TrueFormula(), Not(TrueFormula())):
+            with pytest.raises(LogicError, match="not a point"):
+                models["post"].holds(formula, foreign)
 
 
 class TestProbabilityEvidence:

@@ -1,10 +1,9 @@
-"""Interval-cache sizing is configurable and flows through construction.
+"""Interval-cache sizing: one class constant bounds every space.
 
-One ``interval_cache_maxsize`` argument at :class:`ProbabilisticSystem`
-construction bounds the LRU of every space the analysis builds -- the
-per-adversary run spaces and the induced sample spaces -- and derived
-spaces (``condition``/``coarsen``/``product``) inherit their parent's
-bound.  ``None`` keeps the class default.
+:attr:`FiniteProbabilitySpace.interval_cache_size` sizes the LRU of
+every space the analysis builds -- plain and derived spaces, the
+per-adversary run spaces and the induced sample spaces alike.  The
+bound changes how much is cached, never a value.
 """
 
 from fractions import Fraction
@@ -17,35 +16,51 @@ from repro.probability import FiniteProbabilitySpace
 from repro.trees import ProbabilisticSystem
 
 
-def small_space(maxsize=None):
+@pytest.fixture
+def cache_size(monkeypatch):
+    """Sets the class-wide bound for one test."""
+
+    def set_size(size):
+        monkeypatch.setattr(FiniteProbabilitySpace, "interval_cache_size", size)
+
+    return set_size
+
+
+def small_space():
     atoms = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
     probabilities = {
         atoms[0]: Fraction(2, 5),
         atoms[1]: Fraction(2, 5),
         atoms[2]: Fraction(1, 5),
     }
-    return FiniteProbabilitySpace(
-        atoms, probabilities, interval_cache_maxsize=maxsize
-    )
+    return FiniteProbabilitySpace(atoms, probabilities)
+
+
+def fresh_coin_system():
+    """The coin example's trees in a new system, so no space is cached."""
+    return ProbabilisticSystem(three_agent_coin_system().psys.trees)
 
 
 class TestSpaceLevel:
     def test_default_is_class_default(self):
-        space = small_space()
-        assert space.interval_cache_maxsize is None
-        assert space._interval_cache.maxsize == space.interval_cache_size
+        assert small_space()._interval_cache.maxsize == 4096
+        psys = fresh_coin_system()
+        post = standard_assignments(psys)["post"]
+        point = next(iter(psys.system.points))
+        assert post.space(0, point)._interval_cache.maxsize == 4096
 
-    def test_override_sizes_the_cache(self):
-        space = small_space(maxsize=7)
-        assert space.interval_cache_maxsize == 7
-        assert space._interval_cache.maxsize == 7
+    def test_override_sizes_the_cache(self, cache_size):
+        cache_size(7)
+        assert small_space()._interval_cache.maxsize == 7
 
-    def test_too_small_is_rejected(self):
+    def test_too_small_is_rejected(self, cache_size):
+        cache_size(0)
         with pytest.raises(ValueError):
-            small_space(maxsize=0)
+            small_space()
 
-    def test_tiny_cache_evicts_but_stays_exact(self):
-        space = small_space(maxsize=1)
+    def test_tiny_cache_evicts_but_stays_exact(self, cache_size):
+        cache_size(1)
+        space = small_space()
         queries = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0})]
         first = [space.measure_interval(event) for event in queries]
         # every re-query misses the one-entry cache; values cannot drift
@@ -54,59 +69,34 @@ class TestSpaceLevel:
         assert stats["maxsize"] == 1
         assert stats["evictions"] > 0
 
-    def test_derived_spaces_inherit_the_bound(self):
-        space = small_space(maxsize=7)
-        assert space.condition(frozenset({0, 1})).interval_cache_maxsize == 7
+    def test_derived_spaces_inherit_the_bound(self, cache_size):
+        cache_size(7)
+        space = small_space()
+        assert space.condition(frozenset({0, 1}))._interval_cache.maxsize == 7
         coarse = space.coarsen([frozenset({0, 1, 2, 3}), frozenset({4})])
-        assert coarse.interval_cache_maxsize == 7
-        assert space.product(small_space()).interval_cache_maxsize == 7
-
-    def test_from_point_masses_accepts_the_bound(self):
-        space = FiniteProbabilitySpace.from_point_masses(
-            {"a": Fraction(1, 2), "b": Fraction(1, 2)},
-            interval_cache_maxsize=3,
-        )
-        assert space.interval_cache_maxsize == 3
+        assert coarse._interval_cache.maxsize == 7
+        assert space.product(small_space())._interval_cache.maxsize == 7
 
 
 class TestSystemLevel:
-    def test_run_spaces_carry_the_system_bound(self):
-        example = three_agent_coin_system()
-        psys = ProbabilisticSystem(
-            example.psys.trees, interval_cache_maxsize=11
-        )
-        assert psys.interval_cache_maxsize == 11
+    def test_induced_point_spaces_inherit(self, cache_size):
+        cache_size(13)
+        psys = fresh_coin_system()
         for adversary in psys.adversaries:
-            assert psys.run_space(adversary).interval_cache_maxsize == 11
-
-    def test_induced_point_spaces_inherit(self):
-        example = three_agent_coin_system()
-        psys = ProbabilisticSystem(
-            example.psys.trees, interval_cache_maxsize=13
-        )
+            assert psys.run_space(adversary)._interval_cache.maxsize == 13
         post = standard_assignments(psys)["post"]
         point = next(iter(psys.system.points))
-        assert post.space(0, point).interval_cache_maxsize == 13
+        assert post.space(0, point)._interval_cache.maxsize == 13
 
-    def test_default_none_flows_through(self):
+    def test_values_identical_under_any_bound(self, cache_size):
         example = three_agent_coin_system()
-        assert example.psys.interval_cache_maxsize is None
-        post = standard_assignments(example.psys)["post"]
-        point = next(iter(example.psys.system.points))
-        space = post.space(0, point)
-        assert space.interval_cache_maxsize is None
-        assert space._interval_cache.maxsize == space.interval_cache_size
-
-    def test_values_identical_under_any_bound(self):
-        example = three_agent_coin_system()
-        default = standard_assignments(example.psys)["post"]
-        bounded_psys = ProbabilisticSystem(
-            example.psys.trees, interval_cache_maxsize=1
-        )
+        points = list(example.psys.system.points)[:4]
+        default = standard_assignments(fresh_coin_system())["post"]
+        expected = [default.probability(0, point, example.heads) for point in points]
+        cache_size(1)
         bounded = ProbabilityAssignment(
-            standard_assignments(bounded_psys)["post"].ssa
+            standard_assignments(fresh_coin_system())["post"].ssa
         )
-        for point in list(example.psys.system.points)[:4]:
-            assert default.probability(
-                0, point, example.heads
-            ) == bounded.probability(0, point, example.heads)
+        assert [
+            bounded.probability(0, point, example.heads) for point in points
+        ] == expected

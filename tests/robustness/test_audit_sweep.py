@@ -19,14 +19,15 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from repro.attack import build_ca1, build_ca1_adaptive, build_ca2
-from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
+from repro.attack.sweep import guarantee_sweep, row_provenance_derivation, sweep_tasks
 from repro.core.model import GlobalState
 from repro.errors import CheckpointError, RetryExhaustedError, ValidationError
 from repro.obs import MetricsRecorder, read_audit_bundle, use_recorder, verify_bundle
-from repro.obs.audit import AuditBundleWriter
+from repro.obs.audit import AuditBundleWriter, node_from_table
 from repro.obs.jsonl import JsonlFormat
 from repro.probability import use_backend
 from repro.robustness import (
+    Fault,
     FaultPlan,
     RetryPolicy,
     SweepCheckpoint,
@@ -34,7 +35,6 @@ from repro.robustness import (
     robust_guarantee_sweep,
 )
 from repro.robustness.checkpoint import row_to_record
-from repro.robustness.faults import FaultInjectingTask, InjectedFault
 from repro.trees.probabilistic_system import ProbabilisticSystem
 from repro.trees.tree import ComputationTree
 
@@ -47,13 +47,25 @@ LOSSES = [Fraction(1, 2)]
 FAST = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
 
 
-def _no_sleep(seconds):
-    assert seconds >= 0
+def _raises_on(indexes, attempts=1):
+    """A plan whose first ``attempts`` attempts of each task in
+    ``indexes`` raise."""
+    return FaultPlan(
+        {
+            (index, attempt): Fault("raise")
+            for index in indexes
+            for attempt in range(attempts)
+        }
+    )
 
 
-def _refuses_to_run(task):
-    """A task function for a resume that must find nothing left to do."""
-    raise AssertionError(f"a checkpointed task was re-run on resume: {task[:1]}")
+#: Every attempt of task 2 raises under a two-attempt policy: the
+#: sweep dies there.
+DIES_ON_TASK_2 = _raises_on([2], attempts=2)
+
+#: For a resume that must find nothing left to do: any task that runs
+#: raises, and a one-attempt policy makes that terminal.
+REFUSES_TO_RUN = _raises_on(range(len(sweep_tasks(MESSENGERS, LOSSES))))
 
 
 def _serial_rows():
@@ -67,32 +79,6 @@ def _export_artifact(path):
         return
     os.makedirs(target_dir, exist_ok=True)
     shutil.copy(path, os.path.join(target_dir, os.path.basename(path)))
-
-
-def _chaos_task(task, context):
-    from repro.attack.sweep import sweep_row_of
-
-    inner = FaultInjectingTask(
-        inner=sweep_row_of,
-        plan=FaultPlan.from_seed(
-            seed=7, task_count=6, kinds=("raise", "kill"), rate=0.7
-        ),
-    )
-    return inner(task, context)
-
-
-_chaos_task.wants_context = True
-
-
-def _dies_on_task_2(task, context):
-    from repro.attack.sweep import sweep_row_of
-
-    if context.index == 2:
-        raise InjectedFault("simulated mid-sweep death on task 2")
-    return sweep_row_of(task)
-
-
-_dies_on_task_2.wants_context = True
 
 
 #: Builder calls made in this process, per protocol.  A pool worker
@@ -199,9 +185,9 @@ class TestAuditedSweep:
 
 
 class TestOneBuildPerSerialRow:
-    """A serial audited sweep builds each row's system once: the row and
-    the derivation its leaf binds come from that one build.  The rebuild
-    path (pool rows, a caller's task_function) is the oracle."""
+    """An audited sweep builds each row's system once, in whichever
+    process computes the row: the row and the derivation its leaf binds
+    come from that one build."""
 
     MANY = (range(1, 4), [Fraction(1, 2), Fraction(36, 97)])
 
@@ -216,15 +202,11 @@ class TestOneBuildPerSerialRow:
         return {name: count * rows for name in COUNTED_BUILDERS}
 
     @pytest.mark.parametrize(
-        "task_function, builds_per_row",
-        [(None, 1), (sweep_row_of, 2)],
-        ids=["own-rows", "task-function"],
+        "faults", [None, FaultPlan()], ids=["own-rows", "faults"]
     )
-    def test_serial_audited_sweep_builds_per_row(
-        self, tmp_path, builds, task_function, builds_per_row
-    ):
-        # A caller's task_function, even the default one, takes the
-        # parent-side rebuild.
+    def test_serial_audited_sweep_builds_per_row(self, tmp_path, builds, faults):
+        # A fault plan wraps the sweep's own payload: one that never
+        # fires adds no build.
         path = tmp_path / "sweep.jsonl"
         rows = robust_guarantee_sweep(
             MESSENGERS,
@@ -232,14 +214,25 @@ class TestOneBuildPerSerialRow:
             builders=COUNTED_BUILDERS,
             max_workers=1,
             checkpoint_path=path,
-            task_function=task_function,
+            faults=faults,
             audit=True,
         )
         assert rows == _serial_rows()
-        assert builds == self._per_protocol(builds_per_row)
+        assert builds == self._per_protocol(1)
         assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
 
-    def test_pool_rows_keep_the_parent_rebuild(self, tmp_path, builds):
+    def test_pool_rows_build_no_system_in_this_process(self, tmp_path, builds):
+        serial = tmp_path / "serial.jsonl"
+        robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            builders=COUNTED_BUILDERS,
+            max_workers=1,
+            checkpoint_path=serial,
+            audit=True,
+        )
+        builds.clear()
+        pool = tmp_path / "pool.jsonl"
         metrics = MetricsRecorder()
         with use_recorder(metrics):
             rows = robust_guarantee_sweep(
@@ -248,34 +241,65 @@ class TestOneBuildPerSerialRow:
                 builders=COUNTED_BUILDERS,
                 max_workers=2,
                 policy=FAST,
-                checkpoint_path=tmp_path / "pool.jsonl",
-                sleep=_no_sleep,
+                checkpoint_path=pool,
                 audit=True,
             )
-        if metrics.counters.get("engine.pool_fallbacks"):
-            pytest.skip("process pools unavailable; the rows ran in this process")
         assert rows == _serial_rows()
-        # The workers built the rows; this process rebuilt each once.
-        assert builds == self._per_protocol(1)
+        # The workers built the rows and derived their leaves; this
+        # process built nothing, unless the pool never ran.
+        fell_back = metrics.counters.get("engine.pool_fallbacks")
+        assert builds == (self._per_protocol(1) if fell_back else {})
+        assert _artifact_bytes(pool) == _artifact_bytes(serial)
 
-    def test_one_build_writes_the_rebuild_paths_bytes(self, tmp_path):
-        one = tmp_path / "one.jsonl"
-        rebuilt = tmp_path / "rebuilt.jsonl"
+    def test_fallback_rows_build_once(self, tmp_path):
+        # Closures cannot cross the process boundary, so a default-workers
+        # sweep over them falls back to computing its rows in-process.
+        builds = Counter()
+
+        def counted(name, build):
+            def builder(messengers, loss):
+                builds[name] += 1
+                return build(messengers, loss)
+
+            return builder
+
+        closures = {
+            name: counted(name, build) for name, build in COUNTED_BUILDERS.items()
+        }
+        metrics = MetricsRecorder()
+        path = tmp_path / "fallback.jsonl"
+        with use_recorder(metrics):
+            rows = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                builders=closures,
+                policy=FAST,
+                checkpoint_path=path,
+                audit=True,
+            )
+        assert metrics.counters["engine.pool_fallbacks"] == 1
+        assert rows == _serial_rows()
+        assert builds == self._per_protocol(1)
+        assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_leaves_bind_their_rows_derivation(self, tmp_path, workers):
+        path = tmp_path / "sweep.jsonl"
         rows = robust_guarantee_sweep(
-            *self.MANY, max_workers=1, checkpoint_path=one, audit=True
+            *self.MANY,
+            max_workers=workers,
+            policy=FAST,
+            checkpoint_path=path,
+            audit=True,
         )
         assert rows == guarantee_sweep(*self.MANY)
-        assert (
-            robust_guarantee_sweep(
-                *self.MANY,
-                max_workers=1,
-                checkpoint_path=rebuilt,
-                task_function=sweep_row_of,
-                audit=True,
-            )
-            == rows
-        )
-        assert _artifact_bytes(one) == _artifact_bytes(rebuilt)
+        tasks = sweep_tasks(*self.MANY)
+        bundle = read_audit_bundle(default_audit_path(path))
+        assert [leaf["index"] for leaf in bundle.leaves] == list(range(len(tasks)))
+        for leaf in bundle.leaves:
+            _name, builder, messengers, loss, _epsilon = tasks[leaf["index"]]
+            expected = row_provenance_derivation(builder(messengers, loss)).root
+            assert node_from_table(bundle.nodes, leaf["root_ref"]) == expected
 
     def test_serial_audited_rows_match_under_the_naive_backend(self, tmp_path):
         with use_backend("naive"):
@@ -396,8 +420,7 @@ class TestChaosAuditedSweep:
                 max_workers=1,
                 policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
                 checkpoint_path=path,
-                task_function=_dies_on_task_2,
-                sleep=_no_sleep,
+                faults=DIES_ON_TASK_2,
                 audit=True,
             )
         rows = robust_guarantee_sweep(
@@ -424,8 +447,7 @@ class TestChaosAuditedSweep:
                 max_workers=1,
                 policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
                 checkpoint_path=path,
-                task_function=_dies_on_task_2,
-                sleep=_no_sleep,
+                faults=DIES_ON_TASK_2,
                 audit=True,
             )
         with open(path, "a", encoding="utf-8") as handle:
@@ -445,7 +467,7 @@ class TestChaosAuditedSweep:
             max_workers=1,
             policy=RetryPolicy(max_attempts=1),
             checkpoint_path=path,
-            task_function=_refuses_to_run,
+            faults=REFUSES_TO_RUN,
             audit=True,
         )
         assert rows == serial
@@ -464,18 +486,18 @@ class TestChaosAuditedSweep:
             LOSSES,
             policy=FAST,
             checkpoint_path=path,
-            task_function=_chaos_task,
-            sleep=_no_sleep,
+            faults=plan,
             audit=True,
         )
         assert rows == _serial_rows()
         report = verify_audit(str(default_audit_path(path)))
         assert report["verdict"] == "clean"
 
-    def test_resume_backfills_leaves_the_kill_swallowed(self, tmp_path):
+    def test_resume_reruns_the_row_whose_leaf_the_kill_swallowed(self, tmp_path):
         # A kill can land between the checkpoint append and the audit
         # append: fake that gap by deleting the bundle's last leaf, then
-        # resume.  The backfill loop must restore chain coverage.
+        # resume.  That row is not done, so it runs once more and chains
+        # a leaf from its own build.
         path = tmp_path / "sweep.jsonl"
         robust_guarantee_sweep(
             MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
@@ -492,10 +514,18 @@ class TestChaosAuditedSweep:
         before = read_audit_bundle(audit_path)
         tasks = sweep_tasks(MESSENGERS, LOSSES)
         assert before.leaf_indexes() != frozenset(range(len(tasks)))
-        rows = robust_guarantee_sweep(
-            MESSENGERS, LOSSES, checkpoint_path=path, audit=True
-        )
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            rows = robust_guarantee_sweep(
+                MESSENGERS, LOSSES, checkpoint_path=path, audit=True
+            )
         assert rows == _serial_rows()
+        assert metrics.counters["engine.attempts"] == 1
+        # The re-run appended a second record for its row, equal to the
+        # first byte for byte.
+        records = path.read_bytes().splitlines()
+        assert len(records) == len(tasks) + 1
+        assert records[-1] == records[len(tasks) - 1]
         after = read_audit_bundle(audit_path)
         assert after.leaf_indexes() == frozenset(range(len(tasks)))
         assert verify_audit(str(audit_path))["verdict"] == "clean"

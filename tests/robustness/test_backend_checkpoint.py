@@ -14,6 +14,9 @@ import pytest
 from repro.attack.sweep import guarantee_sweep, sweep_tasks
 from repro.probability import BACKENDS, use_backend
 from repro.robustness import (
+    Fault,
+    FaultPlan,
+    RetryPolicy,
     SweepCheckpoint,
     robust_guarantee_sweep,
     task_fingerprint,
@@ -65,15 +68,18 @@ class TestCrossBackendResume:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert {record["task"]["backend"] for record in records} == {write_backend}
 
-        def poisoned(task):
-            raise AssertionError("resume must not recompute completed rows")
-
+        # Resume must not recompute a completed row: any task that runs
+        # raises, and one attempt makes that terminal.
+        poisoned = FaultPlan(
+            {(index, 0): Fault("raise") for index in range(len(rows))}
+        )
         with use_backend(resume_backend):
             resumed = robust_guarantee_sweep(
                 MESSENGERS,
                 LOSSES,
                 checkpoint_path=path,
-                task_function=poisoned,
+                policy=RetryPolicy(max_attempts=1),
+                faults=poisoned,
                 max_workers=1,
             )
         assert resumed == rows

@@ -13,6 +13,7 @@ from repro.attack.sweep import SweepRow, guarantee_sweep, sweep_tasks
 from repro.errors import CheckpointError, RetryExhaustedError
 from repro.reporting import fraction_from_json
 from repro.robustness import (
+    Fault,
     FaultPlan,
     RetryPolicy,
     SweepCheckpoint,
@@ -21,7 +22,6 @@ from repro.robustness import (
     row_to_record,
     task_fingerprint,
 )
-from repro.robustness.faults import FaultInjectingTask, InjectedFault
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
@@ -29,27 +29,20 @@ LOSSES = [Fraction(1, 2)]
 FAST = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
 
 
-def _no_sleep(seconds):
-    assert seconds >= 0
+def _raises_on(indexes, attempts=1):
+    """A plan whose first ``attempts`` attempts of each task in
+    ``indexes`` raise.
 
-
-def _poisoned_ca1_row(task):
-    """A task function that refuses to recompute CA1 rows.
-
-    Used to prove resume really skips checkpointed tasks: if the resumed
-    sweep ever re-runs a CA1 task, this raises and the test fails.
+    Under a one-attempt policy, a plan over the checkpointed tasks
+    proves a resume skips them: any of them that runs fails the sweep.
     """
-    from repro.attack.sweep import sweep_row_of
-
-    name = task[0]
-    if name == "CA1":
-        raise AssertionError("a checkpointed CA1 task was re-run on resume")
-    return sweep_row_of(task)
-
-
-def _refuses_to_run(task):
-    """A task function for a resume that must find nothing left to do."""
-    raise AssertionError(f"a checkpointed task was re-run on resume: {task[:1]}")
+    return FaultPlan(
+        {
+            (index, attempt): Fault("raise")
+            for index in indexes
+            for attempt in range(attempts)
+        }
+    )
 
 
 def _serial_rows():
@@ -130,15 +123,16 @@ class TestResume:
         serial = _serial_rows()
         checkpoint = SweepCheckpoint(path)
         # Checkpoint every CA1 row, as if a first run died after them.
-        for index, task in enumerate(tasks):
-            if task[0] == "CA1":
-                checkpoint.append(index, task, serial[index])
+        ca1 = [index for index, task in enumerate(tasks) if task[0] == "CA1"]
+        for index in ca1:
+            checkpoint.append(index, tasks[index], serial[index])
         rows = robust_guarantee_sweep(
             MESSENGERS,
             LOSSES,
             max_workers=1,
+            policy=RetryPolicy(max_attempts=1),
             checkpoint_path=path,
-            task_function=_poisoned_ca1_row,
+            faults=_raises_on(ca1),
         )
         assert rows == serial
 
@@ -168,7 +162,7 @@ class TestResume:
             max_workers=1,
             checkpoint_path=path,
             policy=RetryPolicy(max_attempts=1),
-            task_function=_refuses_to_run,
+            faults=_raises_on(range(len(tasks))),
         )
         assert rows == serial
 
@@ -246,8 +240,7 @@ class TestChaosSweep:
             LOSSES,
             policy=FAST,
             checkpoint_path=path,
-            task_function=_chaos_task,
-            sleep=_no_sleep,
+            faults=plan,
         )
         assert rows == _serial_rows()
         _export_artifact(path)
@@ -265,40 +258,15 @@ class TestChaosSweep:
                 max_workers=1,
                 policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
                 checkpoint_path=path,
-                task_function=_dies_on_task_2,
-                sleep=_no_sleep,
+                faults=_raises_on([2], attempts=2),
             )
         survived = SweepCheckpoint(path).load(tasks)
         assert survived == {0: serial[0], 1: serial[1]}
-        # Phase 2: resume with a healthy task function; only the
-        # incomplete tasks run and the full row list comes back.
+        # Phase 2: resume with no faults; only the incomplete tasks run
+        # and the full row list comes back.
         rows = robust_guarantee_sweep(
             MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path
         )
         assert rows == serial
         assert SweepCheckpoint(path).load(tasks).keys() == set(range(len(tasks)))
         _export_artifact(path)
-
-
-def _chaos_task(task, context):
-    from repro.attack.sweep import sweep_row_of
-
-    inner = FaultInjectingTask(
-        inner=sweep_row_of,
-        plan=FaultPlan.from_seed(seed=7, task_count=6, kinds=("raise", "kill"), rate=0.7),
-    )
-    return inner(task, context)
-
-
-_chaos_task.wants_context = True
-
-
-def _dies_on_task_2(task, context):
-    from repro.attack.sweep import sweep_row_of
-
-    if context.index == 2:
-        raise InjectedFault("simulated mid-sweep death on task 2")
-    return sweep_row_of(task)
-
-
-_dies_on_task_2.wants_context = True

@@ -71,10 +71,6 @@ def _log_then_maybe_poison(item):
     return label
 
 
-def _no_sleep(seconds: float) -> None:
-    assert seconds >= 0
-
-
 class TestRetryPolicy:
     def test_backoff_is_deterministic(self):
         policy = RetryPolicy(seed=42)
@@ -210,12 +206,12 @@ class TestRetriesAndTerminalErrors:
         plan = FaultPlan({(0, 0): Fault("raise"), (0, 1): Fault("raise")})
         task = FaultInjectingTask(inner=_square, plan=plan)
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        assert run_tasks(task, [5, 6], max_workers=1, policy=policy, sleep=_no_sleep) == [25, 36]
+        assert run_tasks(task, [5, 6], max_workers=1, policy=policy) == [25, 36]
 
     def test_retry_exhausted_carries_identity_and_attempt_log(self):
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
         with pytest.raises(RetryExhaustedError) as excinfo:
-            run_tasks(_boom, [7, 8], max_workers=1, policy=policy, sleep=_no_sleep)
+            run_tasks(_boom, [7, 8], max_workers=1, policy=policy)
         error = excinfo.value
         assert error.task_index == 0
         assert error.task == 7
@@ -227,13 +223,13 @@ class TestRetriesAndTerminalErrors:
     def test_retry_exhausted_in_pool_keeps_original_cause(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         with pytest.raises(RetryExhaustedError) as excinfo:
-            run_tasks(_boom, [1, 2, 3], policy=policy, sleep=_no_sleep)
+            run_tasks(_boom, [1, 2, 3], policy=policy)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_unpicklable_task_error_still_attributed(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         with pytest.raises(RetryExhaustedError) as excinfo:
-            run_tasks(_raise_unpicklable, [1, 2], policy=policy, sleep=_no_sleep)
+            run_tasks(_raise_unpicklable, [1, 2], policy=policy)
         error = excinfo.value
         assert error.task_index == 0
         assert any("_Unpicklable" in attempt.error for attempt in error.attempts)
@@ -242,7 +238,7 @@ class TestRetriesAndTerminalErrors:
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         with pytest.raises(TaskTimeoutError) as excinfo:
             run_tasks(
-                _sleepy, [0.05], max_workers=1, policy=policy, timeout=0.001, sleep=_no_sleep
+                _sleepy, [0.05], max_workers=1, policy=policy, timeout=0.001
             )
         error = excinfo.value
         assert error.task_index == 0
@@ -257,7 +253,7 @@ class TestWorkerCrashRecovery:
         plan = FaultPlan({(1, 0): Fault("kill"), (1, 1): Fault("kill")})
         task = FaultInjectingTask(inner=_square, plan=plan)
         policy = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
-        results = run_tasks(task, [2, 3, 4, 5], policy=policy, sleep=_no_sleep)
+        results = run_tasks(task, [2, 3, 4, 5], policy=policy)
         assert results == [4, 9, 16, 25]
 
     def test_kill_on_final_attempt_is_terminal(self):
@@ -265,7 +261,7 @@ class TestWorkerCrashRecovery:
         task = FaultInjectingTask(inner=_square, plan=plan)
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         with pytest.raises(RetryExhaustedError) as excinfo:
-            run_tasks(task, [2, 3], policy=policy, sleep=_no_sleep)
+            run_tasks(task, [2, 3], policy=policy)
         assert excinfo.value.task_index == 0
 
     def test_pool_timeout_recovers_on_retry(self):
@@ -273,7 +269,7 @@ class TestWorkerCrashRecovery:
         plan = FaultPlan({(0, 0): Fault("delay", delay=1.5)})
         task = FaultInjectingTask(inner=_square, plan=plan)
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        results = run_tasks(task, [6, 7], policy=policy, timeout=0.3, sleep=_no_sleep)
+        results = run_tasks(task, [6, 7], policy=policy, timeout=0.3)
         assert results == [36, 49]
 
     def test_terminal_timeout_raises_promptly_despite_stuck_worker(self):
@@ -286,7 +282,7 @@ class TestWorkerCrashRecovery:
         policy = RetryPolicy(max_attempts=1)
         started = time.monotonic()
         with pytest.raises(TaskTimeoutError):
-            run_tasks(task, [2, 3], policy=policy, timeout=0.3, sleep=_no_sleep)
+            run_tasks(task, [2, 3], policy=policy, timeout=0.3)
         assert time.monotonic() - started < 3.0
 
     def test_abandoned_pool_does_not_charge_healthy_tasks(self):
@@ -300,7 +296,7 @@ class TestWorkerCrashRecovery:
         )
         task = FaultInjectingTask(inner=_square, plan=plan)
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        state = _EngineState(task, [2, 3, 4], policy, 0.5, None, _no_sleep)
+        state = _EngineState(task, [2, 3, 4], policy, 0.5, None)
         for index in range(3):
             state.register(index)
         _run_pool(state, max_workers=2)
@@ -332,7 +328,6 @@ class TestWorkerCrashRecovery:
                     _log_then_maybe_poison,
                     [(log_path, label), (log_path, "a")],
                     policy=policy,
-                    sleep=_no_sleep,
                 )
             error = excinfo.value
             assert error.task_index == 0

@@ -51,7 +51,6 @@ def _chaos_run(tmp_path, plan):
             tasks,
             max_workers=1,
             policy=POLICY,
-            sleep=lambda _seconds: None,
         )
     trace.close()
     _export_artifact(trace_path)

@@ -64,7 +64,6 @@ def _pool_sweep(plan=None, max_workers=2):
             tasks,
             max_workers=max_workers,
             policy=POLICY,
-            sleep=lambda _seconds: None,
         )
     return tasks, rows, metrics, log
 
@@ -95,7 +94,6 @@ class TestByteIdenticalResults:
             sweep_tasks(MESSENGERS, LOSSES),
             max_workers=2,
             policy=POLICY,
-            sleep=lambda _seconds: None,
         )
         serial_rows = [sweep_row_of(task) for task in baseline_tasks]
         assert baseline_rows == serial_rows
@@ -170,7 +168,6 @@ def _plain_serial_sweep(tmp_path):
         sweep_row_of,
         sweep_tasks(MESSENGERS, LOSSES),
         max_workers=1,
-        sleep=lambda _seconds: None,
     )
 
 

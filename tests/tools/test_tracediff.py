@@ -62,7 +62,6 @@ def make_chaos_trace(path, seed, provenance=False):
             list(range(5)),
             max_workers=1,
             policy=RetryPolicy(max_attempts=4, base_delay=0.0),
-            sleep=lambda _seconds: None,
         )
     recorder.close()
     return path
@@ -255,7 +254,6 @@ class TestWorkerTelemetryNormalisation:
                 sweep_row_of,
                 sweep_tasks([1, 2], [Fraction(1, 2)]),
                 max_workers=2,
-                sleep=lambda _seconds: None,
             )
         recorder.close()
         return metrics, rows

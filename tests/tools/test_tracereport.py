@@ -45,7 +45,6 @@ def make_trace(path):
             list(range(5)),
             max_workers=1,
             policy=RetryPolicy(max_attempts=4, base_delay=0.0),
-            sleep=lambda _seconds: None,
         )
     recorder.close()
     return path
