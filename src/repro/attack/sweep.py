@@ -109,7 +109,7 @@ def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
     where the ``C^eps phi_CA`` claim is tightest.  Ties break
     deterministically: agents in group order, points in point-index
     order, so the witness is stable across runs and processes (what the
-    per-row provenance events and ``tools/tracediff`` rely on).
+    audit leaf derivations and ``tools/tracediff`` rely on).
     """
     return _post_witness(attack)[1]
 
@@ -120,9 +120,9 @@ def row_provenance_derivation(attack: AttackSystem) -> Derivation:
     Explains ``Pr_i(coord) >= threshold`` at the row's witness point
     under ``P_post`` -- the exact Section 5 inner-measure computation
     (sample space, cells, witness event) that produced the row's
-    ``post_threshold``.  This is what the ``provenance=True`` sweep mode
-    attaches to each ``row_provenance`` event and what every
-    ``repro-audit/1`` leaf binds.
+    ``post_threshold``.  This is what every ``repro-audit/1`` leaf binds;
+    the audited sweep reads it off the row's own build
+    (:func:`measure_sweep_row`).
     """
     return _witness_derivation(attack, *_post_witness(attack))
 
@@ -249,7 +249,7 @@ def measure_sweep_row(
     return row, _witness_derivation(attack, post, witness)
 
 
-def sweep_row_of(task: SweepTask, provenance: bool = False) -> SweepRow:
+def sweep_row_of(task: SweepTask) -> SweepRow:
     """Compute one :class:`SweepRow` from a :data:`SweepTask`.
 
     Deterministic. The row is a pure function of the task tuple -- the
@@ -260,32 +260,12 @@ def sweep_row_of(task: SweepTask, provenance: bool = False) -> SweepRow:
     Module-level (not a closure) so
     :func:`repro.robustness.engine.run_tasks` can send it to worker
     processes.
-
-    With ``provenance=True`` (opt-in, default off) the row additionally
-    emits a ``row_provenance`` event carrying the full
-    ``repro-explain/1`` derivation of the row's ``post_threshold`` at
-    its witness point (:func:`row_provenance_derivation`, here read off
-    the row's own ``post`` assignment).  The event is observe-only: the
-    returned row is byte-identical either way.
     """
     name, builder, messengers, loss, _threshold = task
-    recorder = get_recorder()
-    with recorder.span(
+    with get_recorder().span(
         "sweep_row", protocol=name, messengers=messengers, loss=loss
     ):
-        row, derivation = measure_sweep_row(
-            task, builder(messengers, loss), provenance
-        )
-        if derivation is not None:
-            recorder.event(
-                "row_provenance",
-                protocol=name,
-                messengers=messengers,
-                loss=loss,
-                fingerprint=derivation.fingerprint(),
-                derivation=derivation.json_ready(),
-            )
-        return row
+        return measure_sweep_row(task, builder(messengers, loss), derive=False)[0]
 
 
 def guarantee_sweep(
@@ -293,7 +273,6 @@ def guarantee_sweep(
     losses: Sequence[FractionLike],
     builders: Optional[Dict[str, Builder]] = None,
     epsilon: FractionLike = Fraction(99, 100),
-    provenance: bool = False,
 ) -> List[SweepRow]:
     """Sweep protocols over messenger counts and loss probabilities.
 
@@ -301,12 +280,10 @@ def guarantee_sweep(
     task order.  :func:`repro.robustness.checkpoint.robust_guarantee_sweep`
     computes the same rows on the fault-tolerant engine (process pool,
     retries, checkpoints, audit bundles).
-    ``provenance=True`` opts every row into a ``row_provenance`` event
-    with its threshold derivation; see :func:`sweep_row_of`.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
     with get_recorder().span("guarantee_sweep", tasks=len(tasks)):
-        return [sweep_row_of(task, provenance=provenance) for task in tasks]
+        return [sweep_row_of(task) for task in tasks]
 
 
 def crossover_messengers(

@@ -16,10 +16,8 @@ parameter optionally so one implementation covers both.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from ..core.facts import Fact
-from ..core.model import Point
 from .semantics import Model, PointSet
 from .syntax import (
     And,
@@ -33,20 +31,12 @@ from .syntax import (
 )
 
 
-def _everyone(model: Model, group: Sequence[int], alpha) -> Callable[[int], int]:
-    """``E_G`` (or ``E_G^alpha``) as an operator on extension masks."""
-    if alpha is None:
-        return lambda target: model._everyone_mask(group, target)
-    return lambda target: model._everyone_prob_mask(group, alpha, target)
-
-
 def everyone_knows_points(
     model: Model, group: Sequence[int], target: PointSet, alpha=None
 ) -> PointSet:
     """``E_G`` (or ``E_G^alpha`` when ``alpha`` is given) on an extension."""
     index = model.psys.point_index
-    everyone = _everyone(model, group, alpha)
-    return index.members_of(everyone(index.mask_of_known(target)))
+    return index.members_of(model.everyone_mask(group, index.mask_of_known(target), alpha))
 
 
 def common_knowledge_points(
@@ -54,8 +44,7 @@ def common_knowledge_points(
 ) -> PointSet:
     """``C_G`` (or ``C_G^alpha``) of an extension, as a point set."""
     index = model.psys.point_index
-    everyone = _everyone(model, group, alpha)
-    return index.members_of(model._gfp_mask(index.mask_of_known(target), everyone))
+    return index.members_of(model._gfp_mask(group, index.mask_of_known(target), alpha))
 
 
 def iterated_everyone_knows(
@@ -67,11 +56,12 @@ def iterated_everyone_knows(
     the infinite conjunction of the ``(E_G^alpha)^k``; comparing this chain
     with :func:`common_knowledge_points` exhibits the gap.
     """
+    index = model.psys.point_index
+    mask = index.mask_of_known(target)
     chain = []
-    current = target
     for _ in range(levels):
-        current = everyone_knows_points(model, group, current, alpha)
-        chain.append(current)
+        mask = model.everyone_mask(group, mask, alpha)
+        chain.append(index.members_of(mask))
     return tuple(chain)
 
 

@@ -14,9 +14,8 @@ definition it instantiates:
   Section 5) carries a concrete **counterexample point** whenever it
   fails -- the point Theorem 7's refuting strategy targets.
 * ``C_G`` / ``C_G^alpha`` carry the per-iteration snapshots of the
-  Section 8 greatest-fixed-point computation, captured through a
-  :class:`~repro.obs.provenance.ProvenanceRecorder` layered over
-  whatever recorder is already installed.
+  Section 8 greatest-fixed-point computation, read from
+  :meth:`Model.gfp_iterates` on the model being explained.
 
 The explain layer is strictly *re-derivation*: every verdict it reports
 comes from the same memoised ``Model`` kernels the checker uses, so a
@@ -31,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model import Point, System
 from ..errors import LogicError
-from ..obs.provenance import (
-    Derivation,
-    DerivationNode,
-    ProvenanceRecorder,
-)
-from ..obs.recorder import MultiRecorder, get_recorder, use_recorder
+from ..obs.provenance import Derivation, DerivationNode
 from ..probability.fractionutil import ZERO
 from ..reporting import fraction_from_json
 from .semantics import Model
@@ -324,31 +318,27 @@ class _Explainer:
     def _common(self, formula, point: Point) -> DerivationNode:
         probabilistic = isinstance(formula, CommonKnowsProb)
         holds = self.model.holds(formula, point)
-        # Re-run the fixpoint on a fresh model (empty memo) under a
-        # ProvenanceRecorder layered over the active recorder, so the
-        # per-iteration gfp snapshots are captured without disturbing
-        # whatever instrumentation the caller installed.
-        recorder = ProvenanceRecorder()
-        with use_recorder(MultiRecorder([get_recorder(), recorder])):
-            fresh = self.model.with_assignment(self.model.assignment)
-            fixpoint_mask = fresh.extension_mask(formula)
-        snapshots = _final_gfp_snapshots(recorder)
+        alpha = formula.alpha if probabilistic else None
+        iterates = self.model.gfp_iterates(
+            formula.group, self.model.extension_mask(formula.sub), alpha
+        )
+        fixpoint_mask = iterates[-1]
         detail: Dict = {
             "group": list(formula.group),
             "fixpoint_mask": fixpoint_mask,
-            "fixpoint_size": bin(fixpoint_mask).count("1"),
-            "iterations": len(snapshots),
+            "fixpoint_size": fixpoint_mask.bit_count(),
+            "iterations": len(iterates),
             "iteration_snapshots": [
                 {
-                    "iteration": snapshot["iteration"],
-                    "updated_size": snapshot["updated_size"],
-                    "updated_mask": snapshot["updated_mask"],
+                    "iteration": iteration,
+                    "updated_size": updated.bit_count(),
+                    "updated_mask": updated,
                 }
-                for snapshot in snapshots
+                for iteration, updated in enumerate(iterates, start=1)
             ],
         }
         if probabilistic:
-            detail["alpha"] = formula.alpha
+            detail["alpha"] = alpha
             rule = "common-knows-prob"
             definition = (
                 "Section 8: C_G^alpha phi is the greatest fixed point of "
@@ -375,25 +365,6 @@ class _Explainer:
             detail=detail,
             children=(child,),
         )
-
-
-def _final_gfp_snapshots(recorder: ProvenanceRecorder) -> List[Dict]:
-    """The iteration snapshots of the *last completed* fixpoint.
-
-    Extensions compute bottom-up, so when a formula nests several
-    common-knowledge operators the outermost fixpoint finishes last; its
-    snapshots are the ``gfp_iteration`` events after the second-to-last
-    ``gfp`` terminator.
-    """
-    groups: List[List[Dict]] = []
-    current: List[Dict] = []
-    for kind, fields in recorder.events:
-        if kind == "gfp_iteration":
-            current.append(fields)
-        elif kind == "gfp":
-            groups.append(current)
-            current = []
-    return groups[-1] if groups else []
 
 
 def explain(model: Model, formula: Formula, point: Point) -> Derivation:
@@ -498,6 +469,8 @@ def audit_derivation(
                     defects.append(f"{path}: bad counterexample ({error})")
                 else:
                     class_mask = node.detail["class_mask"]
+                    if isinstance(class_mask, str):  # json_pure's wide-int form
+                        class_mask = int(class_mask, 16)
                     if not class_mask >> ref["bit"] & 1:
                         defects.append(
                             f"{path}: counterexample lies outside K_i(c)"

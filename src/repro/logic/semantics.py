@@ -15,18 +15,20 @@ converted to :class:`frozenset` point sets only at the public boundary
 
 The fixpoint and memo machinery reports to :mod:`repro.obs` (gfp
 iteration counts, extension-mask computes/memo hits) -- observe-only, so
-an instrumented check returns bit-identical extensions.
+an instrumented check returns bit-identical extensions.  Derivations
+(:meth:`Model.explain`) read the fixpoint's iterates from
+:meth:`Model.gfp_iterates` itself; no recorder carries them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.assignments import ProbabilityAssignment
 from ..core.facts import Fact
 from ..core.model import Point, System
 from ..errors import LogicError
-from ..obs.recorder import NULL_RECORDER, get_recorder
+from ..obs.recorder import get_recorder
 from ..trees.probabilistic_system import ProbabilisticSystem
 from .syntax import (
     And,
@@ -132,12 +134,7 @@ class Model:
         """
         return Model(assignment, self.valuation)
 
-    def explain(
-        self,
-        formula: Formula,
-        point: Point,
-        assignment: Optional[ProbabilityAssignment] = None,
-    ):
+    def explain(self, formula: Formula, point: Point):
         """A :class:`~repro.obs.provenance.Derivation` for ``formula`` at
         ``point``: the full Section 5 evidence behind :meth:`holds`.
 
@@ -146,20 +143,17 @@ class Model:
         the sample space ``S(i, c)``, its cells with exact measures and
         the inner-measure witness event (Section 5); for ``K_i`` a
         counterexample point when it fails (the Theorem 7 refutation
-        direction); for ``C_G^alpha`` the gfp iteration snapshots
-        (Section 8).  ``assignment`` evaluates under a different
-        probability assignment (the Section 6 lattice) without mutating
-        this model.  The verdict always agrees with :meth:`holds` -- the
-        explain layer re-derives, it never decides.
+        direction); for ``C_G^alpha`` the gfp iterates of
+        :meth:`gfp_iterates` (Section 8).  To explain under a different
+        probability assignment (the Section 6 lattice), explain on
+        :meth:`with_assignment`.  The verdict always agrees with
+        :meth:`holds` -- the explain layer re-derives, it never decides.
         """
         # Local import: logic.explain sits above logic.semantics in the
         # intra-package DAG (RL002); the cold explain path may reach up.
         from .explain import explain as build_derivation
 
-        model = self
-        if assignment is not None and assignment is not self.assignment:
-            model = self.with_assignment(assignment)
-        return build_derivation(model, formula, point)
+        return build_derivation(self, formula, point)
 
     # ------------------------------------------------------------------
     # Recursive cases
@@ -220,22 +214,16 @@ class Model:
         if isinstance(formula, Until):
             return self._until_mask(formula)
         if isinstance(formula, EveryoneKnows):
-            return self._everyone_mask(formula.group, self.extension_mask(formula.sub))
+            return self.everyone_mask(formula.group, self.extension_mask(formula.sub))
         if isinstance(formula, CommonKnows):
-            return self._gfp_mask(
-                self.extension_mask(formula.sub),
-                lambda target: self._everyone_mask(formula.group, target),
-            )
+            return self._gfp_mask(formula.group, self.extension_mask(formula.sub))
         if isinstance(formula, EveryoneKnowsProb):
-            return self._everyone_prob_mask(
-                formula.group, formula.alpha, self.extension_mask(formula.sub)
+            return self.everyone_mask(
+                formula.group, self.extension_mask(formula.sub), formula.alpha
             )
         if isinstance(formula, CommonKnowsProb):
             return self._gfp_mask(
-                self.extension_mask(formula.sub),
-                lambda target: self._everyone_prob_mask(
-                    formula.group, formula.alpha, target
-                ),
+                formula.group, self.extension_mask(formula.sub), formula.alpha
             )
         raise LogicError(f"unknown formula constructor {type(formula).__name__}")
 
@@ -256,12 +244,6 @@ class Model:
                 result |= class_mask
         return result
 
-    def _everyone_mask(self, group: Iterable[int], target: int) -> int:
-        result = self._full_mask
-        for agent in group:
-            result &= self._knowledge_mask(agent, target)
-        return result
-
     def _pr_at_least_mask(self, agent: int, alpha, target: int) -> int:
         """Extension mask of ``Pr_i(phi) >= alpha`` where ``phi``'s
         extension mask is ``target``.
@@ -276,52 +258,48 @@ class Model:
                 mask |= group.mask
         return mask
 
-    def _prob_knowledge_mask(self, agent: int, alpha, target: int) -> int:
-        """Extension mask of ``K_i^alpha`` applied to an extension mask."""
-        return self._knowledge_mask(agent, self._pr_at_least_mask(agent, alpha, target))
+    def everyone_mask(self, group: Iterable[int], target: int, alpha=None) -> int:
+        """``E_G`` (``E_G^alpha`` when ``alpha`` is given) on an extension mask.
 
-    def _everyone_prob_mask(self, group: Iterable[int], alpha, target: int) -> int:
+        Section 8: ``E_G phi`` holds where every agent of ``G`` knows
+        ``phi``, and ``E_G^alpha phi`` where every agent has
+        ``K_i^alpha phi = K_i(Pr_i(phi) >= alpha)`` (Section 5).
+        """
         result = self._full_mask
         for agent in group:
-            result &= self._prob_knowledge_mask(agent, alpha, target)
+            known = target if alpha is None else self._pr_at_least_mask(agent, alpha, target)
+            result &= self._knowledge_mask(agent, known)
         return result
 
-    def _gfp_mask(self, sub_mask: int, everyone) -> int:
-        """Greatest fixed point of ``X == E(phi & X)`` by downward iteration.
+    def gfp_iterates(self, group: Sequence[int], sub_mask: int, alpha=None) -> List[int]:
+        """The downward iterates of ``X == E(phi & X)``, ``phi``'s extension
+        mask being ``sub_mask`` and ``E`` being :meth:`everyone_mask`.
 
-        The operator is monotone and the lattice of point sets finite, so
-        iteration from the top converges; the result is the greatest fixed
-        point, matching the Section 8 definition of (probabilistic) common
-        knowledge.
+        Iteration starts from the full mask and the ``i``-th entry is
+        ``E(phi & X_{i-1})``.  The operator is monotone and the lattice of
+        point sets finite, so the iterates shrink to the greatest fixed
+        point -- Section 8's (probabilistic) common knowledge -- and the
+        last entry, the first to repeat its predecessor, is that fixed
+        point.
         """
-        recorder = get_recorder()
-        # Identity check against the singleton (the sanctioned
-        # "uninstrumented" test): per-iteration snapshots are provenance
-        # events and must cost nothing on the default path.
-        snapshot = recorder is not NULL_RECORDER
+        iterates: List[int] = []
         current = self._full_mask
-        iterations = 0
         while True:
-            iterations += 1
-            updated = everyone(sub_mask & current)
-            if snapshot:
-                recorder.event(
-                    "gfp_iteration",
-                    iteration=iterations,
-                    current_size=current.bit_count(),
-                    updated_size=updated.bit_count(),
-                    updated_mask=updated,
-                )
+            updated = self.everyone_mask(group, sub_mask & current, alpha)
+            iterates.append(updated)
             if updated == current:
-                recorder.counter("model.gfp_fixpoints")
-                recorder.counter("model.gfp_iterations", iterations)
-                recorder.event(
-                    "gfp",
-                    iterations=iterations,
-                    fixpoint_size=current.bit_count(),
-                )
-                return current
+                return iterates
             current = updated
+
+    def _gfp_mask(self, group: Sequence[int], sub_mask: int, alpha=None) -> int:
+        """The greatest fixed point of :meth:`gfp_iterates`: its last iterate."""
+        iterates = self.gfp_iterates(group, sub_mask, alpha)
+        fixpoint = iterates[-1]
+        recorder = get_recorder()
+        recorder.counter("model.gfp_fixpoints")
+        recorder.counter("model.gfp_iterations", len(iterates))
+        recorder.event("gfp", iterations=len(iterates), fixpoint_size=fixpoint.bit_count())
+        return fixpoint
 
     # ------------------------------------------------------------------
     # Until

@@ -11,10 +11,11 @@ counters, gauges, events and timing spans to the process-global
   iteration counts, retry totals) for benchmark reports.
 * :class:`TraceRecorder` streams schema ``repro-trace/1`` JSONL for the
   ``tools/tracereport`` CLI.
-* :class:`ProvenanceRecorder` collects semantic provenance -- the
-  ``repro-explain/1`` derivation trees built by ``Model.explain`` and the
-  gfp iteration snapshots of the common-knowledge fixpoints -- for
-  ``tools/tracediff`` and the auditability layer.
+* :mod:`repro.obs.provenance` is the data model of semantic provenance:
+  the ``repro-explain/1`` derivation trees ``Model.explain`` builds
+  (gfp iteration snapshots of the common-knowledge fixpoints included),
+  written as explain documents for ``tools/tracediff``.  Derivations are
+  built, never recorded: no recorder carries them.
 * :mod:`repro.obs.audit` chains sweep rows and their derivation roots
   into ``repro-audit/1`` Merkle-chained audit bundles for
   ``tools/verifyaudit``; its node records, each distinct derivation
@@ -48,7 +49,6 @@ from .provenance import (
     EXPLAIN_SCHEMA,
     Derivation,
     DerivationNode,
-    ProvenanceRecorder,
     derivation_from_json,
     read_derivation,
     render_derivation,
@@ -78,7 +78,6 @@ __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "ObsDeltaCapture",
-    "ProvenanceRecorder",
     "Recorder",
     "SpanStats",
     "TRACE_SCHEMA",

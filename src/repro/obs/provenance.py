@@ -17,14 +17,13 @@ values are stored as their ``"p/q"`` strings, point references as
 index), so dataclass equality coincides with JSON round-trip equality
 and a derivation can be diffed, fingerprinted, and shipped between runs
 without any context.  :mod:`repro.logic.explain` is the builder;
-``tools/tracediff`` is the consumer.
+``tools/tracediff`` and ``tools/verifyaudit`` are the consumers.
 
-:class:`ProvenanceRecorder` rides the observe-only recorder protocol of
-:mod:`repro.obs.recorder`: it is default-off (the ``NULL_RECORDER``
-singleton stays installed unless a caller opts in), collects the
-``gfp_iteration`` / ``gfp`` / ``row_provenance`` / ``derivation`` events
-the instrumented layers emit, and -- like every recorder -- can never
-hand a value back to the code it observes.
+Derivations are built, never recorded: ``Model.explain`` reads the
+model's own kernels (the gfp iterates included), and the two carriers
+are ``repro-explain/1`` documents (:func:`write_derivation`) and the
+derivation nodes of ``repro-audit/1`` bundles (:mod:`repro.obs.audit`).
+No recorder takes part.
 """
 
 from __future__ import annotations
@@ -36,13 +35,12 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ProvenanceError
-from .recorder import Recorder
+from ..reporting import json_ready
 
 __all__ = [
     "EXPLAIN_SCHEMA",
     "Derivation",
     "DerivationNode",
-    "ProvenanceRecorder",
     "derivation_from_json",
     "json_pure",
     "read_derivation",
@@ -67,13 +65,18 @@ def json_pure(value):
     (matching :func:`repro.reporting.json_ready` /
     :func:`repro.reporting.fraction_from_json`), tuples become lists, and
     floats are rejected outright -- a float in a derivation would mean a
-    probability was rounded, which the reproduction never does.  The
-    result round-trips through ``json.dumps``/``json.loads`` unchanged,
-    which is what makes dataclass equality on derivation nodes coincide
-    with equality of their serialised forms.
+    probability was rounded, which the reproduction never does.  Ints
+    take :func:`repro.reporting.json_ready`'s form: the int itself, or,
+    past its decimal-safe width (the point masks of systems past about
+    14,000 points), an exact ``"0x..."`` string that ``int(text, 16)``
+    restores.  The result round-trips through ``json.dumps`` /
+    ``json.loads`` unchanged, which is what makes dataclass equality on
+    derivation nodes coincide with equality of their serialised forms.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, int):
+    if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, int):
+        return json_ready(value)
     if isinstance(value, float):
         raise ProvenanceError(
             f"floats are banned in derivations (got {value!r}); "
@@ -314,59 +317,3 @@ def render_derivation(derivation: Derivation) -> str:
     ]
     _render_node(derivation.root, lines, 1)
     return "\n".join(lines)
-
-
-#: Event kinds a :class:`ProvenanceRecorder` captures; everything else is
-#: counted but not stored, so attaching one to a chaos sweep cannot
-#: accumulate unbounded unrelated events.
-CAPTURED_KINDS = frozenset(
-    {"gfp_iteration", "gfp", "row_provenance", "derivation"}
-)
-
-
-class ProvenanceRecorder(Recorder):
-    """Collect semantic provenance events without perturbing anything.
-
-    Observe-only like every recorder: the instrumented code (the gfp
-    loops of :class:`repro.logic.semantics.Model`, the opt-in sweep rows
-    of :func:`repro.attack.sweep.guarantee_sweep`) cannot read anything
-    back, so an evaluation under a live ``ProvenanceRecorder`` is
-    byte-identical to an uninstrumented one -- the differential suite
-    pins that.  Default-off: nothing in the library installs one; the
-    ``NULL_RECORDER`` singleton keeps the cost at an identity check.
-    """
-
-    __slots__ = ("events", "event_counts")
-
-    def __init__(self) -> None:
-        #: Captured ``(kind, fields)`` pairs in emission order.
-        self.events: List[Tuple[str, Dict]] = []
-        #: Every event kind seen (captured or not) with its count.
-        self.event_counts: Dict[str, int] = {}
-
-    def event(self, kind: str, /, **fields) -> None:
-        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-        if kind in CAPTURED_KINDS:
-            self.events.append((kind, dict(fields)))
-
-    # -- folded views ----------------------------------------------------
-
-    def of_kind(self, kind: str) -> List[Dict]:
-        """The field dicts of every captured event of one kind, in order."""
-        return [fields for seen, fields in self.events if seen == kind]
-
-    @property
-    def gfp_iterations(self) -> List[Dict]:
-        """Per-iteration fixpoint snapshots (Section 8 gfp computation)."""
-        return self.of_kind("gfp_iteration")
-
-    @property
-    def derivations(self) -> List[Derivation]:
-        """Every complete derivation shipped through an event payload."""
-        collected: List[Derivation] = []
-        for kind in ("derivation", "row_provenance"):
-            for fields in self.of_kind(kind):
-                payload = fields.get("derivation")
-                if payload is not None:
-                    collected.append(derivation_from_json(payload))
-        return collected

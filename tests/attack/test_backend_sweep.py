@@ -13,6 +13,7 @@ import pytest
 from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
 from repro.probability import BACKENDS, get_default_backend, use_backend
 from repro.robustness import robust_guarantee_sweep
+from repro.robustness.checkpoint import _audited_sweep_row_of
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
@@ -40,8 +41,10 @@ def test_robust_sweep_rows_match_serial_under_backend(backend, reference_rows):
 
 def test_sweep_row_provenance_survives_backend_wrapper():
     task = sweep_tasks([1], LOSSES)[0]
-    plain = sweep_row_of(task, provenance=True)
+    plain_row, plain_derivation = _audited_sweep_row_of(task)
+    assert plain_row == sweep_row_of(task)
     for backend in BACKENDS:
         with use_backend(backend):
-            routed = sweep_row_of(task, provenance=True)
-        assert routed == plain
+            row, derivation = _audited_sweep_row_of(task)
+        assert row == plain_row
+        assert derivation.fingerprint() == plain_derivation.fingerprint()

@@ -160,36 +160,9 @@ class TestRowProvenance:
         model = Model(post, {"coord": attack.coordinated})
         assert audit_derivation(model, derivation) == []
 
-    def test_provenance_sweep_rows_equal_plain_rows(self):
-        from repro.obs import ProvenanceRecorder, use_recorder
-
-        plain = guarantee_sweep([1, 2], [Fraction(1, 2)])
-        recorder = ProvenanceRecorder()
-        with use_recorder(recorder):
-            instrumented = guarantee_sweep([1, 2], [Fraction(1, 2)], provenance=True)
-        assert instrumented == plain
-        derivations = recorder.derivations
-        assert len(derivations) == len(plain)
-        # events arrive in row order: each derivation proves its row's
-        # threshold (the alpha of the Pr >= alpha formula it explains)
-        from repro.reporting import fraction_from_json
-
-        for row, derivation in zip(plain, derivations):
-            assert derivation.holds
-            alpha = fraction_from_json(derivation.root.detail["alpha"])
-            assert alpha == row.post_threshold
-
-    def test_provenance_defaults_off(self):
-        from repro.obs import ProvenanceRecorder, use_recorder
-
-        recorder = ProvenanceRecorder()
-        with use_recorder(recorder):
-            guarantee_sweep([1], [Fraction(1, 2)])
-        assert recorder.of_kind("row_provenance") == []
-
 
 class TestOnePostAssignment:
-    """A row, its provenance derivation and ``threshold_is_exact`` read one
+    """A row, its audit derivation and ``threshold_is_exact`` read one
     ``post`` assignment: one partition of the point index per agent."""
 
     TASK = ("CA1", build_ca1, 2, Fraction(1, 2), Fraction(99, 100))
@@ -213,7 +186,9 @@ class TestOnePostAssignment:
         assert len(partition_builds) == 2
 
     def test_provenance_row(self, partition_builds):
-        sweep_row_of(self.TASK, provenance=True)
+        from repro.robustness.checkpoint import _audited_sweep_row_of
+
+        _audited_sweep_row_of(self.TASK)
         assert len(partition_builds) == 2
 
     def test_threshold_is_exact(self, partition_builds):

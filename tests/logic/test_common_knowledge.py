@@ -108,6 +108,22 @@ class TestSetLevelOperators:
                 model, GROUP, target, alpha
             ) == model.extension(common)
 
+    @pytest.mark.parametrize("alpha", [None, EPS], ids=["plain", "eps"])
+    def test_iterated_chain_equals_repeated_everyone_knows(
+        self, ca1_model, ca2_model, alpha
+    ):
+        for model in (ca1_model, ca2_model):
+            target = model.extension(Prop("coord"))
+            for levels in (1, 2, 3):
+                expected = []
+                current = target
+                for _ in range(levels):
+                    current = everyone_knows_points(model, GROUP, current, alpha)
+                    expected.append(current)
+                assert iterated_everyone_knows(
+                    model, GROUP, target, levels, alpha
+                ) == tuple(expected)
+
     def test_common_below_iterated_chain(self, ca1_model):
         # C^alpha implies (E^alpha)^k for every k (the converse fails).
         target = ca1_model.extension(Prop("coord"))

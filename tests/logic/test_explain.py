@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attack import build_ca1_adaptive, build_ca2
 from repro.core import opponent_assignment, standard_assignments
 from repro.errors import LogicError
-from repro.examples_lib import three_agent_coin_system
+from repro.examples_lib import repeated_coin_system, three_agent_coin_system
 from repro.logic import (
     And,
     CommonKnows,
@@ -27,11 +28,19 @@ from repro.logic import (
     knows_prob_at_least,
     resolve_point_ref,
 )
-from repro.obs import derivation_from_json
+from repro.obs import (
+    MetricsRecorder,
+    derivation_from_json,
+    read_derivation,
+    render_derivation,
+    use_recorder,
+    write_derivation,
+)
 from repro.reporting import fraction_from_json
 
 HEADS = Prop("heads")
 GROUP = (0, 1, 2)
+COORD = Prop("coord")
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +63,11 @@ def models(coin):
 def points(coin):
     index = coin.psys.point_index
     return sorted(coin.psys.system.points, key=index.position)
+
+
+def _attack_model(attack, name):
+    assignment = standard_assignments(attack.psys)[name]
+    return Model(assignment, {"coord": attack.coordinated})
 
 
 FORMULAS = [
@@ -247,6 +261,25 @@ class TestFixpointSnapshots:
         assert sizes == sorted(sizes, reverse=True)
         assert snapshots[-1]["updated_mask"] == detail["fixpoint_mask"]
 
+    def test_snapshots_are_the_models_own_gfp_iterates(self):
+        # The common-knows node reads Model.gfp_iterates on the model it
+        # is given: no fixpoint re-run on a fresh model, no recorder.
+        attack = build_ca2(2, Fraction(1, 2))
+        model = _attack_model(attack, "post")
+        formula = CommonKnowsProb(tuple(attack.group), Fraction(3, 4), COORD)
+        model.extension_mask(formula)
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            derivation = model.explain(formula, attack.psys.system.points[0])
+        assert "event:gfp_iteration" not in metrics.counters
+        # E^{3/4}, and K_i plus Pr_i >= 3/4 for each of the two agents
+        assert metrics.counters["model.extension_masks_computed"] == 5
+        iterates = model.gfp_iterates(
+            formula.group, model.extension_mask(COORD), formula.alpha
+        )
+        snapshots = derivation.root.detail["iteration_snapshots"]
+        assert [snapshot["updated_mask"] for snapshot in snapshots] == iterates
+
     def test_fixpoint_mask_matches_extension(self, models, points):
         model = models["post"]
         formula = CommonKnows(GROUP, HEADS)
@@ -289,7 +322,7 @@ class TestModelExplainEntryPoint:
     def test_explain_with_assignment_override(self, coin, models, points):
         post_model = models["post"]
         prior = standard_assignments(coin.psys)["prior"]
-        derivation = post_model.explain(HEADS, points[0], assignment=prior)
+        derivation = post_model.with_assignment(prior).explain(HEADS, points[0])
         assert derivation.assignment == "prior"
 
     def test_module_function_and_method_agree(self, models, points):
@@ -298,3 +331,77 @@ class TestModelExplainEntryPoint:
         assert explain(model, formula, points[0]) == model.explain(
             formula, points[0]
         )
+
+
+class TestPinnedFingerprints:
+    """Derivation bytes are pinned: the gfp snapshots, cells and masks of
+    these derivations may not move under a refactor."""
+
+    def test_probabilistic_common_knowledge_holds_and_fails(self):
+        attack = build_ca2(1, Fraction(1, 2))
+        model = _attack_model(attack, "post")
+        formula = CommonKnowsProb(tuple(attack.group), Fraction(3, 4), COORD)
+        points = attack.psys.system.points
+        first = model.explain(formula, points[0])
+        last = model.explain(formula, points[-1])
+        assert (first.root.detail["iterations"], first.holds) == (3, True)
+        assert (last.root.detail["iterations"], last.holds) == (3, False)
+        assert first.fingerprint() == (
+            "cde8932646ea040c6a1cafe243276a4b9cecdb10b7d423393a80a6617d6ff265"
+        )
+        assert last.fingerprint() == (
+            "c047ede476628753e28ca91ef1a4d48fc7424b75df41a5a6168f9c0ef1eb55e4"
+        )
+
+    def test_nested_common_knowledge(self):
+        attack = build_ca2(1, Fraction(1, 2))
+        group = tuple(attack.group)
+        inner = CommonKnowsProb(group, Fraction(3, 4), COORD)
+        formula = CommonKnowsProb(group, Fraction(1, 2), And(COORD, inner))
+        derivation = _attack_model(attack, "post").explain(
+            formula, attack.psys.system.points[0]
+        )
+        assert derivation.fingerprint() == (
+            "0ad1f31d3b43b731b6a4800f607e6e67df1e959839aae7385aaad6ef5fc37710"
+        )
+
+    def test_common_knowledge_under_prior(self):
+        attack = build_ca1_adaptive(3, Fraction(1, 3))
+        derivation = _attack_model(attack, "prior").explain(
+            CommonKnows(tuple(attack.group), COORD), attack.psys.system.points[0]
+        )
+        assert derivation.fingerprint() == (
+            "18c4caeb5e31db42d8257fd6b33096c6163e1029f6f0629454b43b556c91486e"
+        )
+
+
+class TestWideSystems:
+    """Past 14,000 points a mask's decimal form exceeds CPython's
+    int_max_str_digits; derivations carry such masks as exact hex."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        example = repeated_coin_system(11)
+        post = standard_assignments(example.psys)["post"]
+        model = Model(post, {"heads": example.most_recent_heads})
+        return model, example.psys.system.points[5]
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            Knows(0, HEADS),
+            PrAtLeast(1, HEADS, Fraction(1, 2)),
+            CommonKnowsProb((1, 2), Fraction(1, 2), HEADS),
+        ],
+        ids=["knows", "pr-at-least", "common-knows-prob"],
+    )
+    def test_fingerprint_round_trip_render_and_audit(self, wide, formula, tmp_path):
+        model, point = wide
+        assert len(model.system.points) > 14_000
+        derivation = model.explain(formula, point)
+        assert len(derivation.fingerprint()) == 64
+        path = tmp_path / "derivation.json"
+        write_derivation(derivation, path)
+        assert read_derivation(path) == derivation
+        assert derivation.formula in render_derivation(derivation)
+        assert audit_derivation(model, derivation, formula) == []

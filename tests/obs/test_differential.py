@@ -62,32 +62,6 @@ def test_instrumented_gfp_fixpoint_is_identical():
     assert metrics.counters["model.gfp_iterations"] >= 1
 
 
-def test_provenance_instrumented_sweep_rows_are_byte_identical():
-    from repro.obs import ProvenanceRecorder
-
-    baseline = _sweep_bytes()
-    recorder = ProvenanceRecorder()
-    with use_recorder(recorder):
-        rows = guarantee_sweep(MESSENGERS, LOSSES, provenance=True)
-        instrumented = json.dumps(json_ready(rows), sort_keys=True).encode("utf-8")
-    assert instrumented == baseline
-    # ... and the recorder captured one full derivation per row.
-    assert len(recorder.derivations) == len(MESSENGERS) * len(LOSSES) * 3
-
-
-def test_provenance_instrumented_gfp_fixpoint_is_identical():
-    from repro.obs import ProvenanceRecorder
-
-    baseline = _gfp_extension()
-    recorder = ProvenanceRecorder()
-    with use_recorder(recorder):
-        instrumented = _gfp_extension()
-    assert instrumented == baseline
-    # the per-iteration snapshots were live (non-NULL recorder installed)
-    assert recorder.gfp_iterations
-    assert recorder.event_counts.get("gfp", 0) >= 1
-
-
 def test_suite_runs_with_the_null_default():
     # Every other test in the tier-1 suite implicitly measures the
     # NullRecorder overhead; this pin makes a leaked recorder (a test

@@ -1,4 +1,4 @@
-"""The ``repro-explain/1`` data model: purity, round trips, recorder."""
+"""The ``repro-explain/1`` data model: purity and round trips."""
 
 import json
 from fractions import Fraction
@@ -12,7 +12,6 @@ from repro.obs import (
     EXPLAIN_SCHEMA,
     Derivation,
     DerivationNode,
-    ProvenanceRecorder,
     derivation_from_json,
     read_derivation,
     render_derivation,
@@ -70,6 +69,19 @@ class TestJsonPure:
     def test_tuples_and_sets_normalise_to_lists(self):
         assert json_pure((1, 2)) == [1, 2]
         assert json_pure(frozenset({2, 1})) == [1, 2]
+
+    def test_wide_ints_become_json_readys_hex(self):
+        # Past json_ready's decimal-safe width an int's decimal string
+        # would exceed CPython's int_max_str_digits; both encoders write
+        # the same exact hex, and narrower ints stay JSON numbers.
+        from repro.reporting import _INT_DECIMAL_SAFE_BITS, json_ready
+
+        wide = (1 << _INT_DECIMAL_SAFE_BITS) | 5
+        narrow = (1 << _INT_DECIMAL_SAFE_BITS) - 1
+        assert json_pure({"mask": wide}) == {"mask": json_ready(wide)}
+        assert int(json_pure(wide), 16) == wide
+        assert json_pure(narrow) == narrow == json_ready(narrow)
+        assert json.loads(json.dumps(json_pure([wide]))) == [hex(wide)]
 
     def test_unencodable_types_are_rejected(self):
         with pytest.raises(ProvenanceError, match="cannot appear"):
@@ -181,33 +193,3 @@ class TestRenderDerivation:
         assert "Section 4" in text
         assert "Section 5" in text
         assert "(r0, 1)" in text
-
-
-class TestProvenanceRecorder:
-    def test_captures_only_provenance_kinds(self):
-        recorder = ProvenanceRecorder()
-        recorder.event("gfp", iterations=2)
-        recorder.event("cache_stats", cache_hits=10)
-        recorder.event("gfp_iteration", iteration=0, updated_size=3)
-        assert [kind for kind, _ in recorder.events] == ["gfp", "gfp_iteration"]
-        assert recorder.event_counts == {
-            "gfp": 1,
-            "cache_stats": 1,
-            "gfp_iteration": 1,
-        }
-        assert recorder.gfp_iterations == [{"iteration": 0, "updated_size": 3}]
-
-    def test_derivations_parse_event_payloads(self):
-        recorder = ProvenanceRecorder()
-        derivation = small_derivation()
-        recorder.event("row_provenance", derivation=derivation.json_ready())
-        recorder.event("derivation", derivation=derivation.json_ready())
-        assert recorder.derivations == [derivation, derivation]
-
-    def test_counters_and_spans_are_no_ops(self):
-        recorder = ProvenanceRecorder()
-        recorder.counter("x")
-        recorder.gauge("y", 1)
-        with recorder.span("s"):
-            pass
-        assert recorder.events == []

@@ -34,7 +34,7 @@ from ..reprolint.model import parse_suppressions
 
 #: Bump when the extraction output changes shape or semantics; cached
 #: summaries written by other versions are discarded wholesale.
-EXTRACT_SCHEMA = "reproflow-extract/1"
+EXTRACT_SCHEMA = "reproflow-extract/2"
 
 #: Clock-reading attributes of the ``time`` module (mirrors reprolint
 #: RL008, the intra-file spelling of the same quarantine).
@@ -571,16 +571,17 @@ class _FunctionExtractor:
         }
 
     def _extract_payload(self, node: ast.Call, callee_ref: Optional[Tuple]) -> None:
-        """Record the first positional / ``function=`` / ``task_function=``
-        argument of every resolvable call, so the rules can later check
-        payloads shipped to the pool entry points."""
+        """Record the first positional / ``function=`` argument of every
+        resolvable call (``function`` is ``run_tasks``'s payload
+        parameter), so the rules can later check payloads shipped to the
+        pool entry points."""
         if callee_ref is None:
             return
         payload_arg: Optional[ast.expr] = None
         if node.args:
             payload_arg = node.args[0]
         for keyword in node.keywords:
-            if keyword.arg in ("function", "task_function"):
+            if keyword.arg == "function":
                 payload_arg = keyword.value
         if payload_arg is None:
             return

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ProvenanceError, TraceError
+from repro.errors import TraceError
 from repro.obs.audit import AUDIT_SCHEMA, AuditBundle, read_audit_bundle
 from repro.obs.provenance import (
     EXPLAIN_SCHEMA,
@@ -159,14 +159,7 @@ def _record_summary(record: Optional[Mapping[str, Any]]) -> Optional[Dict[str, A
             summary[key] = record[key]
     fields = record.get("fields")
     if isinstance(fields, Mapping):
-        summary["fields"] = {
-            key: (
-                "<derivation>"
-                if key == "derivation"
-                else fields[key]
-            )
-            for key in sorted(fields)
-        }
+        summary["fields"] = {key: fields[key] for key in sorted(fields)}
     return summary
 
 
@@ -247,19 +240,6 @@ def diff_derivations(a: Derivation, b: Derivation) -> Dict[str, Any]:
             return summary
     summary["first_divergence"] = _node_divergence(a.root, b.root, "root")
     return summary
-
-
-def _embedded_derivation(record: Mapping[str, Any]) -> Optional[Derivation]:
-    fields = record.get("fields")
-    if not isinstance(fields, Mapping):
-        return None
-    payload = fields.get("derivation")
-    if not isinstance(payload, Mapping):
-        return None
-    try:
-        return derivation_from_json(payload)
-    except ProvenanceError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -479,10 +459,9 @@ def diff_traces(
     Reports folded counter deltas, per-span timing ratios (informational
     only), the exact cache hit-rate shift, and the first position where
     the normalised streams disagree.  The counters, span totals and hit
-    rate are :func:`tools.tracereport.report.summarize`'s fold.  When
-    the first diverging records both embed a derivation
-    (``row_provenance`` / ``derivation`` events), the diff recurses into
-    the trees and also reports the first diverging derivation node.
+    rate are :func:`tools.tracereport.report.summarize`'s fold.
+    Derivations are diffed as explain documents or audit bundles, not
+    through traces.
     """
     summary_a = summarize(records_a)
     summary_b = summarize(records_b)
@@ -529,21 +508,14 @@ def diff_traces(
     normalized_a = [normalize_record(record) for record in records_a]
     normalized_b = [normalize_record(record) for record in records_b]
     first_divergence: Optional[Dict[str, Any]] = None
-    derivation_divergence: Optional[Dict[str, Any]] = None
     limit = min(len(normalized_a), len(normalized_b))
     for position in range(limit):
         if normalized_a[position] != normalized_b[position]:
-            record_a = normalized_a[position]
-            record_b = normalized_b[position]
             first_divergence = {
                 "index": position,
-                "a": _record_summary(record_a),
-                "b": _record_summary(record_b),
+                "a": _record_summary(normalized_a[position]),
+                "b": _record_summary(normalized_b[position]),
             }
-            inner_a = _embedded_derivation(record_a)
-            inner_b = _embedded_derivation(record_b)
-            if inner_a is not None and inner_b is not None:
-                derivation_divergence = diff_derivations(inner_a, inner_b)
             break
     else:
         if len(normalized_a) != len(normalized_b):
@@ -566,7 +538,6 @@ def diff_traces(
         "hit_rate": hit_rate,
         "diverged": first_divergence is not None,
         "first_divergence": first_divergence,
-        "derivation_divergence": derivation_divergence,
     }
 
 
@@ -683,14 +654,6 @@ def render_diff(summary: Mapping[str, Any]) -> str:
                     f"{entry['seconds_b']:.6f}s (x{shown})"
                 )
         _render_divergence(summary.get("first_divergence"), lines)
-        derivation = summary.get("derivation_divergence")
-        if derivation is not None:
-            node = derivation.get("first_divergence")
-            if node is not None:
-                lines.append(
-                    "first diverging derivation node: "
-                    f"{node.get('path')} [{node.get('field')}]"
-                )
     elif kind == "explain":
         lines.append(f"fingerprint A: {summary.get('fingerprint_a')}")
         lines.append(f"fingerprint B: {summary.get('fingerprint_b')}")
