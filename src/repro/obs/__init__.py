@@ -4,7 +4,7 @@ The reproduction's results are exact and deterministic; this subpackage
 makes the *computation* of those results inspectable without ever being
 able to perturb them.  Instrumented code (the bitmask measure kernels,
 the model-checking fixpoints, the fault-tolerant sweep engine) reports
-counters, gauges, events and timing spans to the process-global
+counters, events and timing spans to the process-global
 :func:`get_recorder`, which defaults to the no-op :class:`NullRecorder`.
 
 * :class:`MetricsRecorder` aggregates in memory (cache hit rates, gfp
@@ -21,10 +21,10 @@ counters, gauges, events and timing spans to the process-global
   ``tools/verifyaudit``; its node records, each distinct derivation
   subtree streamed once under its Merkle fingerprint, are the one
   hash-consed derivation encoding.
-* :mod:`repro.obs.snapshot` freezes aggregates in memory and ships
-  per-attempt deltas across process boundaries -- the cross-process
-  telemetry the sweep engine's workers use, so the parent's counters
-  cover the whole sweep.
+* :mod:`repro.obs.snapshot` ships each worker attempt's observations
+  across the process boundary as one in-memory delta -- the
+  cross-process telemetry the sweep engine's workers use, so the
+  parent's counters cover the whole sweep.
 * :mod:`repro.obs.jsonl` is the one torn-tail rule and fsynced appender
   behind every streamed JSONL artifact (traces, checkpoints, audit
   bundles): a kill mid-write costs at most the final line.
@@ -63,7 +63,7 @@ from .recorder import (
     set_recorder,
     use_recorder,
 )
-from .snapshot import ObsDeltaCapture, merge_worker_delta, snapshot_delta, take_snapshot
+from .snapshot import ObsDeltaCapture, merge_worker_delta
 from .trace import TRACE_SCHEMA, TraceRecorder, read_trace
 
 __all__ = [
@@ -92,8 +92,7 @@ __all__ = [
     "read_trace",
     "render_derivation",
     "set_recorder",
-    "snapshot_delta",
-    "take_snapshot",
     "use_recorder",
     "verify_bundle",
+    "write_derivation",
 ]

@@ -1,17 +1,15 @@
-"""In-memory metrics: counters, exact gauges, hierarchical timing spans.
+"""In-memory metrics: counters and hierarchical timing spans.
 
 :class:`MetricsRecorder` aggregates everything in plain dictionaries so
-a caller can run a workload, take a :meth:`~MetricsRecorder.snapshot`,
-and attach it to a report -- this is how ``perfbench`` puts per-layer
-spans and work counters (kernel queries, gfp iterations, retries) next
-to each job's timing.
+a caller can run a workload and read its counters and spans -- this is
+how ``perfbench`` puts per-layer spans and work counters (kernel
+queries, gfp iterations, retries) next to each job's timing.
+:meth:`~MetricsRecorder.snapshot` copies them out as plain dicts, the
+form a pool worker ships home (:mod:`repro.obs.snapshot`).
 
 * **Counters** are monotonically increasing integers keyed by name.
   Events also bump a ``event:<kind>`` counter, so the chaos suite can
   equate the engine's ``task_attempt`` events with its attempt log.
-* **Gauges** store the last value set, verbatim -- an exact
-  :class:`fractions.Fraction` stays a ``Fraction`` until
-  :func:`repro.reporting.json_ready` renders it as ``"p/q"``.
 * **Spans** aggregate per hierarchical path: nested spans join their
   names with ``/`` (``guarantee_sweep/sweep_row``), and each path keeps
   count, total, min and max duration in seconds.
@@ -79,21 +77,17 @@ class _MetricsSpan:
 
 
 class MetricsRecorder(Recorder):
-    """Aggregating recorder: counters + gauges + hierarchical span stats."""
+    """Aggregating recorder: counters + hierarchical span stats."""
 
-    __slots__ = ("counters", "gauges", "spans", "_stack")
+    __slots__ = ("counters", "spans", "_stack")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, object] = {}
         self.spans: Dict[str, SpanStats] = {}
         self._stack: List[str] = []
 
     def counter(self, name: str, value: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value) -> None:
-        self.gauges[name] = value
 
     def event(self, kind: str, /, **fields) -> None:
         key = f"event:{kind}"
@@ -103,14 +97,9 @@ class MetricsRecorder(Recorder):
         return _MetricsSpan(self, name)
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-ready copy of every aggregate (sorted for stable diffs).
-
-        Gauges may hold exact Fractions; run the snapshot through
-        :func:`repro.reporting.json_ready` before serialising.
-        """
+        """A JSON-ready copy of every aggregate (sorted for stable diffs)."""
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "spans": {
                 path: {
                     "count": stats.count,

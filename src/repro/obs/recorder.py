@@ -1,7 +1,7 @@
 """The pluggable, observe-only recorder protocol.
 
 Observability in this reproduction is **one-way glass**: instrumented
-code hands counters, gauges, events and timing spans to whatever
+code hands counters, events and timing spans to whatever
 :class:`Recorder` is installed, and the recorder may *never* hand
 anything back.  No recorder method returns a value the instrumented
 code consumes (spans are context managers whose ``__enter__`` result is
@@ -14,8 +14,7 @@ Three recorders ship with the library:
 * :class:`NullRecorder` -- the default; every method is a no-op, so the
   instrumented hot paths cost a method call at most.
 * :class:`~repro.obs.metrics.MetricsRecorder` -- in-memory monotonic
-  counters, exact-``Fraction``-friendly gauges, and hierarchical timing
-  spans.
+  counters and hierarchical timing spans.
 * :class:`~repro.obs.trace.TraceRecorder` -- streams structured JSONL
   events (schema ``repro-trace/1``) for ``tools/tracereport``.
 
@@ -67,18 +66,15 @@ _NULL_SPAN = _NullSpan()
 class Recorder:
     """Base class of the recorder protocol; every method is a no-op.
 
-    Subclasses override any subset of :meth:`counter`, :meth:`gauge`,
-    :meth:`event`, :meth:`span` and :meth:`close`.  The contract every
-    override must keep: **observe only**.  Recorders must not raise on
-    well-formed input, must not mutate their arguments, and must not
-    return values that instrumented code could branch on.
+    Subclasses override any subset of :meth:`counter`, :meth:`event`,
+    :meth:`span` and :meth:`close`.  The contract every override must
+    keep: **observe only**.  Recorders must not raise on well-formed
+    input, must not mutate their arguments, and must not return values
+    that instrumented code could branch on.
     """
 
     def counter(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the monotonic counter ``name``."""
-
-    def gauge(self, name: str, value) -> None:
-        """Set gauge ``name`` to ``value`` (exact ``Fraction`` welcome)."""
 
     def event(self, kind: str, /, **fields) -> None:
         """Record one structured event of ``kind`` with arbitrary fields."""
@@ -134,10 +130,6 @@ class MultiRecorder(Recorder):
     def counter(self, name: str, value: int = 1) -> None:
         for child in self.children:
             child.counter(name, value)
-
-    def gauge(self, name: str, value) -> None:
-        for child in self.children:
-            child.gauge(name, value)
 
     def event(self, kind: str, /, **fields) -> None:
         for child in self.children:

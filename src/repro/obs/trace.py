@@ -19,8 +19,6 @@ followed by any number of:
 
 ``counter``
     ``{"type": "counter", "name": ..., "value": <int>}``
-``gauge``
-    ``{"type": "gauge", "name": ..., "value": ...}``
 ``event``
     ``{"type": "event", "kind": ..., "fields": {...}}``
 ``span-start`` / ``span-end``
@@ -150,9 +148,6 @@ class TraceRecorder(Recorder):
 
     def counter(self, name: str, value: int = 1) -> None:
         self._emit({"type": "counter", "name": name, "value": value})
-
-    def gauge(self, name: str, value) -> None:
-        self._emit({"type": "gauge", "name": name, "value": value})
 
     def event(self, kind: str, /, **fields) -> None:
         self._emit({"type": "event", "kind": kind, "fields": fields})

@@ -69,12 +69,11 @@ __all__ = [
 class _KernelTotals:
     """Process-wide aggregate of every measure-kernel statistic.
 
-    Individual :class:`IntervalCache` instances keep their own counters,
-    but spaces are constructed by the thousands inside a sweep (every
-    conditioning step builds one), so the per-process aggregate is what
-    the observability layer snapshots.  Updates are single integer
-    increments on the hot path -- deliberately cheaper than calling into
-    a recorder per cache probe.
+    Spaces are constructed by the thousands inside a sweep (every
+    conditioning step builds one), so every :class:`IntervalCache`
+    counts its probes here, the one place the observability layer
+    reads.  Updates are single integer increments on the hot path --
+    deliberately cheaper than calling into a recorder per cache probe.
     """
 
     __slots__ = (
@@ -325,19 +324,17 @@ class IntervalCache:
     One instance lives on each :class:`FiniteProbabilitySpace`; the bound
     keeps long sweeps from accumulating one entry per distinct event
     forever.  Eviction is least-recently-used so the hot interval queries
-    of a sweep stay resident.
+    of a sweep stay resident.  Hits, misses and evictions are counted
+    once, in the process-wide :func:`kernel_totals`.
     """
 
-    __slots__ = ("_entries", "_maxsize", "hits", "misses", "evictions")
+    __slots__ = ("_entries", "_maxsize")
 
     def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError("IntervalCache needs room for at least one entry")
         self._entries: "OrderedDict[int, IntervalEntry]" = OrderedDict()
         self._maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -350,11 +347,9 @@ class IntervalCache:
         """The cached entry for ``mask``, refreshing its recency; None on miss."""
         entry = self._entries.get(mask)
         if entry is None:
-            self.misses += 1
             _TOTALS.misses += 1
             return None
         self._entries.move_to_end(mask)
-        self.hits += 1
         _TOTALS.hits += 1
         return entry
 
@@ -366,27 +361,7 @@ class IntervalCache:
         entries[mask] = entry
         if len(entries) > self._maxsize:
             entries.popitem(last=False)
-            self.evictions += 1
             _TOTALS.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        """This cache's counters and occupancy as one snapshot dict.
-
-        ``hits``/``misses``/``evictions`` are monotonic over the cache's
-        lifetime (:meth:`clear` does not reset them); ``size`` is the
-        current entry count, bounded by ``maxsize``.
-        """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._entries),
-            "maxsize": self._maxsize,
-        }
-
-    def clear(self) -> None:
-        """Drop every cached entry (the monotonic counters are kept)."""
-        self._entries.clear()
 
 
 # ----------------------------------------------------------------------

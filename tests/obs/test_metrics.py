@@ -1,9 +1,15 @@
-"""MetricsRecorder aggregation: counters, gauges, hierarchical spans."""
+"""MetricsRecorder aggregation: counters and hierarchical spans."""
 
 import json
-from fractions import Fraction
 
-from repro.obs import MetricsRecorder, SpanStats
+from repro.obs import (
+    MetricsRecorder,
+    MultiRecorder,
+    NullRecorder,
+    Recorder,
+    SpanStats,
+    TraceRecorder,
+)
 from repro.reporting import json_ready
 
 
@@ -23,12 +29,14 @@ class TestCountersAndGauges:
         assert recorder.counters["event:gfp"] == 2
         assert recorder.counters["event:backend_switch"] == 1
 
-    def test_gauges_keep_exact_fractions(self):
-        recorder = MetricsRecorder()
-        recorder.gauge("hit_rate", Fraction(2, 3))
-        recorder.gauge("hit_rate", Fraction(3, 4))  # last write wins
-        assert recorder.gauges["hit_rate"] == Fraction(3, 4)
-        assert isinstance(recorder.gauges["hit_rate"], Fraction)
+    def test_no_gauge_channel(self):
+        # Counters, events and spans are the whole protocol: nothing in
+        # the library sets a gauge, so no recorder offers one.
+        for recorder_class in (
+            Recorder, NullRecorder, MultiRecorder, MetricsRecorder, TraceRecorder
+        ):
+            assert not hasattr(recorder_class, "gauge"), recorder_class
+        assert set(MetricsRecorder().snapshot()) == {"counters", "spans"}
 
 
 class TestSpans:
@@ -67,13 +75,11 @@ class TestSnapshot:
     def test_snapshot_is_json_ready(self):
         recorder = MetricsRecorder()
         recorder.counter("hits", 3)
-        recorder.gauge("rate", Fraction(1, 3))
         with recorder.span("work"):
             pass
         text = json.dumps(json_ready(recorder.snapshot()))
         decoded = json.loads(text)
         assert decoded["counters"] == {"hits": 3}
-        assert decoded["gauges"] == {"rate": "1/3"}
         assert decoded["spans"]["work"]["count"] == 1
 
     def test_snapshot_sorts_keys(self):

@@ -25,7 +25,6 @@ class TestDefaultRecorder:
         recorder = NullRecorder()
         assert recorder.counter("x") is None
         assert recorder.counter("x", 5) is None
-        assert recorder.gauge("g", 1) is None
         assert recorder.event("e", detail="d") is None
         assert recorder.close() is None
 
@@ -80,15 +79,13 @@ class TestRegistry:
 
 
 class TestMultiRecorder:
-    def test_fans_out_counters_gauges_events(self):
+    def test_fans_out_counters_and_events(self):
         children = [MetricsRecorder(), MetricsRecorder()]
         multi = MultiRecorder(children)
         multi.counter("hits", 2)
-        multi.gauge("rate", 7)
         multi.event("switch", backend="naive")
         for child in children:
             assert child.counters["hits"] == 2
-            assert child.gauges["rate"] == 7
             assert child.counters["event:switch"] == 1
 
     def test_fans_out_spans(self):

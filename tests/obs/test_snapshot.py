@@ -1,71 +1,63 @@
-"""In-memory metric snapshots: shape, deltas, worker capture and merge."""
+"""Cross-process telemetry: the shipped delta, worker capture and merge."""
 
 import os
-from fractions import Fraction
 
 import pytest
 
 from repro.obs import (
     MetricsRecorder,
+    MultiRecorder,
     NULL_RECORDER,
     ObsDeltaCapture,
+    Recorder,
     get_recorder,
     merge_worker_delta,
-    snapshot_delta,
-    take_snapshot,
     use_recorder,
 )
-from repro.probability import kernel_totals, reset_kernel_totals
+from repro.probability import IntervalCache, kernel_totals, reset_kernel_totals
 from repro.probability.bitset import merge_kernel_totals
 
 
-def _instrumented_recorder():
-    metrics = MetricsRecorder()
-    metrics.counter("model.points", 12)
-    metrics.counter("model.gfp_fixpoints", 2)
-    metrics.counter("model.gfp_iterations", 7)
-    metrics.gauge("exact.p", Fraction(1, 3))
-    with metrics.span("build"):
-        pass
-    return metrics
+class _EventLog(Recorder):
+    """Keeps every event's fields (MetricsRecorder only counts them)."""
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, kind, **fields):
+        self.events.append((kind, fields))
 
 
-class TestTakeSnapshot:
-    def test_shape_and_derived_sections(self):
-        # Exactly the four sections snapshot_delta subtracts: no derived
-        # sections ride along.
-        snapshot = take_snapshot(
-            _instrumented_recorder(),
-            kernel={"cache_hits": 3, "cache_misses": 1},
-        )
-        assert set(snapshot) == {"counters", "gauges", "spans", "kernel_totals"}
-        assert snapshot["counters"]["model.points"] == 12
-        assert snapshot["counters"]["model.gfp_iterations"] == 7
-        assert snapshot["gauges"]["exact.p"] == Fraction(1, 3)
-        assert snapshot["spans"]["build"]["count"] == 1
-        assert snapshot["kernel_totals"] == {"cache_hits": 3, "cache_misses": 1}
-
-    def test_no_recorder_still_carries_kernel_totals(self):
-        snapshot = take_snapshot(kernel={"naive_queries": 5})
-        assert snapshot["counters"] == {}
-        assert snapshot["kernel_totals"]["naive_queries"] == 5
+@pytest.fixture(autouse=True)
+def _clean_kernel_totals():
+    reset_kernel_totals()
+    yield
+    reset_kernel_totals()
 
 
 class TestSnapshotDelta:
     def test_counter_and_kernel_differences_are_exact(self):
-        before = take_snapshot(kernel={"cache_hits": 10, "cache_misses": 4})
-        metrics = MetricsRecorder()
-        metrics.counter("model.points", 3)
-        after = take_snapshot(metrics, kernel={"cache_hits": 25, "cache_misses": 4})
-        delta = snapshot_delta(before, after)
-        assert delta["counters"] == {"model.points": 3}
-        assert delta["kernel_totals"] == {"cache_hits": 15}
+        merge_kernel_totals({"cache_hits": 10, "cache_misses": 4})
+        cache = IntervalCache()
+        cache.put(1, "one")
+        with ObsDeltaCapture() as capture:
+            get_recorder().counter("model.points", 3)
+            with get_recorder().span("build"):
+                for _ in range(15):
+                    cache.get(1)
+        # Exactly three sections ship: the fresh recorder's counters and
+        # span stats, and the kernel totals' nonzero differences.
+        assert set(capture.delta) == {"counters", "spans", "kernel_totals"}
+        assert capture.delta["counters"] == {"model.points": 3}
+        assert capture.delta["kernel_totals"] == {"cache_hits": 15}
+        assert capture.delta["spans"]["build"]["count"] == 1
 
     def test_zero_differences_are_omitted(self):
-        snapshot = take_snapshot(kernel={"cache_hits": 7})
-        delta = snapshot_delta(snapshot, snapshot)
-        assert delta["counters"] == {}
-        assert delta["kernel_totals"] == {}
+        merge_kernel_totals({"cache_hits": 7})
+        with ObsDeltaCapture() as capture:
+            pass
+        assert capture.delta["counters"] == {}
+        assert capture.delta["kernel_totals"] == {}
 
 
 class TestObsDeltaCapture:
@@ -97,44 +89,48 @@ class TestObsDeltaCapture:
 
 class TestMergeWorkerDelta:
     def test_plain_and_attributed_counters(self):
+        # Each counter lands once under its own name; the pid that
+        # computed it is attributed on the one worker_obs_delta event.
         parent = MetricsRecorder()
+        log = _EventLog()
         delta = {
             "counters": {"model.points": 4},
-            "gauges": {"exact.p": "1/3"},
             "spans": {},
             "kernel_totals": {},
         }
-        merge_worker_delta(parent, delta, worker=4242, index=1, attempt=0)
-        assert parent.counters["model.points"] == 4
-        assert parent.counters["worker.4242.model.points"] == 4
-        assert parent.gauges["worker.4242.exact.p"] == "1/3"
-        assert parent.counters["event:worker_obs_delta"] == 1
+        merge_worker_delta(
+            MultiRecorder([parent, log]), delta, worker=4242, index=1, attempt=0
+        )
+        assert parent.counters == {
+            "model.points": 4,
+            "event:worker_obs_delta": 1,
+        }
+        [(kind, fields)] = log.events
+        assert kind == "worker_obs_delta"
+        assert fields["worker"] == 4242
+        assert fields["counters"] == {"model.points": 4}
+        assert (fields["index"], fields["attempt"]) == (1, 0)
 
     def test_kernel_totals_fold_into_process_counters(self):
-        reset_kernel_totals()
-        try:
-            parent = MetricsRecorder()
-            delta = {
-                "counters": {},
-                "gauges": {},
-                "spans": {},
-                "kernel_totals": {"cache_hits": 6, "cache_misses": 2},
-            }
-            merge_worker_delta(parent, delta, worker=7)
-            merge_worker_delta(parent, delta, worker=8)
-            totals = kernel_totals()
-            assert totals["cache_hits"] == 12
-            assert totals["cache_misses"] == 4
-            assert parent.counters["worker.7.kernel.cache_hits"] == 6
-            assert parent.counters["worker.8.kernel.cache_hits"] == 6
-        finally:
-            reset_kernel_totals()
+        parent = MetricsRecorder()
+        log = _EventLog()
+        delta = {
+            "counters": {},
+            "spans": {},
+            "kernel_totals": {"cache_hits": 6, "cache_misses": 2},
+        }
+        recorder = MultiRecorder([parent, log])
+        merge_worker_delta(recorder, delta, worker=7)
+        merge_worker_delta(recorder, delta, worker=8)
+        totals = kernel_totals()
+        assert totals["cache_hits"] == 12
+        assert totals["cache_misses"] == 4
+        assert parent.counters == {"event:worker_obs_delta": 2}
+        assert [
+            (fields["worker"], fields["kernel_totals"]) for _kind, fields in log.events
+        ] == [(7, delta["kernel_totals"]), (8, delta["kernel_totals"])]
 
     def test_merge_kernel_totals_ignores_unknown_keys(self):
-        reset_kernel_totals()
-        try:
-            merge_kernel_totals({"cache_hits": 3, "from_the_future": 99})
-            assert kernel_totals()["cache_hits"] == 3
-            assert "from_the_future" not in kernel_totals()
-        finally:
-            reset_kernel_totals()
+        merge_kernel_totals({"cache_hits": 3, "from_the_future": 99})
+        assert kernel_totals()["cache_hits"] == 3
+        assert "from_the_future" not in kernel_totals()

@@ -60,55 +60,34 @@ class TestIntervalCache:
         assert len(cache) == 2
 
     def test_hit_miss_counters(self):
+        before = kernel_totals()
         cache = IntervalCache()
         assert cache.get(7) is None
         cache.put(7, "entry")
         assert cache.get(7) == "entry"
-        assert cache.hits == 1
-        assert cache.misses == 1
+        after = kernel_totals()
+        assert after["cache_hits"] - before["cache_hits"] == 1
+        assert after["cache_misses"] - before["cache_misses"] == 1
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             IntervalCache(maxsize=0)
 
     def test_eviction_counter(self):
+        def evictions():
+            return kernel_totals()["cache_evictions"]
+
+        before = evictions()
         cache = IntervalCache(maxsize=2)
         cache.put(1, "one")
         cache.put(2, "two")
-        assert cache.evictions == 0
+        assert evictions() == before
         cache.put(3, "three")
         cache.put(4, "four")
-        assert cache.evictions == 2
+        assert evictions() == before + 2
         cache.put(4, "four again")  # refresh, not insert: no eviction
-        assert cache.evictions == 2
-
-    def test_stats_snapshot(self):
-        cache = IntervalCache(maxsize=2)
-        cache.get(1)
-        cache.put(1, "one")
-        cache.get(1)
-        cache.put(2, "two")
-        cache.put(3, "three")
-        assert cache.stats() == {
-            "hits": 1,
-            "misses": 1,
-            "evictions": 1,
-            "size": 2,
-            "maxsize": 2,
-        }
-
-    def test_clear_drops_entries_but_keeps_counters(self):
-        cache = IntervalCache()
-        cache.put(1, "one")
-        cache.get(1)
-        cache.get(9)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(1) is None  # really gone
-        stats = cache.stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2  # pre-clear miss + the probe above
+        assert evictions() == before + 2
+        assert len(cache) == cache.maxsize == 2
 
     def test_cache_traffic_feeds_process_totals(self):
         reset_kernel_totals()

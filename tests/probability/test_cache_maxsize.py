@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import ProbabilityAssignment, standard_assignments
 from repro.examples_lib import three_agent_coin_system
-from repro.probability import FiniteProbabilitySpace
+from repro.probability import FiniteProbabilitySpace, kernel_totals
 from repro.trees import ProbabilisticSystem
 
 
@@ -62,12 +62,12 @@ class TestSpaceLevel:
         cache_size(1)
         space = small_space()
         queries = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0})]
+        evictions_before = kernel_totals()["cache_evictions"]
         first = [space.measure_interval(event) for event in queries]
         # every re-query misses the one-entry cache; values cannot drift
         assert [space.measure_interval(event) for event in queries] == first
-        stats = space._interval_cache.stats()
-        assert stats["maxsize"] == 1
-        assert stats["evictions"] > 0
+        assert space._interval_cache.maxsize == 1
+        assert kernel_totals()["cache_evictions"] > evictions_before
 
     def test_derived_spaces_inherit_the_bound(self, cache_size):
         cache_size(7)

@@ -18,7 +18,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.reprolint import all_rules, lint_paths  # noqa: E402
+from tools.reprolint import all_rules, lint_paths_report  # noqa: E402
 from tools.reprolint.cli import main as cli_main  # noqa: E402
 
 ALL_RULE_IDS = {
@@ -54,8 +54,7 @@ def make_package(tmp_path, files):
 
 
 def rule_ids(tmp_path, files):
-    violations, errors = lint_paths([str(make_package(tmp_path, files))])
-    assert not errors, errors
+    violations = lint_paths_report([str(make_package(tmp_path, files))]).violations
     return [v.rule_id for v in violations]
 
 
@@ -102,18 +101,18 @@ def test_rl001_from_math_import_in_logic(tmp_path):
 
 
 def test_rl001_float_equality_comparison(tmp_path):
-    violations, _ = lint_paths(
+    violations = lint_paths_report(
         [str(make_package(tmp_path, {"repro/core/bad.py": "ok = (x == 0.3)\n"}))]
-    )
+    ).violations
     rl001 = [v for v in violations if v.rule_id == "RL001"]
     assert len(rl001) == 1
     assert "equality comparison" in rl001[0].message
 
 
 def test_rl001_diagnostic_has_line_and_col(tmp_path):
-    violations, _ = lint_paths(
+    violations = lint_paths_report(
         [str(make_package(tmp_path, {"repro/core/bad.py": "x = 1\ny = 2.5\n"}))]
-    )
+    ).violations
     (violation,) = [v for v in violations if v.rule_id == "RL001"]
     assert violation.line == 2
     assert violation.col == 4
@@ -287,7 +286,7 @@ def test_rl002_intra_package_init_exempt(tmp_path):
     (root / "repro" / "logic" / "__init__.py").write_text(
         'from .explain import X\n\n__all__ = ["X"]\n', encoding="utf-8"
     )
-    violations, _ = lint_paths([str(root)])
+    violations = lint_paths_report([str(root)]).violations
     assert "RL002" not in [v.rule_id for v in violations]
 
 
@@ -469,7 +468,7 @@ def test_rl006_missing_all(tmp_path):
     (root / "repro" / "logic" / "__init__.py").write_text(
         "from .mod import X\n", encoding="utf-8"
     )
-    violations, _ = lint_paths([str(root)])
+    violations = lint_paths_report([str(root)]).violations
     assert any(
         v.rule_id == "RL006" and "does not declare" in v.message for v in violations
     )
@@ -480,7 +479,7 @@ def test_rl006_phantom_export(tmp_path):
     (root / "repro" / "logic" / "__init__.py").write_text(
         'from .mod import X\n\n__all__ = ["X", "Ghost"]\n', encoding="utf-8"
     )
-    violations, _ = lint_paths([str(root)])
+    violations = lint_paths_report([str(root)]).violations
     assert any(
         v.rule_id == "RL006" and "'Ghost'" in v.message for v in violations
     )
@@ -491,7 +490,7 @@ def test_rl006_duplicate_export(tmp_path):
     (root / "repro" / "logic" / "__init__.py").write_text(
         'from .mod import X\n\n__all__ = ["X", "X"]\n', encoding="utf-8"
     )
-    violations, _ = lint_paths([str(root)])
+    violations = lint_paths_report([str(root)]).violations
     assert any(v.rule_id == "RL006" and "duplicate" in v.message for v in violations)
 
 
@@ -502,7 +501,32 @@ def test_rl006_matching_all_passes(tmp_path):
         '__all__ = ["X", "__version__"]\n',
         encoding="utf-8",
     )
-    violations, _ = lint_paths([str(root)])
+    violations = lint_paths_report([str(root)]).violations
+    assert "RL006" not in [v.rule_id for v in violations]
+
+
+def test_rl006_unlisted_reexport(tmp_path):
+    root = make_package(tmp_path, {"repro/obs/mod.py": "X = 1\nY = 2\n"})
+    (root / "repro" / "obs" / "__init__.py").write_text(
+        '"""Package."""\n\nfrom .mod import X, Y as Public\n\n__all__ = ["X"]\n',
+        encoding="utf-8",
+    )
+    violations = lint_paths_report([str(root)]).violations
+    rl006 = [v for v in violations if v.rule_id == "RL006"]
+    assert [(v.line, v.message) for v in rl006] == [
+        (3, "'Public' is imported from .mod but missing from __all__")
+    ]
+
+
+def test_rl006_registration_and_private_imports_exempt(tmp_path):
+    # `from . import submodule` registers a submodule (as the reproflow
+    # rules package does); private names are not public API.
+    root = make_package(tmp_path, {"repro/obs/mod.py": "_HIDDEN = 1\n"})
+    (root / "repro" / "obs" / "__init__.py").write_text(
+        "from . import mod  # noqa: F401\nfrom .mod import _HIDDEN\n\n__all__ = []\n",
+        encoding="utf-8",
+    )
+    violations = lint_paths_report([str(root)]).violations
     assert "RL006" not in [v.rule_id for v in violations]
 
 
@@ -861,8 +885,7 @@ def test_cli_syntax_error_is_rl000_not_crash(tmp_path, capsys):
 def test_rl000_reports_syntax_error_position(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("x = 1\ndef f(:\n", encoding="utf-8")
-    violations, errors = lint_paths([str(bad)])
-    assert errors == []
+    violations = lint_paths_report([str(bad)]).violations
     assert [v.rule_id for v in violations] == ["RL000"]
     assert violations[0].line == 2
 
@@ -870,7 +893,7 @@ def test_rl000_reports_syntax_error_position(tmp_path):
 def test_rl000_is_not_suppressible(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("# reprolint: disable=RL000\ndef f(:\n", encoding="utf-8")
-    violations, _ = lint_paths([str(bad)])
+    violations = lint_paths_report([str(bad)]).violations
     assert [v.rule_id for v in violations] == ["RL000"]
 
 
@@ -896,23 +919,20 @@ def test_module_invocation_matches_issue_contract(tmp_path):
 
 
 def test_src_repro_is_violation_free():
-    violations, errors = lint_paths([str(REPO_ROOT / "src" / "repro")])
-    assert not errors, [e.render() for e in errors]
+    violations = lint_paths_report([str(REPO_ROOT / "src" / "repro")]).violations
     assert not violations, "\n".join(v.render() for v in violations)
 
 
 def test_tools_directory_is_clean_of_generic_rules():
     """The linter holds itself to the generic hygiene rules."""
-    violations, errors = lint_paths([str(REPO_ROOT / "tools")])
-    assert not errors
+    violations = lint_paths_report([str(REPO_ROOT / "tools")]).violations
     generic = [v for v in violations if v.rule_id in {"RL004", "RL005"}]
     assert not generic, "\n".join(v.render() for v in generic)
 
 
 def test_tools_directory_is_violation_free():
     """All rules -- including the tools-layering arm of RL002 -- pass."""
-    violations, errors = lint_paths([str(REPO_ROOT / "tools")])
-    assert not errors
+    violations = lint_paths_report([str(REPO_ROOT / "tools")]).violations
     assert not violations, "\n".join(v.render() for v in violations)
 
 

@@ -31,7 +31,7 @@ from repro.obs import (  # noqa: E402
     use_recorder,
     write_derivation,
 )
-from repro.probability import reset_kernel_totals  # noqa: E402
+from repro.probability import kernel_totals, reset_kernel_totals  # noqa: E402
 from repro.robustness import RetryPolicy, run_tasks  # noqa: E402
 from repro.testing import FaultInjectingTask, FaultPlan  # noqa: E402
 
@@ -190,6 +190,17 @@ class TestCli:
         assert "repro-trace/1" in err
         assert "unrecognised" not in err
 
+    def test_unfoldable_record_exits_two_not_one(
+        self, tmp_path, capsys, malformed_trace
+    ):
+        # Exit 1 means "content diverged"; a record the fold cannot read
+        # is an invalid artifact, so it is exit 2 even with the flag.
+        good = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
+        assert cli_main(["--fail-on-divergence", str(good), str(malformed_trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracediff: record[1]")
+
     def test_kind_mismatch_exits_two(self, tmp_path, capsys):
         trace = make_chaos_trace(tmp_path / "a.jsonl", seed=7)
         derivation = row_provenance_derivation(build_ca2(2, Fraction(1, 2)))
@@ -224,7 +235,8 @@ class TestWorkerTelemetryNormalisation:
                 max_workers=2,
             )
         recorder.close()
-        return metrics, rows
+        # The parent's kernel totals: every worker's shipped delta, merged.
+        return metrics, rows, kernel_totals()
 
     @pytest.fixture(scope="class")
     def pool_runs(self, tmp_path_factory):
@@ -232,14 +244,14 @@ class TestWorkerTelemetryNormalisation:
         directory = tmp_path_factory.mktemp("pool")
         paths = (directory / "a.jsonl", directory / "b.jsonl")
         runs = [self._pool_trace(path) for path in paths]
-        if any(metrics.counters.get("engine.pool_fallbacks") for metrics, _rows in runs):
+        if any(metrics.counters.get("engine.pool_fallbacks") for metrics, *_ in runs):
             pytest.skip("process pools unavailable")
         return [str(path) for path in paths], runs
 
     def test_two_pool_runs_diverge_nowhere(self, pool_runs):
         # Worker pids and span timings differ between these runs; none
         # of that is content.
-        (a, b), ((_metrics_a, rows_a), (_metrics_b, rows_b)) = pool_runs
+        (a, b), ((_metrics_a, rows_a, _), (_metrics_b, rows_b, _)) = pool_runs
         assert rows_a == rows_b
         summary = diff_artifacts(a, b)
         assert summary["diverged"] is False, summary["first_divergence"]
@@ -247,17 +259,13 @@ class TestWorkerTelemetryNormalisation:
 
     def test_pool_traces_report_the_shipped_hit_rate(self, pool_runs):
         # A pool sweep's workers emit no cache_stats event the parent
-        # sees; the hit rate comes from the kernel counters they ship.
+        # sees; the hit rate comes from the kernel totals they ship.
         from repro.obs import read_trace
 
         from tools.tracereport import summarize
 
-        (a, b), ((metrics_a, _rows), _run_b) = pool_runs
-        shipped = {"cache_hits": 0, "cache_misses": 0}
-        for name, value in metrics_a.counters.items():
-            head, _, key = name.rpartition(".kernel.")
-            if head.startswith("worker.") and key in shipped:
-                shipped[key] += value
+        (a, b), ((_metrics_a, _rows, totals_a), _run_b) = pool_runs
+        shipped = {key: totals_a[key] for key in ("cache_hits", "cache_misses")}
         assert shipped["cache_hits"] and shipped["cache_misses"]
         cache = summarize(read_trace(a))["cache"]
         assert cache["cache_hits"] == shipped["cache_hits"]

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
@@ -15,7 +17,8 @@ from repro.obs import (  # noqa: E402
     read_trace,
     use_recorder,
 )
-from repro.attack.sweep import guarantee_sweep  # noqa: E402
+from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks  # noqa: E402
+from repro.errors import TraceError  # noqa: E402
 from repro.probability import reset_kernel_totals  # noqa: E402
 from repro.robustness import (  # noqa: E402
     RetryPolicy,
@@ -99,6 +102,30 @@ class TestSummarize:
         assert "no spans" in render_report(summary)
 
 
+def traced_sweep_summary(path, max_workers):
+    """Fold the trace of a 16-row sweep run on ``max_workers`` workers."""
+    reset_kernel_totals()
+    tasks = sweep_tasks([1, 2, 3, 4], [Fraction(1, 2), Fraction(1, 3)])
+    with TraceRecorder(path) as recorder, use_recorder(recorder):
+        run_tasks(sweep_row_of, tasks, max_workers=max_workers)
+    records = read_trace(path)
+    return records, summarize(records)
+
+
+class TestPoolHitRate:
+    def test_pool_trace_folds_to_the_serial_hit_rate(self, tmp_path):
+        records, pool = traced_sweep_summary(tmp_path / "pool.jsonl", 2)
+        if pool["counters"].get("engine.pool_fallbacks"):
+            pytest.skip("process pools unavailable; the serial path ran")
+        # The pool's parent sees no cache_stats event: its cache section
+        # is the kernel totals the workers shipped.
+        assert not [r for r in records if r.get("kind") == "cache_stats"]
+        _records, serial = traced_sweep_summary(tmp_path / "serial.jsonl", 1)
+        for key in ("cache_hits", "cache_misses", "hit_rate"):
+            assert pool["cache"][key] == serial["cache"][key], key
+        assert serial["cache"]["cache_hits"] and serial["cache"]["cache_misses"]
+
+
 class TestRenderReport:
     def test_report_names_the_headline_sections(self, tmp_path):
         records = read_trace(make_trace(tmp_path / "t.jsonl"))
@@ -136,6 +163,20 @@ class TestCli:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert cli_main([str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestMalformedRecords:
+    def test_summarize_raises_trace_error_naming_the_position(self, malformed_trace):
+        records = read_trace(malformed_trace)
+        with pytest.raises(TraceError, match=r"record\[1\]"):
+            summarize(records)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    def test_cli_exits_two(self, malformed_trace, capsys, mode):
+        assert cli_main(mode + [str(malformed_trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracereport: record[1]")
 
 
 class TestEmptyTrace:

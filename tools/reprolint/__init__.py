@@ -41,11 +41,9 @@ always warn.
 """
 
 from .engine import (
-    LintError,
     LintReport,
     SuppressionWarning,
     lint_module,
-    lint_paths,
     lint_paths_report,
     load_module,
     tool_error_violation,
@@ -63,7 +61,6 @@ from .registry import Registry, Rule, all_rules, get_rule, register
 
 __all__ = [
     "FLOW_RULE_IDS",
-    "LintError",
     "LintReport",
     "Module",
     "Registry",
@@ -76,7 +73,6 @@ __all__ = [
     "all_rules",
     "get_rule",
     "lint_module",
-    "lint_paths",
     "lint_paths_report",
     "load_module",
     "parse_suppressions",

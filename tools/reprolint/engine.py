@@ -20,23 +20,6 @@ from .registry import Rule, all_rules
 
 
 @dataclass(frozen=True)
-class LintError:
-    """A file reprolint could not analyse (syntax error, unreadable).
-
-    Kept for API compatibility; since the RL000 change these no longer
-    abort a run -- :func:`lint_paths` folds them into ordinary
-    :data:`~tools.reprolint.model.TOOL_ERROR_RULE_ID` violations so one
-    broken file cannot hide findings in the rest of the tree.
-    """
-
-    path: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}: error: {self.message}"
-
-
-@dataclass(frozen=True)
 class SuppressionWarning:
     """A suppression comment worth flagging: unknown rule id, or stale."""
 
@@ -229,27 +212,11 @@ def lint_paths_report(paths: Sequence[str]) -> LintReport:
     return report
 
 
-def lint_paths(
-    paths: Sequence[str],
-) -> Tuple[List[Violation], List[LintError]]:
-    """Lint every python file reachable from ``paths``.
-
-    Returns ``(violations, errors)``, each sorted for stable output.
-    The ``errors`` list is always empty since the RL000 change (parse
-    failures are RL000 violations now); the tuple shape is kept for the
-    existing callers and tests.
-    """
-    report = lint_paths_report(paths)
-    return report.violations, []
-
-
 __all__ = [
-    "LintError",
     "LintReport",
     "SuppressionWarning",
     "iter_python_files",
     "lint_module",
-    "lint_paths",
     "lint_paths_report",
     "load_module",
     "tool_error_violation",

@@ -12,15 +12,19 @@ from ..registry import Rule, register
 @register
 class PublicApiRule(Rule):
     rule_id = "RL006"
-    title = "__all__ in every __init__.py exists and lists only defined names"
+    title = "__all__ in every __init__.py exists and matches the names it re-exports"
     rationale = """\
 The package initialisers are the library's public API surface: the
 paper-to-code map (docs/paper_map.md) and the tutorial both address
 objects by their exported names.  Each __init__.py must declare __all__,
 and every name in it must actually be bound in that module -- a phantom
 export makes `from repro.core import *` raise AttributeError and lets
-the documented API drift from the code.  Duplicates are flagged because
-they always indicate a merge mistake."""
+the documented API drift from the code.  Conversely, a public name the
+initialiser re-exports with `from .module import name` must be listed:
+otherwise `from repro.obs import *` silently lacks it.  Registration
+imports of whole submodules (`from . import submodule`) and private
+names are exempt.  Duplicates are flagged because they always indicate
+a merge mistake."""
 
     def check(self, module: Module) -> Iterator[Violation]:
         if not module.is_package_init:
@@ -52,6 +56,17 @@ they always indicate a merge mistake."""
                     module, all_node,
                     f"__all__ exports {name!r} but the module never binds it",
                 )
+        for node in module.tree.body:
+            if not (isinstance(node, ast.ImportFrom) and node.level and node.module):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name != "*" and not name.startswith("_") and name not in seen:
+                    yield self.violation(
+                        module, node,
+                        f"{name!r} is imported from .{node.module} but "
+                        "missing from __all__",
+                    )
 
 
 def _find_all_assignment(tree: ast.Module) -> Optional[ast.Assign]:

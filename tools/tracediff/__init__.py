@@ -18,13 +18,14 @@ bundles (auto-detected) -- and reports:
   paste into a regression report (``record[12]``, ``root.children[1].holds``,
   ``leaf[3].root_ref -> root.children[1].detail``).
 
-Worker-shipped counters are content with their pids masked (the
-telemetry layer ships deterministic per-attempt deltas, only their pid
-labels vary).  Two runs with the same seeds and fault plan must produce
-zero divergence; two chaos runs with different fault plans diverge, and
-the first diverging record localises where.  Counters, span totals and
-hit rates are :func:`tools.tracereport.report.summarize`'s fold of each
-trace.  Usage::
+Worker-shipped deltas are content with their pids dropped (the
+telemetry layer ships deterministic per-attempt deltas, only the pid on
+each ``worker_obs_delta`` event varies).  Two runs with the same seeds
+and fault plan must produce zero divergence; two chaos runs with
+different fault plans diverge, and the first diverging record localises
+where.  Counters, span totals and hit rates are
+:func:`tools.tracereport.report.summarize`'s fold of each trace.
+Usage::
 
     PYTHONPATH=src python -m tools.tracediff A.jsonl B.jsonl
     PYTHONPATH=src python -m tools.tracediff --json A B

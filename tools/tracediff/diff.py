@@ -12,7 +12,6 @@ treated as divergence.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
@@ -38,20 +37,9 @@ __all__ = [
 
 #: Record keys that vary run to run without the content differing: the
 #: wall-clock quarantine (``ts``, ``seconds``) plus bookkeeping ids
-#: (``seq``, ``span``, ``parent``, ``pid``) that shift when unrelated
-#: records are interleaved or the process changes.
-VOLATILE_KEYS = frozenset({"seq", "ts", "span", "parent", "seconds", "pid"})
-
-#: Worker pids are assigned by the OS, so per-worker counter names
-#: (``worker.12345.kernel.cache_hits``) differ between otherwise
-#: identical runs.  The pool harvests envelopes in deterministic task
-#: order and each shipped delta is the task's own deterministic work, so
-#: masking the pid restores content comparability.
-_WORKER_PID = re.compile(r"^worker\.\d+\.")
-
-
-def _mask_worker(name: str) -> str:
-    return _WORKER_PID.sub("worker.[pid].", name)
+#: (``seq``, ``span``, ``parent``) that shift when unrelated records are
+#: interleaved.
+VOLATILE_KEYS = frozenset({"seq", "ts", "span", "parent", "seconds"})
 
 
 # ----------------------------------------------------------------------
@@ -114,17 +102,16 @@ def normalize_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     """A trace record with its volatile (timing/bookkeeping) keys removed.
 
     What remains is the deterministic content two identically-seeded
-    runs must agree on byte for byte.  Cross-process telemetry records
-    get the same treatment at finer grain: worker pids are masked out of
-    counter/gauge names and ``worker_obs_delta`` fields (the OS assigns
-    them), and shipped span timings reduce to their counts.
+    runs must agree on byte for byte.  ``worker_obs_delta`` events get
+    the same treatment at finer grain: the worker pid is dropped (the OS
+    assigns it; the pool harvests envelopes in task order and each
+    shipped delta is the task's own deterministic work), and shipped
+    span timings reduce to their counts.
     """
     normalized = {
         key: value for key, value in record.items() if key not in VOLATILE_KEYS
     }
-    if normalized.get("type") in ("counter", "gauge") and "name" in normalized:
-        normalized["name"] = _mask_worker(str(normalized["name"]))
-    elif normalized.get("type") == "event" and normalized.get("kind") == "worker_obs_delta":
+    if normalized.get("type") == "event" and normalized.get("kind") == "worker_obs_delta":
         fields = normalized.get("fields")
         if isinstance(fields, Mapping):
             fields = {k: v for k, v in fields.items() if k != "worker"}
@@ -138,15 +125,6 @@ def normalize_record(record: Mapping[str, Any]) -> Dict[str, Any]:
                 }
             normalized["fields"] = fields
     return normalized
-
-
-def _masked_counters(counters: Mapping[str, int]) -> Dict[str, int]:
-    """Folded counter totals with worker pids masked (and so merged)."""
-    totals: Dict[str, int] = {}
-    for name, value in counters.items():
-        masked = _mask_worker(name)
-        totals[masked] = totals.get(masked, 0) + value
-    return totals
 
 
 def _record_summary(record: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -465,8 +443,8 @@ def diff_traces(
     """
     summary_a = summarize(records_a)
     summary_b = summarize(records_b)
-    counters_a = _masked_counters(summary_a["counters"])
-    counters_b = _masked_counters(summary_b["counters"])
+    counters_a = summary_a["counters"]
+    counters_b = summary_b["counters"]
     counter_deltas = {
         name: {
             "a": counters_a.get(name, 0),

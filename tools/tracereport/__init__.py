@@ -10,8 +10,9 @@ summaries operators actually ask of a sweep:
   sorted by total time, so the expensive stage is the first row.
 * **Counters** -- every monotonic counter, summed over the trace.
 * **Cache hit rate** -- from the last ``cache_stats`` event (or, in a
-  pool sweep's trace, the summed ``worker.<pid>.kernel.*`` counters), as
-  an exact ``hits/(hits+misses)`` :class:`fractions.Fraction`.
+  pool sweep's trace, the ``kernel_totals`` summed over its
+  ``worker_obs_delta`` events), as an exact ``hits/(hits+misses)``
+  :class:`fractions.Fraction`.
 * **gfp fixpoints** -- how many greatest-fixed-point computations ran
   and how many iterations they took (``gfp`` events).
 * **Retry histogram** -- attempts-per-task and outcome counts from the
@@ -28,8 +29,8 @@ leaf/node totals, the chain root, and the exact hash-consing dedup ratio
 (``repro-explain/1`` tree nodes over the bundle's node records).
 
 Exit status: 0 on success, 2 when the trace is not a valid
-``repro-trace/1`` artifact or the ``--audit`` file is not a valid
-``repro-audit/1`` bundle.
+``repro-trace/1`` artifact (a record the fold cannot read included) or
+the ``--audit`` file is not a valid ``repro-audit/1`` bundle.
 """
 
 from .report import render_audit, render_report, summarize, summarize_audit

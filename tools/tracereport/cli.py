@@ -42,14 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        records = read_trace(args.trace)
+        summary = summarize(read_trace(args.trace))
     except TraceError as error:
         print(f"tracereport: {error}", file=sys.stderr)
         return 2
     except OSError as error:
         print(f"tracereport: cannot read {args.trace!r}: {error}", file=sys.stderr)
         return 2
-    summary = summarize(records)
     if args.audit:
         try:
             summary["audit"] = summarize_audit(read_audit_bundle(args.audit))

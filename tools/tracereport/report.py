@@ -2,88 +2,80 @@
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import AuditError
+from repro.errors import AuditError, TraceError
 from repro.reporting import render_table
 
-#: Counters whose totals get their own "gfp fixpoints" table rather
-#: than (only) a row in the generic counter listing.
+#: The event kind whose ``iterations`` fields fill the "gfp fixpoints"
+#: table.
 _GFP_EVENT_KIND = "gfp"
-
-#: Measure-kernel totals a pool worker shipped
-#: (``worker.<pid>.kernel.cache_hits``); the group is the
-#: ``kernel_totals()`` key a ``cache_stats`` event would carry.
-_SHIPPED_KERNEL = re.compile(r"^worker\.[^.]+\.kernel\.(.+)$")
-
-
-def _shipped_kernel_totals(counters: Dict[str, int]) -> Dict[str, int]:
-    """Sum the kernel counters every pool worker shipped, per key.
-
-    Pool workers emit no ``cache_stats`` event the parent sees; their
-    kernel deltas arrive as per-attempt counters, which sum exactly.
-    """
-    totals: Dict[str, int] = {}
-    for name, value in counters.items():
-        match = _SHIPPED_KERNEL.match(name)
-        if match is not None:
-            key = match.group(1)
-            totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 def summarize(records: Sequence[Dict]) -> Dict:
     """Fold trace records into one JSON-ready summary dict.
 
     ``records`` is the output of :func:`repro.obs.read_trace`: the
-    header plus counter/gauge/event/span records in stream order.  The
+    header plus counter/event/span records in stream order.  The
     ``cache`` section reads the last ``cache_stats`` event (serial
-    sweeps); a trace without one (a pool sweep) sums the kernel
-    counters its workers shipped instead.
+    sweeps); a trace without one (a pool sweep) sums the
+    ``kernel_totals`` its workers shipped on their ``worker_obs_delta``
+    events instead.  Raises :class:`~repro.errors.TraceError` naming the
+    record's position (``record[i]``) when a record lacks a field its
+    fold needs or holds one of the wrong type.
     """
     counters: Dict[str, int] = {}
     spans: Dict[str, Dict[str, float]] = {}
-    gfp_events: List[Dict] = []
+    gfp_iterations: List[int] = []
     attempts_by_task: Dict[int, int] = {}
     outcome_counts: Dict[str, int] = {}
     last_cache_stats: Optional[Dict] = None
+    shipped_kernel: Dict[str, int] = {}
     events = 0
 
-    for record in records:
+    for position, record in enumerate(records):
         kind = record.get("type")
-        if kind == "counter":
-            name = record["name"]
-            counters[name] = counters.get(name, 0) + int(record.get("value", 1))
-        elif kind == "span-end":
-            name = record["name"]
-            seconds = float(record.get("seconds", 0.0))
-            stats = spans.get(name)
-            if stats is None:
-                spans[name] = {
-                    "count": 1,
-                    "total_seconds": seconds,
-                    "max_seconds": seconds,
-                }
-            else:
-                stats["count"] += 1
-                stats["total_seconds"] += seconds
-                stats["max_seconds"] = max(stats["max_seconds"], seconds)
-        elif kind == "event":
-            events += 1
-            fields = record.get("fields", {})
-            event_kind = record.get("kind")
-            if event_kind == "cache_stats":
-                last_cache_stats = dict(fields)
-            elif event_kind == _GFP_EVENT_KIND:
-                gfp_events.append(dict(fields))
-            elif event_kind == "task_attempt":
-                index = fields.get("index")
-                if index is not None:
-                    attempts_by_task[index] = attempts_by_task.get(index, 0) + 1
-                outcome = fields.get("outcome", "?")
-                outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
+        try:
+            if kind == "counter":
+                name = record["name"]
+                counters[name] = counters.get(name, 0) + int(record.get("value", 1))
+            elif kind == "span-end":
+                name = record["name"]
+                seconds = float(record.get("seconds", 0.0))
+                stats = spans.get(name)
+                if stats is None:
+                    spans[name] = {
+                        "count": 1,
+                        "total_seconds": seconds,
+                        "max_seconds": seconds,
+                    }
+                else:
+                    stats["count"] += 1
+                    stats["total_seconds"] += seconds
+                    stats["max_seconds"] = max(stats["max_seconds"], seconds)
+            elif kind == "event":
+                events += 1
+                fields = record.get("fields", {})
+                event_kind = record.get("kind")
+                if event_kind == "cache_stats":
+                    last_cache_stats = {key: int(value) for key, value in fields.items()}
+                elif event_kind == _GFP_EVENT_KIND:
+                    gfp_iterations.append(int(fields.get("iterations", 0)))
+                elif event_kind == "task_attempt":
+                    index = fields.get("index")
+                    if index is not None:
+                        attempts_by_task[index] = attempts_by_task.get(index, 0) + 1
+                    outcome = fields.get("outcome", "?")
+                    outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
+                elif event_kind == "worker_obs_delta":
+                    for key, value in fields.get("kernel_totals", {}).items():
+                        shipped_kernel[key] = shipped_kernel.get(key, 0) + int(value)
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise TraceError(
+                f"record[{position}]: cannot fold this {kind} record: "
+                f"{type(error).__name__}: {error}"
+            ) from error
 
     histogram: Dict[int, int] = {}
     for count in attempts_by_task.values():
@@ -100,11 +92,9 @@ def summarize(records: Sequence[Dict]) -> Dict:
             )
         },
         "gfp": {
-            "fixpoints": len(gfp_events),
-            "total_iterations": sum(e.get("iterations", 0) for e in gfp_events),
-            "max_iterations": max(
-                (e.get("iterations", 0) for e in gfp_events), default=0
-            ),
+            "fixpoints": len(gfp_iterations),
+            "total_iterations": sum(gfp_iterations),
+            "max_iterations": max(gfp_iterations, default=0),
         },
         "retries": {
             "tasks": len(attempts_by_task),
@@ -115,10 +105,10 @@ def summarize(records: Sequence[Dict]) -> Dict:
         },
     }
     if last_cache_stats is None:
-        last_cache_stats = _shipped_kernel_totals(counters) or None
+        last_cache_stats = shipped_kernel or None
     if last_cache_stats is not None:
-        hits = int(last_cache_stats.get("cache_hits", 0))
-        misses = int(last_cache_stats.get("cache_misses", 0))
+        hits = last_cache_stats.get("cache_hits", 0)
+        misses = last_cache_stats.get("cache_misses", 0)
         summary["cache"] = dict(last_cache_stats)
         summary["cache"]["hit_rate"] = (
             Fraction(hits, hits + misses) if hits + misses else None
