@@ -35,6 +35,28 @@ def _clean_kernel_totals():
     reset_kernel_totals()
 
 
+class TestTakeSnapshot:
+    def test_shape_and_derived_sections(self):
+        # Exactly three sections ship: the fresh recorder's counters and
+        # span stats, and the kernel totals' nonzero differences.  No
+        # derived sections ride along.
+        cache = IntervalCache()
+        cache.put(1, "one")
+        with ObsDeltaCapture() as capture:
+            recorder = get_recorder()
+            recorder.counter("model.points", 12)
+            recorder.counter("model.gfp_fixpoints", 2)
+            recorder.counter("model.gfp_iterations", 7)
+            with recorder.span("build"):
+                for mask in (1, 1, 1, 2):
+                    cache.get(mask)
+        assert set(capture.delta) == {"counters", "spans", "kernel_totals"}
+        assert capture.delta["counters"]["model.points"] == 12
+        assert capture.delta["counters"]["model.gfp_iterations"] == 7
+        assert capture.delta["spans"]["build"]["count"] == 1
+        assert capture.delta["kernel_totals"] == {"cache_hits": 3, "cache_misses": 1}
+
+
 class TestSnapshotDelta:
     def test_counter_and_kernel_differences_are_exact(self):
         merge_kernel_totals({"cache_hits": 10, "cache_misses": 4})
@@ -42,15 +64,10 @@ class TestSnapshotDelta:
         cache.put(1, "one")
         with ObsDeltaCapture() as capture:
             get_recorder().counter("model.points", 3)
-            with get_recorder().span("build"):
-                for _ in range(15):
-                    cache.get(1)
-        # Exactly three sections ship: the fresh recorder's counters and
-        # span stats, and the kernel totals' nonzero differences.
-        assert set(capture.delta) == {"counters", "spans", "kernel_totals"}
+            for _ in range(15):
+                cache.get(1)
         assert capture.delta["counters"] == {"model.points": 3}
         assert capture.delta["kernel_totals"] == {"cache_hits": 15}
-        assert capture.delta["spans"]["build"]["count"] == 1
 
     def test_zero_differences_are_omitted(self):
         merge_kernel_totals({"cache_hits": 7})
