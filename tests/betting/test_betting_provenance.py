@@ -147,3 +147,34 @@ class TestStrategyPayload:
         for entry in payload["table"]:
             assert isinstance(entry["payoff"], Fraction)
             assert entry["payoff"] > 0
+
+
+class TestPinnedFingerprints:
+    """Betting derivation bytes are pinned: the point references, exact
+    inner probabilities and strategy tables of these derivations may not
+    move under a refactor."""
+
+    def test_safe_bet(self, coin, against_p2, c1):
+        derivation = safety_derivation(
+            against_p2, _safe_certificate(coin, against_p2, c1)
+        )
+        assert derivation.fingerprint() == (
+            "b267f1b5f656f574197ddeca0d2a891e3753591d61f5e45bf4c6612160ef312e"
+        )
+
+    def test_unsafe_bet(self, coin, against_p3, c1):
+        derivation = safety_derivation(
+            against_p3, _unsafe_certificate(coin, against_p3, c1)
+        )
+        assert derivation.fingerprint() == (
+            "887a192b63f309065bd0e4c9bfa4966bc20f8a1b2c7e002f95a7b52a8a55c575"
+        )
+
+    def test_theorem8_witness(self, coin):
+        witness = theorem8_witness(
+            coin.psys, lambda psys: PostAssignment(psys), agent=0, opponent=2
+        )
+        derivation = theorem8_witness_derivation(witness, agent=0, opponent=2)
+        assert derivation.fingerprint() == (
+            "7131eab2a6fc708adc0f19f7be6d1f10e8dba9f368cf188bb2552adae4aad413"
+        )
