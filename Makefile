@@ -95,4 +95,3 @@ artifacts:
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true
 	rm -rf .pytest_cache .hypothesis .benchmarks build *.egg-info
-	rm -f .reproflow-cache.json

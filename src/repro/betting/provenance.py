@@ -37,9 +37,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.assignments import ProbabilityAssignment
-from ..core.model import Point
-from ..obs.provenance import Derivation, DerivationNode
-from ..trees.probabilistic_system import ProbabilisticSystem
+from ..obs.provenance import Derivation, DerivationNode, point_refs
 from .safety import SafetyCertificate
 from .strategies import Strategy
 from .theorems import Theorem8Witness
@@ -49,23 +47,6 @@ __all__ = [
     "strategy_payload",
     "theorem8_witness_derivation",
 ]
-
-
-def _point_ref(psys: ProbabilisticSystem, point: Point) -> Dict:
-    """``{"bit", "time", "label"}`` over the system's shared point index.
-
-    The same encoding ``Model.explain`` uses
-    (:meth:`repro.logic.explain._Explainer.point_ref`), so betting
-    derivations and knowledge derivations name points identically and
-    :func:`repro.logic.explain.resolve_point_ref` resolves both.
-    """
-    index = psys.point_index
-    run_number = {run: i for i, run in enumerate(psys.system.runs)}
-    return {
-        "bit": index.position(point),
-        "time": point.time,
-        "label": f"(r{run_number[point.run]}, {point.time})",
-    }
 
 
 def strategy_payload(strategy: Optional[Strategy]) -> Optional[Dict]:
@@ -112,6 +93,7 @@ def safety_derivation(
     field, the same convention ``Model.explain`` uses.
     """
     psys = opponent_assignment.psys
+    point_ref = point_refs(psys.system)
     formula = f"Safe(Bet({certificate.fact_name}, {certificate.alpha}))"
     children: List[DerivationNode] = []
     for candidate, inner in certificate.candidates:
@@ -120,7 +102,7 @@ def safety_derivation(
             DerivationNode(
                 rule="break-even",
                 formula="E[W_f] >= 0 for every strategy f at d",
-                point=_point_ref(psys, candidate),
+                point=point_ref(candidate),
                 holds=breaks,
                 definition=(
                     "Section 6 / Theorem 7 closed form: on Tree^j the "
@@ -143,7 +125,7 @@ def safety_derivation(
             DerivationNode(
                 rule="inner-witness",
                 formula=f"(mu_id)_*({certificate.fact_name}) >= {certificate.alpha}",
-                point=_point_ref(psys, certificate.minimising_candidate),
+                point=point_ref(certificate.minimising_candidate),
                 holds=True,
                 definition=(
                     "Section 5: the inner measure is realised by a "
@@ -164,7 +146,7 @@ def safety_derivation(
             DerivationNode(
                 rule="refuting-strategy",
                 formula="E[W_f] < 0 for the targeted strategy f",
-                point=_point_ref(psys, certificate.counterexample),
+                point=point_ref(certificate.counterexample),
                 holds=False,
                 definition=(
                     "Theorem 7 (proof) / Theorem 8 sharpness: offering "
@@ -181,7 +163,7 @@ def safety_derivation(
     root = DerivationNode(
         rule="bet-safe" if certificate.safe else "bet-unsafe",
         formula=formula,
-        point=_point_ref(psys, certificate.point),
+        point=point_ref(certificate.point),
         holds=certificate.safe,
         definition=(
             "Theorem 7: Bet(phi, alpha) is P^j-safe for p_i at c iff "
@@ -193,16 +175,14 @@ def safety_derivation(
             "fact": certificate.fact_name,
             "alpha": certificate.alpha,
             "min_inner": certificate.min_inner,
-            "minimising_candidate": _point_ref(
-                psys, certificate.minimising_candidate
-            ),
+            "minimising_candidate": point_ref(certificate.minimising_candidate),
         },
         children=tuple(children),
     )
     return Derivation(
         assignment=opponent_assignment.name,
         formula=formula,
-        point=_point_ref(psys, certificate.point),
+        point=point_ref(certificate.point),
         root=root,
     )
 
@@ -222,12 +202,12 @@ def theorem8_witness_derivation(
     money actually lost on a bet the assignment called safe.  Point
     refs are relative to the *relabeled* system's index.
     """
-    psys = witness.relabeled
+    point_ref = point_refs(witness.relabeled.system)
     formula = f"Determines-safe-bets(S) fails via Bet({witness.fact.name}, {witness.alpha})"
     escape = DerivationNode(
         rule="escaping-point",
         formula="d in S_ic \\ Tree^j_ic",
-        point=_point_ref(psys, witness.point),
+        point=point_ref(witness.point),
         holds=True,
         definition=(
             "Theorem 8(b) (proof): pick c and d with d in the agent's "
@@ -243,7 +223,7 @@ def theorem8_witness_derivation(
     accepted = DerivationNode(
         rule="bet-accepted",
         formula=f"(P_S, c) |= K_i^{witness.alpha} {witness.fact.name}",
-        point=_point_ref(psys, witness.point),
+        point=point_ref(witness.point),
         holds=True,
         definition=(
             "Section 5 / Theorem 8(b): under the relabeled system the "
@@ -259,7 +239,7 @@ def theorem8_witness_derivation(
     loses = DerivationNode(
         rule="expected-loss",
         formula="E[W_f] < 0 for the targeted strategy f",
-        point=_point_ref(psys, witness.point),
+        point=point_ref(witness.point),
         holds=False,
         definition=(
             "Theorem 8(b) (proof): the opponent offers 1/alpha at c's "
@@ -272,7 +252,7 @@ def theorem8_witness_derivation(
     root = DerivationNode(
         rule="theorem8-witness",
         formula=formula,
-        point=_point_ref(psys, witness.point),
+        point=point_ref(witness.point),
         holds=False,
         definition=(
             "Theorem 8(b): S^j is the maximum assignment determining "
@@ -290,6 +270,6 @@ def theorem8_witness_derivation(
     return Derivation(
         assignment=f"S vs opp({opponent})",
         formula=formula,
-        point=_point_ref(psys, witness.point),
+        point=point_ref(witness.point),
         root=root,
     )

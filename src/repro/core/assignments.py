@@ -145,12 +145,14 @@ def requirement_defects(
     if not inside:
         defects.append("REQ2: no sample point lies in T(c), so R(S) is empty")
         return defects
-    runs = tree.runs_through(inside)
-    space = psys.run_space(tree.adversary)
-    if not space.is_measurable(runs):
-        defects.append("REQ2: the runs through the sample space are not measurable")
-    elif space.measure(runs) <= ZERO:
-        defects.append("REQ2: the runs through the sample space have measure zero")
+    run_position = tree.run_position
+    try:
+        _check_runs(
+            psys.run_space(tree.adversary),
+            mask_of_positions([run_position(run) for run in tree.runs_through(inside)]),
+        )
+    except Req2Error as error:
+        defects.append(f"REQ2: {error}")
     return defects
 
 
@@ -749,12 +751,6 @@ class ProbabilityAssignment:
         )
 
     # -- probabilistic knowledge ------------------------------------------
-
-    def pr_at_least(self, agent: int, point: Point, fact: Fact, alpha) -> bool:
-        """``(P, c) |= Pr_i(phi) >= alpha`` (inner-measure semantics)."""
-        from ..probability.fractionutil import as_fraction
-
-        return self.inner_probability(agent, point, fact) >= as_fraction(alpha)
 
     def knows_probability_at_least(self, agent: int, point: Point, fact: Fact, alpha) -> bool:
         """``(P, c) |= K_i^alpha phi``: ``Pr_i(phi) >= alpha`` at every point

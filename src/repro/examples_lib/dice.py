@@ -29,20 +29,6 @@ from ..trees.probabilistic_system import ProbabilisticSystem
 P1, P2, P3 = 0, 1, 2
 
 
-class _DieTosser(Agent):
-    """Tosses a fair die at round 0 and remembers the face."""
-
-    def initial_state(self, input_value):
-        return "ready"
-
-    def step(self, state, inbox, round_number: int):
-        if round_number == 0 and state == "ready":
-            return chance(
-                [(Fraction(1, 6), act(("face", face))) for face in range(1, 7)]
-            )
-        return certainly(state)
-
-
 def die_system() -> Tuple[ProbabilisticSystem, Fact]:
     """Three agents: p_1 tosses and sees the face; p_2 sees nothing; p_3
     sees the low/high half (told by p_1 over a perfect channel).  Returns

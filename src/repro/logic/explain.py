@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model import Point, System
 from ..errors import LogicError
-from ..obs.provenance import Derivation, DerivationNode
+from ..obs.provenance import Derivation, DerivationNode, point_refs
 from ..probability.fractionutil import ZERO
 from ..reporting import fraction_from_json
 from .semantics import Model
@@ -60,23 +60,15 @@ __all__ = ["audit_derivation", "explain", "resolve_point_ref"]
 
 
 class _Explainer:
-    """Per-call context: the model, its point index, and run labels."""
+    """Per-call context: the model, its point index, and its point refs."""
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self.system: System = model.system
         self.index = model.psys.point_index
-        self._run_number = {run: i for i, run in enumerate(self.system.runs)}
+        self.point_ref = point_refs(self.system)
 
     # -- encoding --------------------------------------------------------
-
-    def point_ref(self, point: Point) -> Dict:
-        """``{"bit", "time", "label"}`` over the system's shared point index."""
-        return {
-            "bit": self.index.position(point),
-            "time": point.time,
-            "label": f"(r{self._run_number[point.run]}, {point.time})",
-        }
 
     def mask_of(self, points) -> int:
         return self.index.mask_of_known(points)
@@ -391,9 +383,10 @@ def explain(model: Model, formula: Formula, point: Point) -> Derivation:
 def resolve_point_ref(system: System, ref: Dict) -> Point:
     """Decode a ``{"bit", ...}`` point reference back to the system point.
 
-    The inverse of the encoding :func:`explain` writes: ``bit`` is the
-    point's position in the system's shared point index (the same index
-    every Section 5 extension mask is built over).
+    The inverse of :func:`repro.obs.provenance.point_refs`, the encoding
+    every derivation builder writes: ``bit`` is the point's position in
+    the system's shared point index (the same index every Section 5
+    extension mask is built over).
     """
     members = tuple(system.point_index.members)
     bit = ref["bit"]

@@ -18,7 +18,8 @@ An **audit bundle** closes that gap.  It is an append-only JSONL file
 * ``node`` records streaming each distinct derivation subtree once,
   children before parents, keyed by its Merkle fingerprint: the SHA-256
   of the node's canonical payload with children replaced by *their*
-  fingerprints, so one ref commits to a whole subtree;
+  fingerprints, so one ref commits to a whole subtree (the node table
+  of :func:`repro.obs.provenance.node_table`, which owns the encoding);
 * ``leaf`` records, one per completed row: a **leaf hash** over the
   canonical JSON of (task fingerprint, exact row payload, derivation
   root fingerprint, task index), and a **chain hash** linking it to the
@@ -47,14 +48,19 @@ produce byte-identical bundles with identical roots.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import AuditError, ProvenanceError
 from .jsonl import DurableAppender, JsonlFormat
-from .provenance import Derivation, DerivationNode, json_pure
+from .provenance import (
+    Derivation,
+    canonical_digest,
+    json_pure,
+    node_from_table,
+    node_table,
+)
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -76,16 +82,6 @@ AUDIT_SCHEMA = "repro-audit/1"
 _AUDIT_LOG = JsonlFormat("audit bundle", AuditError)
 
 
-def _canonical(payload) -> str:
-    """The canonical serialisation every audit hash is computed over
-    (same convention as the derivation fingerprints)."""
-    return json.dumps(payload, sort_keys=True)
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def header_record() -> Dict[str, object]:
     """The bundle's first record: schema markers, nothing else.
 
@@ -105,7 +101,7 @@ def header_record() -> Dict[str, object]:
 
 def genesis_hash(header: Dict[str, object]) -> str:
     """The chain's genesis: the hash of the canonical header record."""
-    return _sha256(_canonical(json_pure(header)))
+    return canonical_digest(json_pure(header))
 
 
 def leaf_hash(
@@ -124,15 +120,13 @@ def leaf_hash(
     so a float anywhere (a rounded probability) is an error, never a
     silently different hash.
     """
-    return _sha256(
-        _canonical(
-            {
-                "index": index,
-                "task": json_pure(task),
-                "row": json_pure(row),
-                "root_ref": root_ref,
-            }
-        )
+    return canonical_digest(
+        {
+            "index": index,
+            "task": json_pure(task),
+            "row": json_pure(row),
+            "root_ref": root_ref,
+        }
     )
 
 
@@ -143,7 +137,7 @@ def chain_hash(prev: str, leaf: str) -> str:
     bundle *root*) commits to every leaf in order -- remove, reorder, or
     alter any leaf and the root changes.
     """
-    return _sha256(prev + leaf)
+    return hashlib.sha256((prev + leaf).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -262,60 +256,6 @@ def read_audit_bundle(path) -> AuditBundle:
     return _bundle_of(records, os.fspath(path))
 
 
-def node_from_table(nodes: Mapping[str, Dict], ref: str) -> DerivationNode:
-    """Rebuild the :class:`DerivationNode` tree rooted at ``ref`` from a
-    bundle's node table (:attr:`AuditBundle.nodes`).
-
-    Raises :class:`~repro.errors.ProvenanceError` on a dangling
-    fingerprint reference, a reference that repeats on its own descent
-    path (a cycle, which no Merkle table can hold), or a structurally
-    malformed node record -- a derivation is only meaningful when every
-    reference resolves to a finite tree.
-    """
-    return _node_from_table(nodes, ref, "root", frozenset())
-
-
-def _node_from_table(
-    nodes: Mapping[str, Dict], ref: str, path: str, ancestors: FrozenSet[str]
-) -> DerivationNode:
-    if ref in ancestors:
-        raise ProvenanceError(
-            f"derivation node reference {ref!r} at {path} repeats on its own "
-            "descent path"
-        )
-    payload = nodes.get(ref)
-    if payload is None:
-        raise ProvenanceError(
-            f"derivation node reference {ref!r} at {path} resolves to no node"
-        )
-    if not isinstance(payload, Mapping):
-        raise ProvenanceError(f"derivation node {ref!r} is not a JSON object")
-    missing = {"rule", "formula", "holds", "definition", "children"} - set(payload)
-    if missing:
-        raise ProvenanceError(
-            f"derivation node {ref!r} is missing fields {sorted(missing)}"
-        )
-    child_refs = payload["children"]
-    if not isinstance(child_refs, (list, tuple)) or not all(
-        isinstance(child, str) for child in child_refs
-    ):
-        raise ProvenanceError(f"derivation node {ref!r} has non-reference children")
-    ancestors = ancestors | {ref}
-    children = tuple(
-        _node_from_table(nodes, child, f"{path}.children[{index}]", ancestors)
-        for index, child in enumerate(child_refs)
-    )
-    return DerivationNode(
-        rule=payload["rule"],
-        formula=payload["formula"],
-        point=payload.get("point"),
-        holds=bool(payload["holds"]),
-        definition=payload["definition"],
-        detail=payload.get("detail", {}),
-        children=children,
-    )
-
-
 def verify_bundle(bundle: AuditBundle) -> List[str]:
     """Recompute every hash in a bundle; return the list of defects.
 
@@ -338,7 +278,7 @@ def verify_bundle(bundle: AuditBundle) -> List[str]:
     defects: List[str] = []
     streamed: Set[str] = set()
     for order, (ref, payload) in enumerate(bundle.nodes.items()):
-        recomputed = _sha256(_canonical(payload))
+        recomputed = canonical_digest(payload)
         if recomputed != ref:
             defects.append(
                 f"node {order}: payload hashes to {recomputed}, filed under {ref}"
@@ -470,7 +410,11 @@ class AuditBundleWriter:
         """
         root_ref: Optional[str] = None
         if derivation is not None:
-            root_ref = self._stream_node(derivation.root)
+            root_ref, table = node_table(derivation.root)
+            for ref, payload in table.items():
+                if ref not in self._streamed:
+                    self._log.append({"type": "node", "ref": ref, "node": payload})
+                    self._streamed.add(ref)
         leaf = leaf_hash(index, task, row, root_ref)
         record = {
             "type": "leaf",
@@ -486,25 +430,3 @@ class AuditBundleWriter:
         self.chain = record["chain"]
         self._indexes.add(index)
         return self.chain
-
-    def _stream_node(self, node: DerivationNode) -> str:
-        """Stream one subtree, children first; return its fingerprint.
-
-        The ref is the SHA-256 of the node's canonical payload with
-        children replaced by their refs, so equal refs mean equal
-        subtrees and a subtree already in the bundle is written once.
-        """
-        payload = {
-            "rule": node.rule,
-            "formula": node.formula,
-            "point": node.point,
-            "holds": node.holds,
-            "definition": node.definition,
-            "detail": node.detail,
-            "children": [self._stream_node(child) for child in node.children],
-        }
-        ref = _sha256(_canonical(payload))
-        if ref not in self._streamed:
-            self._log.append({"type": "node", "ref": ref, "node": payload})
-            self._streamed.add(ref)
-        return ref

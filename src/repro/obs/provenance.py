@@ -24,25 +24,36 @@ model's own kernels (the gfp iterates included), and the two carriers
 are ``repro-explain/1`` documents (:func:`write_derivation`) and the
 derivation nodes of ``repro-audit/1`` bundles (:mod:`repro.obs.audit`).
 No recorder takes part.
+
+This module is the one owner of the node format: its fields
+(:data:`NODE_FIELDS`), its nested and Merkle-table encodings
+(:meth:`DerivationNode.json_ready`, :func:`node_table`), their one
+decoder, their one hash (:func:`canonical_digest`) and the point
+references inside them (:func:`point_refs`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import ProvenanceError
 from ..reporting import json_ready
 
 __all__ = [
     "EXPLAIN_SCHEMA",
+    "NODE_FIELDS",
     "Derivation",
     "DerivationNode",
+    "canonical_digest",
     "derivation_from_json",
     "json_pure",
+    "node_from_table",
+    "node_table",
+    "point_refs",
     "read_derivation",
     "render_derivation",
     "write_derivation",
@@ -127,21 +138,88 @@ class DerivationNode:
 
     def json_ready(self) -> Dict:
         """The node as a plain JSON-ready dict (schema ``repro-explain/1``)."""
-        return {
-            "rule": self.rule,
-            "formula": self.formula,
-            "point": self.point,
-            "holds": self.holds,
-            "definition": self.definition,
-            "detail": self.detail,
-            "children": [child.json_ready() for child in self.children],
-        }
+        return _node_payload(self, [child.json_ready() for child in self.children])
 
     def walk(self):
         """Yield this node and all descendants, pre-order."""
         yield self
         for child in self.children:
             yield from child.walk()
+
+
+#: The fields of one derivation node, in the order every encoding writes
+#: them: :class:`DerivationNode`'s own fields.  ``children`` comes last;
+#: it is the one field whose encoding differs between the two forms.
+NODE_FIELDS: Tuple[str, ...] = tuple(item.name for item in fields(DerivationNode))
+
+
+def _node_payload(node: DerivationNode, children: List) -> Dict:
+    """The one encoding of a node: its :data:`NODE_FIELDS`, in order,
+    with ``children`` standing in for its children -- their nested
+    payloads in a document, their refs in a :func:`node_table`."""
+    payload = {name: getattr(node, name) for name in NODE_FIELDS[:-1]}
+    payload["children"] = children
+    return payload
+
+
+def canonical_digest(payload) -> str:
+    """The SHA-256 of ``payload``'s canonical (sorted-key) JSON.
+
+    Deterministic. Equal content gives an equal digest in every process.
+
+    The one content hash: derivation fingerprints, node-table refs and
+    the genesis and leaf hashes of a Section 8 sweep's audit chain are
+    all this function.
+    """
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def node_table(root: DerivationNode) -> Tuple[str, Dict[str, Dict]]:
+    """The Merkle node table of the tree at ``root``: ``(root ref, table)``.
+
+    Deterministic. Refs and table order are functions of the tree alone.
+
+    Each distinct subtree is one entry, filed under its ref: the
+    :func:`canonical_digest` of its payload with the
+    children replaced by *their* refs, so one ref commits to a whole
+    subtree and equal refs mean equal subtrees.  Entries are in
+    post-order of first occurrence, children before parents -- the
+    order the audit bundle of a Section 8 sweep streams them in.
+    """
+    table: Dict[str, Dict] = {}
+
+    def encode(node: DerivationNode) -> str:
+        payload = _node_payload(node, [encode(child) for child in node.children])
+        ref = canonical_digest(payload)
+        table.setdefault(ref, payload)
+        return ref
+
+    return encode(root), table
+
+
+def point_refs(system) -> Callable[[object], Dict]:
+    """The point-reference encoder of one system.
+
+    Each point ``(r, k)`` becomes ``{"bit", "time", "label"}``: ``bit``
+    is its position in ``system.point_index`` (the index every Section 5
+    extension mask is built over), and ``label`` numbers its run by its
+    position in ``system.runs``.  The run table is built once here, so
+    one encoder serves a whole derivation.  Knowledge and betting
+    derivations both name points this way, and
+    :func:`repro.logic.explain.resolve_point_ref` is the inverse.
+    """
+    position = system.point_index.position
+    run_number = {run: number for number, run in enumerate(system.runs)}
+
+    def point_ref(point) -> Dict:
+        return {
+            "bit": position(point),
+            "time": point.time,
+            "label": f"(r{run_number[point.run]}, {point.time})",
+        }
+
+    return point_ref
 
 
 @dataclass(frozen=True, eq=True)
@@ -190,34 +268,80 @@ class Derivation:
         verdict the same way collide, two that diverged anywhere do not.
         ``tools/tracediff`` aligns derivations by this value.
         """
-        canonical = json.dumps(self.json_ready(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(self.json_ready())
 
 
-def _node_from_json(payload, path: str) -> DerivationNode:
+def _decode_node(
+    payload, path: str, decode_child: Callable[[object, str], DerivationNode]
+) -> DerivationNode:
+    """The one node decoder: check :data:`NODE_FIELDS`, decode children.
+
+    ``decode_child(entry, path)`` turns one ``children`` entry into a
+    node: a nested payload in a document, a fingerprint resolved against
+    the table in a node table.
+    """
     if not isinstance(payload, Mapping):
         raise ProvenanceError(f"derivation node at {path} is not a JSON object")
-    missing = {"rule", "formula", "holds", "definition"} - set(payload)
+    missing = set(NODE_FIELDS) - set(payload)
     if missing:
         raise ProvenanceError(
             f"derivation node at {path} is missing fields {sorted(missing)}"
         )
-    children_payload = payload.get("children", [])
-    if not isinstance(children_payload, (list, tuple)):
+    entries = payload["children"]
+    if not isinstance(entries, (list, tuple)):
         raise ProvenanceError(f"derivation node at {path} has non-list children")
-    children = tuple(
-        _node_from_json(child, f"{path}.children[{index}]")
-        for index, child in enumerate(children_payload)
-    )
+    values = {name: payload[name] for name in NODE_FIELDS[:-1]}
+    values["holds"] = bool(values["holds"])
     return DerivationNode(
-        rule=payload["rule"],
-        formula=payload["formula"],
-        point=payload.get("point"),
-        holds=bool(payload["holds"]),
-        definition=payload["definition"],
-        detail=payload.get("detail", {}),
-        children=children,
+        **values,
+        children=tuple(
+            decode_child(entry, f"{path}.children[{index}]")
+            for index, entry in enumerate(entries)
+        ),
     )
+
+
+def _decode_nested(payload, path: str) -> DerivationNode:
+    """A document node: its children are nested payloads."""
+    return _decode_node(payload, path, _decode_nested)
+
+
+def node_from_table(nodes: Mapping[str, Dict], ref: str) -> DerivationNode:
+    """Rebuild the tree rooted at ``ref`` from a Merkle node table.
+
+    The inverse of :func:`node_table`, and the table form of the one
+    node decoder: each child entry must be a fingerprint that resolves
+    in ``nodes``, so a Section 8 sweep's bundle yields back the Section
+    5 evidence it streamed.  Raises
+    :class:`~repro.errors.ProvenanceError` on a non-reference child, a
+    dangling fingerprint, a fingerprint that repeats on its own descent
+    path (a cycle, which no Merkle table can hold), or a malformed node
+    -- a derivation is only meaningful when every reference resolves to
+    a finite tree.
+    """
+
+    def resolve(entry, path: str, ancestors: FrozenSet[str]) -> DerivationNode:
+        if not isinstance(entry, str):
+            raise ProvenanceError(
+                f"derivation node table has non-reference children entry "
+                f"{entry!r} at {path}"
+            )
+        if entry in ancestors:
+            raise ProvenanceError(
+                f"derivation node reference {entry!r} at {path} repeats on its "
+                "own descent path"
+            )
+        payload = nodes.get(entry)
+        if payload is None:
+            raise ProvenanceError(
+                f"derivation node reference {entry!r} at {path} resolves to no node"
+            )
+        inside = ancestors | {entry}
+        return _decode_node(
+            payload, path, lambda child, child_path: resolve(child, child_path, inside)
+        )
+
+    return resolve(ref, "root", frozenset())
 
 
 def derivation_from_json(payload) -> Derivation:
@@ -247,7 +371,7 @@ def derivation_from_json(payload) -> Derivation:
         assignment=payload["assignment"],
         formula=payload["formula"],
         point=payload["point"],
-        root=_node_from_json(payload["root"], "root"),
+        root=_decode_nested(payload["root"], "root"),
     )
 
 

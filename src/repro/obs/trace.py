@@ -165,22 +165,21 @@ class TraceRecorder(Recorder):
                 flush()
 
 
-def read_trace(source, strict: bool = True) -> List[Dict]:
+def read_trace(source) -> List[Dict]:
     """Load the records of a JSONL trace file (or iterable of lines).
 
     A final line that does not decode as JSON is the half-written tail
     of a killed run and is dropped; an undecodable line *before* the end
     raises :class:`~repro.errors.TraceError` (the rule of
-    :class:`repro.obs.jsonl.JsonlFormat`).  With ``strict=True`` the first
-    record must be a ``repro-trace/1`` header.
+    :class:`repro.obs.jsonl.JsonlFormat`).  The first record must be a
+    ``repro-trace/1`` header.
     """
     records = [record for _line, record in _TRACE_LOG.read(source)]
-    if strict:
-        if not records:
-            raise TraceError("trace is empty: no header record")
-        header = records[0]
-        if header.get("type") != "header" or header.get("schema") != TRACE_SCHEMA:
-            raise TraceError(
-                f"trace does not start with a {TRACE_SCHEMA!r} header: {header!r}"
-            )
+    if not records:
+        raise TraceError("trace is empty: no header record")
+    header = records[0]
+    if header.get("type") != "header" or header.get("schema") != TRACE_SCHEMA:
+        raise TraceError(
+            f"trace does not start with a {TRACE_SCHEMA!r} header: {header!r}"
+        )
     return records

@@ -513,13 +513,6 @@ class FiniteProbabilitySpace:
             return self.outer_measure_naive(self._decoded(mask))
         return self._interval_entry(mask)[1]
 
-    def measure_interval_mask(self, mask: int) -> Tuple[Fraction, Fraction]:
-        """Mask-level :meth:`measure_interval`."""
-        if self._interval_cache is None:
-            return self.measure_interval_naive(self._decoded(mask))
-        entry = self._interval_entry(mask)
-        return entry[0], entry[1]
-
     # ------------------------------------------------------------------
     # Measure: public API (dispatches to the space's backend)
     # ------------------------------------------------------------------

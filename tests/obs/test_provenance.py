@@ -17,7 +17,7 @@ from repro.obs import (
     render_derivation,
     write_derivation,
 )
-from repro.obs.provenance import json_pure
+from repro.obs.provenance import NODE_FIELDS, json_pure, node_from_table, node_table
 
 
 def leaf(**overrides):
@@ -164,6 +164,29 @@ class TestDerivationDataModel:
     def test_non_json_text_rejected(self):
         with pytest.raises(ProvenanceError, match="not JSON"):
             derivation_from_json("{truncated")
+
+
+class TestOneNodeCodec:
+    def test_table_form_rebuilds_the_document_form(self):
+        root = small_derivation().root
+        assert list(root.json_ready()) == list(NODE_FIELDS)
+        root_ref, table = node_table(root)
+        assert list(table) == [table[root_ref]["children"][0], root_ref]
+        assert node_from_table(table, root_ref) == root
+
+    @pytest.mark.parametrize("field", NODE_FIELDS)
+    def test_both_forms_demand_every_field(self, field):
+        # One field check: a node missing any field is rejected, with the
+        # same message, whether its children are nested or referenced.
+        expected = f"node at root\\.children\\[0\\] is missing fields \\['{field}'\\]"
+        document = small_derivation().json_ready()
+        del document["root"]["children"][0][field]
+        with pytest.raises(ProvenanceError, match=expected):
+            derivation_from_json(document)
+        root_ref, table = node_table(small_derivation().root)
+        del table[table[root_ref]["children"][0]][field]
+        with pytest.raises(ProvenanceError, match=expected):
+            node_from_table(table, root_ref)
 
 
 class TestFileRoundTrip:

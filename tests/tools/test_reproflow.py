@@ -11,6 +11,7 @@ runs on the real tree, against the real package shapes.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from tools.reproflow.cache import SummaryCache
 from tools.reproflow.engine import analyze_paths, package_identity
 from tools.reproflow.extract import extract_module
 from tools.reproflow.program import Program
@@ -60,8 +60,8 @@ def mutate_payload(
     return checkpoint
 
 
-def run_flow(paths, cache=None):
-    return analyze_paths([str(p) for p in paths], cache=cache)
+def run_flow(paths):
+    return analyze_paths([str(p) for p in paths])
 
 
 def violations_of(report, rule_id):
@@ -397,69 +397,6 @@ def test_unparseable_file_is_rl000_and_run_continues(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_round_trip_same_findings(tmp_path):
-    tree = copy_tree(tmp_path)
-    checkpoint = mutate_payload(tree, "lambda task: task_function(task)")
-    cache_path = tmp_path / "cache.json"
-    cold_cache = SummaryCache(str(cache_path))
-    cold = run_flow([tree], cache=cold_cache)
-    assert cold.cache_hits == 0
-    assert cold.cache_misses > 0
-    assert cache_path.exists()
-    warm_cache = SummaryCache(str(cache_path))
-    warm = run_flow([tree], cache=warm_cache)
-    assert warm.cache_misses == 0
-    assert warm.cache_hits == cold.cache_misses
-    assert [v.render() for v in warm.violations] == [
-        v.render() for v in cold.violations
-    ]
-    # Suppressions ride in the cached summaries: suppressing the finding
-    # invalidates only that file's entry and is honoured on the rerun.
-    lambda_line = next(
-        line
-        for line in checkpoint.read_text().splitlines()
-        if "lambda task:" in line
-    )
-    checkpoint.write_text(
-        checkpoint.read_text().replace(
-            lambda_line,
-            lambda_line + "  # reproflow: disable=RL011",
-            1,
-        )
-    )
-    third = run_flow([tree], cache=SummaryCache(str(cache_path)))
-    assert third.cache_misses == 1
-    assert violations_of(third, "RL000") == []
-    assert violations_of(third, "RL011") == []
-    assert [v.rule_id for v in third.suppressed] == ["RL011"]
-
-
-def test_corrupt_cache_degrades_to_cold_run(tmp_path):
-    tree = copy_tree(tmp_path)
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json")
-    report = run_flow([tree], cache=SummaryCache(str(cache_path)))
-    assert report.violations == []
-    assert report.cache_hits == 0
-    # The save path rewrote it into a valid cache.
-    assert json.loads(cache_path.read_text())["schema"] == "reproflow-cache/1"
-
-
-def test_stale_hash_invalidates_entry(tmp_path):
-    tree = copy_tree(tmp_path)
-    cache_path = tmp_path / "cache.json"
-    run_flow([tree], cache=SummaryCache(str(cache_path)))
-    sweep = tree / "attack" / "sweep.py"
-    sweep.write_text(sweep.read_text() + "\n# trailing comment\n")
-    report = run_flow([tree], cache=SummaryCache(str(cache_path)))
-    assert report.cache_misses == 1
-
-
-# ---------------------------------------------------------------------------
 # report artifact
 # ---------------------------------------------------------------------------
 
@@ -499,15 +436,15 @@ def run_cli(*args, cwd=None):
     )
 
 
-def test_cli_clean_tree_exits_zero(tmp_path):
-    result = run_cli("--cache", str(tmp_path / "c.json"), "src/repro")
+def test_cli_clean_tree_exits_zero():
+    result = run_cli("src/repro")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_cli_json_and_exit_one_on_finding(tmp_path):
     tree = copy_tree(tmp_path)
     mutate_payload(tree, "lambda task: task_function(task)")
-    result = run_cli("--no-cache", "--json", str(tree))
+    result = run_cli("--json", str(tree))
     assert result.returncode == 1
     findings = json.loads(result.stdout)
     assert [v["rule"] for v in findings] == ["RL011"]
@@ -515,12 +452,46 @@ def test_cli_json_and_exit_one_on_finding(tmp_path):
 
 def test_cli_report_artifact_written(tmp_path):
     out = tmp_path / "flow-report.json"
-    result = run_cli(
-        "--cache", str(tmp_path / "c.json"), "--report", str(out), "src/repro"
-    )
+    result = run_cli("--report", str(out), "src/repro")
     assert result.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["schema"] == "repro-flow/1"
+
+
+def test_cli_rerun_sees_a_new_package_context(tmp_path):
+    # A module's summary depends on its package context, not only on its
+    # bytes: once helpers/ becomes a package, exact.py's import resolves
+    # to a float-returning function, and a rerun from the same working
+    # directory must report it.
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "helpers").mkdir()
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (tmp_path / "repro" / "core" / "__init__.py").write_text("")
+    (tmp_path / "repro" / "core" / "exact.py").write_text(
+        "from repro.helpers.ratio import halve\n\n\n"
+        "def exact(value):\n    return halve(value)\n"
+    )
+    (tmp_path / "repro" / "helpers" / "ratio.py").write_text(
+        "def halve(value):\n    return value / 2.0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT))
+
+    def run():
+        return subprocess.run(
+            [sys.executable, "-m", "tools.reproflow", "repro"],
+            capture_output=True,
+            text=True,
+            cwd=str(tmp_path),
+            env=env,
+        )
+
+    first = run()
+    assert first.returncode == 0, first.stdout + first.stderr
+    (tmp_path / "repro" / "helpers" / "__init__.py").write_text("")
+    second = run()
+    assert second.returncode == 1, second.stdout + second.stderr
+    assert "repro/core/exact.py:5:" in second.stdout
+    assert "RL010" in second.stdout
 
 
 def test_cli_explain_and_list_rules():
@@ -545,9 +516,9 @@ def test_cli_stale_suppression_flag(tmp_path):
             1,
         )
     )
-    without_flag = run_cli("--no-cache", str(tree))
+    without_flag = run_cli(str(tree))
     assert without_flag.returncode == 0
-    with_flag = run_cli("--no-cache", "--report-stale-suppressions", str(tree))
+    with_flag = run_cli("--report-stale-suppressions", str(tree))
     assert with_flag.returncode == 1
     assert "stale" in with_flag.stdout
 

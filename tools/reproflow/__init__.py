@@ -18,9 +18,10 @@ interprocedural invariants in the same registry/suppression framework:
 * RL012 -- docstrings declaring ``Deterministic.`` / ``Exact.``
   contracts match the inferred effect summaries.
 
-Extraction is cached per file keyed by sha256
-(``.reproflow-cache.json``); the fixpoint is always recomputed.  The
-``--report`` artifact (``repro-flow/1``) is content-only and diffable.
+Every run extracts every file afresh -- a summary depends on the
+file's package context as well as its bytes -- and recomputes the
+fixpoint.  The ``--report`` artifact (``repro-flow/1``) is content-only
+and diffable.
 
 Usage::
 
@@ -35,23 +36,19 @@ line, per line as a trailing comment); ``# reprolint:`` spellings are
 honoured too -- one rule-id namespace across both tiers.
 """
 
-from .cache import DEFAULT_CACHE_PATH, SummaryCache
 from .engine import FlowReport, analyze_paths, package_identity
-from .extract import EXTRACT_SCHEMA, extract_module, sha256_of
+from .extract import extract_module, sha256_of
 from .program import Program
 from .report import REPORT_SCHEMA, build_report
 from .rules.base import FLOW_REGISTRY, FlowRule, POOL_ENTRY_POINTS
 
 __all__ = [
-    "DEFAULT_CACHE_PATH",
-    "EXTRACT_SCHEMA",
     "FLOW_REGISTRY",
     "FlowReport",
     "FlowRule",
     "POOL_ENTRY_POINTS",
     "Program",
     "REPORT_SCHEMA",
-    "SummaryCache",
     "analyze_paths",
     "build_report",
     "extract_module",

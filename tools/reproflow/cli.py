@@ -7,7 +7,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .cache import DEFAULT_CACHE_PATH, SummaryCache
 from .engine import analyze_paths
 from .report import build_report
 from .rules.base import FLOW_REGISTRY
@@ -48,17 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered flow rule ids and titles and exit",
     )
     parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=DEFAULT_CACHE_PATH,
-        help=f"extraction cache file (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-extract every file, neither reading nor writing the cache",
-    )
-    parser.add_argument(
         "--report-stale-suppressions",
         action="store_true",
         help=(
@@ -92,8 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (try: python -m tools.reproflow src/repro)")
 
-    cache = None if args.no_cache else SummaryCache(args.cache)
-    report = analyze_paths(args.paths, cache=cache)
+    report = analyze_paths(args.paths)
     violations = report.violations
 
     for warning in report.unknown_suppressions:

@@ -28,7 +28,6 @@ from ..reprolint.model import (
     Violation,
 )
 from . import rules as _rules  # noqa: F401  (populates FLOW_REGISTRY)
-from .cache import SummaryCache
 from .extract import extract_module, sha256_of
 from .program import Program
 from .rules.base import FLOW_REGISTRY
@@ -45,8 +44,6 @@ class FlowReport:
     program: Optional[Program] = None
     #: path -> sha256 of every analyzed file (for the report artifact).
     file_hashes: Dict[str, str] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def package_identity(path: str) -> Tuple[str, Tuple[str, ...]]:
@@ -68,8 +65,8 @@ def package_identity(path: str) -> Tuple[str, Tuple[str, ...]]:
 
 
 def _suppressions_from_summary(summary: Dict[str, object]) -> Suppressions:
-    """Rebuild the reprolint suppression object from a (possibly cached)
-    summary, so waivers are honoured without re-reading the file."""
+    """Rebuild the reprolint suppression object from a module summary,
+    so waivers are honoured without re-reading the file."""
     suppressions = Suppressions()
     for decl in summary.get("suppressions", []):  # type: ignore[union-attr]
         parsed = SuppressionDecl(
@@ -85,34 +82,25 @@ def _suppressions_from_summary(summary: Dict[str, object]) -> Suppressions:
     return suppressions
 
 
-def analyze_paths(
-    paths: Sequence[str], cache: Optional[SummaryCache] = None
-) -> FlowReport:
-    """Run the whole-program analysis over every file under ``paths``."""
+def analyze_paths(paths: Sequence[str]) -> FlowReport:
+    """Run the whole-program analysis over every file under ``paths``.
+
+    Every file is extracted afresh: a summary depends on the file's
+    package context (its ``__init__.py`` ancestry) as well as its bytes.
+    """
     report = FlowReport()
     summaries: List[Dict[str, object]] = []
     for path in iter_python_files(paths):
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
-            sha = sha256_of(raw)
-            report.file_hashes[path] = sha
-            summary = cache.get(path, sha) if cache is not None else None
-            if summary is None:
-                root_package, rel_parts = package_identity(path)
-                summary = extract_module(
-                    path, raw.decode("utf-8"), rel_parts, root_package
-                )
-                if cache is not None:
-                    cache.put(path, sha, summary)
+            report.file_hashes[path] = sha256_of(raw)
+            root_package, rel_parts = package_identity(path)
+            summary = extract_module(path, raw.decode("utf-8"), rel_parts, root_package)
         except (OSError, SyntaxError, ValueError) as exc:
             report.violations.append(tool_error_violation(path, exc))
             continue
         summaries.append(summary)
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.save()
     program = Program.build(summaries)
     report.program = program
     suppressions_by_path: Dict[str, Suppressions] = {

@@ -1,14 +1,14 @@
 """Per-module extraction: one AST pass producing a JSON-native summary.
 
-This is the cacheable half of the analyzer.  For each source file it
-computes everything that depends only on that file's bytes -- the
-module's symbol table (imports resolved to absolute dotted targets,
-classes with their methods and bases, module-level constants), one
-record per function with its *intrinsic* effect sites, raw call
-references, float-taint seeds, docstring contracts, and task-payload
-call descriptors -- as plain dicts/lists/strings, so the result can be
-stored keyed by the file's sha256 and reloaded without re-parsing
-(:mod:`tools.reproflow.cache`).
+This is the per-file half of the analyzer.  For each source file it
+computes everything that depends only on that file's bytes and its
+package context (the dotted module name its ``__init__.py`` ancestry
+gives it, against which relative imports resolve) -- the module's
+symbol table (imports resolved to absolute dotted targets, classes with
+their methods and bases, module-level constants), one record per
+function with its *intrinsic* effect sites, raw call references,
+float-taint seeds, docstring contracts, and task-payload call
+descriptors -- as plain dicts/lists/strings.
 
 Nothing here looks across files.  Cross-module resolution and the
 effect fixpoint live in :mod:`tools.reproflow.program`, which consumes
@@ -31,10 +31,6 @@ import hashlib
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..reprolint.model import parse_suppressions
-
-#: Bump when the extraction output changes shape or semantics; cached
-#: summaries written by other versions are discarded wholesale.
-EXTRACT_SCHEMA = "reproflow-extract/2"
 
 #: Clock-reading attributes of the ``time`` module (mirrors reprolint
 #: RL008, the intra-file spelling of the same quarantine).
@@ -859,7 +855,6 @@ def extract_module(
 __all__ = [
     "CLOCK_TIME_ATTRS",
     "CONTRACT_MARKERS",
-    "EXTRACT_SCHEMA",
     "extract_module",
     "module_name_for",
     "sha256_of",

@@ -1,8 +1,8 @@
 """Whole-program model: symbol resolution and the effect fixpoint.
 
 Consumes the per-module summaries produced by
-:mod:`tools.reproflow.extract` (plain dicts, possibly loaded from the
-sha256 cache) and builds the cross-module picture:
+:mod:`tools.reproflow.extract` (plain dicts) and builds the
+cross-module picture:
 
 * a global function index keyed by fully-qualified name
   (``repro.attack.sweep.sweep_row_of``),

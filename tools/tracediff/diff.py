@@ -18,9 +18,10 @@ from repro.errors import TraceError
 from repro.obs.audit import AUDIT_SCHEMA, AuditBundle, read_audit_bundle
 from repro.obs.provenance import (
     EXPLAIN_SCHEMA,
+    NODE_FIELDS,
     Derivation,
-    DerivationNode,
     derivation_from_json,
+    node_table,
 )
 from repro.obs.trace import TRACE_SCHEMA, read_trace
 
@@ -146,52 +147,14 @@ def _record_summary(record: Optional[Mapping[str, Any]]) -> Optional[Dict[str, A
 # ----------------------------------------------------------------------
 
 
-#: Derivation-node fields compared when two derivations part, in
-#: reporting order (most meaningful first; ``children`` is structural).
-_NODE_FIELDS = ("rule", "formula", "point", "holds", "definition", "detail")
-
-
-def _node_divergence(
-    a: DerivationNode, b: DerivationNode, path: str
-) -> Optional[Dict[str, Any]]:
-    """The first diverging node of two derivation trees, depth-first.
-
-    A node's own content is compared before its children, so the
-    reported path is the shallowest, leftmost point of disagreement.
-    """
-    for field_name in _NODE_FIELDS:
-        value_a = getattr(a, field_name)
-        value_b = getattr(b, field_name)
-        if value_a != value_b:
-            return {
-                "path": path,
-                "field": field_name,
-                "rule": a.rule,
-                "a": value_a,
-                "b": value_b,
-            }
-    if len(a.children) != len(b.children):
-        return {
-            "path": path,
-            "field": "children",
-            "rule": a.rule,
-            "a": len(a.children),
-            "b": len(b.children),
-        }
-    for position, (child_a, child_b) in enumerate(zip(a.children, b.children)):
-        found = _node_divergence(child_a, child_b, f"{path}.children[{position}]")
-        if found is not None:
-            return found
-    return None
-
-
 def diff_derivations(a: Derivation, b: Derivation) -> Dict[str, Any]:
     """Compare two ``repro-explain/1`` derivations.
 
     Equal fingerprints mean byte-identical canonical JSON -- zero
-    divergence by construction.  Otherwise the trees are walked in
-    parallel to the first diverging node (the shallowest, leftmost
-    disagreement), which localises *where* the two evaluations parted.
+    divergence by construction.  Otherwise both trees are encoded as
+    Merkle node tables and :func:`dag_divergence` descends to the first
+    diverging node (the shallowest, leftmost disagreement), which
+    localises *where* the two evaluations parted.
     """
     summary: Dict[str, Any] = {
         "kind": "explain",
@@ -216,13 +179,19 @@ def diff_derivations(a: Derivation, b: Derivation) -> Dict[str, Any]:
                 "b": value_b,
             }
             return summary
-    summary["first_divergence"] = _node_divergence(a.root, b.root, "root")
+    ref_a, nodes_a = node_table(a.root)
+    ref_b, nodes_b = node_table(b.root)
+    summary["first_divergence"] = dag_divergence(nodes_a, nodes_b, ref_a, ref_b)
     return summary
 
 
 # ----------------------------------------------------------------------
-# Audit-bundle node-table descent
+# Node-table descent
 # ----------------------------------------------------------------------
+
+#: Derivation-node fields compared when two derivations part, in
+#: reporting order; ``children`` is structural and descended into.
+_COMPARED_FIELDS = NODE_FIELDS[:-1]
 
 
 def dag_divergence(
@@ -232,13 +201,13 @@ def dag_divergence(
     ref_b: str,
 ) -> Optional[Dict[str, Any]]:
     """Fingerprint-guided descent to the first diverging node of two
-    audit-bundle node tables; ``None`` when the roots agree.
+    Merkle node tables; ``None`` when the roots agree.
 
-    The node-table counterpart of :func:`_node_divergence`: because a
-    node record's fingerprint commits to its whole subtree, equal
-    child refs prove the subtrees identical without visiting them, and
-    the walk descends only into the leftmost child whose refs differ --
-    one root-to-divergence path instead of a full tree comparison.
+    The one derivation walk, for audit bundles and explain documents
+    alike: because a node's fingerprint commits to its whole subtree,
+    equal child refs prove the subtrees identical without visiting them,
+    and the walk descends only into the leftmost child whose refs differ
+    -- one root-to-divergence path instead of a full tree comparison.
     """
     path = "root"
     while True:
@@ -254,7 +223,7 @@ def dag_divergence(
                 "b": ref_b if payload_b is None else "resolved",
                 "note": "dangling fingerprint reference",
             }
-        for field_name in _NODE_FIELDS:
+        for field_name in _COMPARED_FIELDS:
             value_a = payload_a.get(field_name)
             value_b = payload_b.get(field_name)
             if value_a != value_b:
